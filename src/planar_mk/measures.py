@@ -55,13 +55,20 @@ class Grid1D:
         return Grid1D(np.linspace(lo, hi, n_cells + 1))
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("density values must be finite")
+
+
 def floor_and_normalize(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Clamp values to EPS_FLOOR and rescale to unit total mass.
 
     Returns the corrected values and the absolute mass correction applied
     (|total before final rescale - 1|), recorded in ingestion diagnostics.
     """
-    v = np.maximum(np.asarray(values, dtype=float), EPS_FLOOR)
+    v = np.asarray(values, dtype=float)
+    _check_finite(v)
+    v = np.maximum(v, EPS_FLOOR)
     total = float(np.sum(v * weights))
     if total <= 0:
         raise ValueError("density has no mass")
@@ -79,6 +86,7 @@ class DiscreteDensity1D:
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.n_cells,):
             raise ValueError("values must have one entry per cell")
+        _check_finite(values)
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
         if abs(self.total_mass() - 1.0) > MASS_TOL:
@@ -110,6 +118,7 @@ class DiscreteDensity2D:
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid_x.n_cells, self.grid_y.n_cells):
             raise ValueError("values must be (n_x, n_y)")
+        _check_finite(values)
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
         if abs(self.total_mass() - 1.0) > MASS_TOL:
@@ -198,82 +207,88 @@ def build_cdf(d: DiscreteDensity1D) -> CDF1D:
 def quantile(c: CDF1D, t: np.ndarray | float) -> np.ndarray | float:
     """Left-continuous inverse inf{x : F(x) >= t}, vectorized over t.
 
-    Linear CDFs are inverted ramp by ramp (exact for piecewise-linear F);
-    step CDFs return the atom position, left-continuous at the jump levels.
-    Raises for t outside (0, 1].
+    Linear CDFs are inverted ramp by ramp through `QuantileTable` (exact for
+    piecewise-linear F); step CDFs return the atom position, left-continuous
+    at the jump levels. Raises for t outside (0, 1].
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
-        raise ValueError("quantile level must lie in (0, 1]")
-    # first index with cum >= t; in [1, n_nodes-1] because cum[0]=0 < t <= 1
-    idx = np.searchsorted(c.cum, t_arr, side="left")
-    nodes = c.grid.nodes
-    if c.kind == "step":
-        out = nodes[idx]
+    if c.kind == "linear":
+        out = QuantileTable.from_cdf(c)(t_arr)
     else:
-        lo, hi = c.cum[idx - 1], c.cum[idx]
-        x0, x1 = nodes[idx - 1], nodes[idx]
-        # hi > lo is guaranteed: idx is the first node at/above level t
-        frac = (t_arr - lo) / (hi - lo)
-        out = x0 + frac * (x1 - x0)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+        _check_levels(t_arr)
+        # first index with cum >= t; in [1, n_nodes-1] because cum[0]=0 < t <= 1
+        out = c.grid.nodes[np.searchsorted(c.cum, t_arr, side="left")]
+    return float(out) if t_arr.ndim == 0 else out
+
+
+def _check_levels(t: np.ndarray) -> None:
+    if not np.all((t > 0.0) & (t <= 1.0)):  # also rejects NaN
+        raise ValueError("quantile level must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class QuantileTable:
-    """Left-continuous inverse CDF as a lookup table.
+    """Left-continuous inverse CDFs as one stacked lookup table.
 
-    probs runs 0 to 1; values are the corresponding positions. Evaluation
-    inverts the table ramp by ramp and therefore reproduces `quantile`
-    exactly when the table is built from a CDF's own levels.
+    Row s of probs runs 0 to 1 and row s of values holds the matching
+    positions; 1-D probs and values make a one-row table. Evaluation inverts
+    each row ramp by ramp and therefore reproduces `quantile` exactly when a
+    row is built from a CDF's own levels.
     """
 
-    probs: np.ndarray
-    values: np.ndarray
+    probs: np.ndarray   # (S, K)
+    values: np.ndarray  # (S, K)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        probs = np.atleast_2d(np.asarray(self.probs, dtype=float))
+        values = np.atleast_2d(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "values", values)
-        if probs.shape != values.shape or probs.ndim != 1 or probs.size < 2:
-            raise ValueError("probs and values must be matching 1-D arrays")
-        if probs[0] != 0.0 or probs[-1] != 1.0 or np.any(np.diff(probs) < 0):
+        if probs.shape != values.shape or probs.ndim != 2 or probs.shape[1] < 2:
+            raise ValueError("probs and values must be matching 1-D or 2-D arrays")
+        if np.any(probs[:, 0] != 0.0) or np.any(probs[:, -1] != 1.0) or np.any(np.diff(probs, axis=1) < 0):
             raise ValueError("probs must be nondecreasing from 0 to 1")
-        if np.any(np.diff(values) < 0):
+        if np.any(np.diff(values, axis=1) < 0):
             raise ValueError("quantile values must be nondecreasing")
 
-    def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
-            raise ValueError("quantile level must lie in (0, 1]")
-        idx = np.searchsorted(self.probs, t_arr, side="left")
-        lo, hi = self.probs[idx - 1], self.probs[idx]
-        frac = (t_arr - lo) / (hi - lo)
-        out = self.values[idx - 1] + frac * (self.values[idx] - self.values[idx - 1])
-        if np.isscalar(t) or t_arr.ndim == 0:
-            return float(out)
-        return out
+    def __call__(self, t: np.ndarray | float) -> np.ndarray:
+        """Quantiles alone: the first output of `value_and_slope`."""
+        return self.value_and_slope(t)[0]
 
-    def value_and_slope(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Quantile and the exact slope of the active ramp (dvalue/dprob).
+    def value_and_slope(
+        self, t: np.ndarray | float, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Quantiles and the exact slopes of the active ramps (dvalue/dprob).
 
-        The slope is the inverse-function derivative 1/F' evaluated at the
-        quantile point; at a level hit exactly it is the left ramp's slope,
-        matching the left-continuous convention.
+        Row r of the levels t is evaluated in table row rows[r] (in row r when
+        rows is None); a one-row table takes levels of any shape. The slope is
+        the inverse-function derivative 1/F' evaluated at the quantile point;
+        at a level hit exactly it is the left ramp's slope, matching the
+        left-continuous convention. Raises for levels outside (0, 1].
         """
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
-            raise ValueError("quantile level must lie in (0, 1]")
-        idx = np.searchsorted(self.probs, t_arr, side="left")
-        lo, hi = self.probs[idx - 1], self.probs[idx]
-        dv = self.values[idx] - self.values[idx - 1]
-        slope = dv / (hi - lo)
-        frac = (t_arr - lo) / (hi - lo)
-        val = self.values[idx - 1] + frac * dv
-        return val, slope
+        _check_levels(t_arr)
+        rows = np.arange(self.probs.shape[0]) if rows is None else np.asarray(rows)
+        if rows.size > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != rows.size):
+            raise ValueError("levels need one row per table row")
+        levels = t_arr.reshape(rows.size, -1)
+        # first index with probs >= t, so probs[idx-1] < t <= probs[idx]
+        idx = np.empty(levels.shape, dtype=np.intp)
+        for r, s in enumerate(rows):
+            idx[r] = np.searchsorted(self.probs[s], levels[r], side="left")
+        # in-place steps keep few (S, M) temporaries alive on large grids
+        s = rows[:, None]
+        hi, v1 = self.probs[s, idx], self.values[s, idx]
+        idx -= 1
+        lo, v0 = self.probs[s, idx], self.values[s, idx]
+        del idx
+        width = np.subtract(hi, lo, out=hi)
+        dv = np.subtract(v1, v0, out=v1)
+        slope = dv / width
+        frac = np.subtract(levels, lo, out=lo)
+        frac /= width
+        val = np.add(v0, np.multiply(frac, dv, out=frac), out=v0)
+        return val.reshape(t_arr.shape), slope.reshape(t_arr.shape)
 
     @staticmethod
     def from_cdf(c: CDF1D) -> "QuantileTable":

@@ -12,8 +12,6 @@ bump directions is available as a cross-check on small grids.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -272,9 +270,9 @@ def _run_projected_gradient(
         grad = out.phi + out.psi
         direction = -project_zero_marginals(grad, wx, wy)
         # row/col sums of the direction must vanish (descent stays in the polytope)
-        assert max(np.max(np.abs(direction @ wy)), np.max(np.abs(wx @ direction))) < 1e-10 * max(
-            1.0, float(np.max(np.abs(direction)))
-        )
+        marg = max(np.max(np.abs(direction @ wy)), np.max(np.abs(wx @ direction)))
+        if not marg < 1e-10 * max(1.0, float(np.max(np.abs(direction)))):
+            raise RuntimeError(f"descent direction has marginal sums up to {marg:.3e}")
         gnorm2 = float(np.sum(direction**2 * areas))
         gnorm = float(np.sqrt(gnorm2))
         traces.grad_trace.append(gnorm)
@@ -365,22 +363,20 @@ def _run_rectangle_cd(
     col_target = f2.cell_masses
     n_x, n_y = values0.shape
 
-    def slice_cost_y(masses_row: np.ndarray, i: int) -> float:
-        total = masses_row.sum()
-        v = np.clip((np.cumsum(masses_row) - 0.5 * masses_row) / total, 1e-15, 1.0)
-        val = field_f.tables[i](v)
-        return float(np.dot((yc - val) ** 2, masses_row))
+    # the dots run on views of m: BLAS sums a strided slice in an order that
+    # depends on the stride
+    def row_costs(m: np.ndarray, which) -> list[float]:
+        val, _, _ = field_f.at_centers(m[which], which)
+        return [float(np.dot((yc - val[k]) ** 2, m[i])) for k, i in enumerate(which)]
 
-    def slice_cost_x(masses_col: np.ndarray, j: int) -> float:
-        total = masses_col.sum()
-        u = np.clip((np.cumsum(masses_col) - 0.5 * masses_col) / total, 1e-15, 1.0)
-        val = field_ft.tables[j](u)
-        return float(np.dot((xc - val) ** 2, masses_col))
+    def col_costs(m: np.ndarray, which) -> list[float]:
+        val, _, _ = field_ft.at_centers(m[:, which].T, which)
+        return [float(np.dot((xc - val[k]) ** 2, m[:, j])) for k, j in enumerate(which)]
 
     values = values0.copy()
     masses = values * areas
-    cost_rows = np.array([slice_cost_y(masses[i], i) for i in range(n_x)])
-    cost_cols = np.array([slice_cost_x(masses[:, j], j) for j in range(n_y)])
+    cost_rows = np.array(row_costs(masses, np.arange(n_x)))
+    cost_cols = np.array(col_costs(masses, np.arange(n_y)))
     L_cur = float(cost_rows.sum() + cost_cols.sum())
     traces = _StartResult(values, [L_cur], [], 0, "max_iters", 0.0)
 
@@ -412,23 +408,17 @@ def _run_rectangle_cd(
                 m = masses.copy()
                 for (c, sg) in zip(cells, signs):
                     m[c] += sg * s
-                return (
-                    base
-                    + slice_cost_y(m[a], a)
-                    + slice_cost_y(m[a1], a1)
-                    + slice_cost_x(m[:, b], b)
-                    + slice_cost_x(m[:, b1], b1)
-                )
+                ca, ca1 = row_costs(m, [a, a1])
+                cb, cb1 = col_costs(m, [b, b1])
+                return base + ca + ca1 + cb + cb1
 
             tol = 1e-10 * max(1.0, s_hi - s_lo)
             s_best, L_best = _golden_section(L_at, s_lo, s_hi, tol)
             if L_best < L_cur - 1e-15:
                 for (c, sg) in zip(cells, signs):
                     masses[c] += sg * s_best
-                cost_rows[a] = slice_cost_y(masses[a], a)
-                cost_rows[a1] = slice_cost_y(masses[a1], a1)
-                cost_cols[b] = slice_cost_x(masses[:, b], b)
-                cost_cols[b1] = slice_cost_x(masses[:, b1], b1)
+                cost_rows[[a, a1]] = row_costs(masses, [a, a1])
+                cost_cols[[b, b1]] = col_costs(masses, [b, b1])
                 improved += L_cur - L_best
                 L_cur = L_best
         traces.L_trace.append(L_cur)
@@ -459,8 +449,7 @@ def solve(
     rectangle scheme polish a projected-gradient solution); further starts
     are IPFP-projected log-uniform perturbations of the independent coupling,
     each driven by a child stream of the seed so results are independent of
-    scheduling. The PLANAR_MK_THREADS environment variable caps parallel
-    starts.
+    scheduling. Starts run one after another.
     """
     config = config or SolverConfig()
     f1, _ = marginals_2d(f)
@@ -483,14 +472,7 @@ def solve(
             v0 = _start_values(k, f1, f2, config, rng)
         return runner(v0, f1, f2, field_f, field_ft, f.grid_x, f_tilde.grid_y, config)
 
-    n_starts = max(1, config.multistart)
-    starts = list(range(n_starts))
-    max_threads = int(os.environ.get("PLANAR_MK_THREADS", "1") or "1")
-    if max_threads > 1 and n_starts > 1:
-        with ThreadPoolExecutor(max_workers=min(max_threads, n_starts)) as pool:
-            results = list(pool.map(run_start, starts))
-    else:
-        results = [run_start(k) for k in starts]
+    results = [run_start(k) for k in range(max(1, config.multistart))]
 
     finals = [r.L_trace[-1] for r in results]
     best = int(np.argmin(finals))
@@ -500,7 +482,8 @@ def solve(
     p_star = ipfp_project(best_result.values, f1, f2, config.ipfp_max_iters, config.ipfp_tol)
     el = euler_lagrange_residual(f, f_tilde, p_star)
     L_trace = np.asarray(best_result.L_trace)
-    assert np.all(np.diff(L_trace) <= 0.0), "descent trace must be nonincreasing"
+    if not np.all(np.diff(L_trace) <= 0.0):
+        raise RuntimeError("descent trace must be nonincreasing")
     return SolveReport(
         p_star=p_star,
         L_trace=L_trace,

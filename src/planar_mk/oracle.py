@@ -182,7 +182,8 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
     b[-1] += _PERTURB * (m * (m + 1)) / 2
 
     arcs = _northwest_corner(a, b)
-    assert len(arcs) == m + k - 1
+    if len(arcs) != m + k - 1:
+        raise RuntimeError(f"northwest-corner basis has {len(arcs)} arcs, expected {m + k - 1}")
     flows = _tree_flows(arcs, a, b)
 
     basis = set(arcs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingDensity, MarginalMismatchError, as_density
-from .measures import CDF1D, DiscreteDensity2D, QuantileTable
+from .measures import CDF1D, DiscreteDensity2D, Grid1D, QuantileTable
 
 # Maps are built only when the coupling's fixed marginal agrees with the
 # conditioned density's marginal to this tolerance (max cell-mass deviation).
@@ -29,57 +29,77 @@ class DegenerateSliceError(ValueError):
     pass
 
 
+def _conditional_cums(d: DiscreteDensity2D, condition_axis: str) -> tuple[Grid1D, np.ndarray]:
+    """Conditional CDFs at the free axis' nodes, one row per conditioning cell.
+
+    Each row is normalized by its own slice mass. The row masses are summed
+    on a C-contiguous copy so that every row sums pairwise, exactly like a
+    1-D slice sum.
+    """
+    if condition_axis == "x":
+        grid, masses = d.grid_y, d.values * d.grid_y.cell_widths
+    elif condition_axis == "y":
+        grid, masses = d.grid_x, np.ascontiguousarray((d.values * d.grid_x.cell_widths[:, None]).T)
+    else:
+        raise ValueError("condition_axis must be 'x' or 'y'")
+    totals = masses.sum(axis=1)
+    empty = np.flatnonzero(~(totals > 0))
+    if empty.size:
+        raise DegenerateSliceError(f"slice {empty[0]} carries no mass")
+    cums = np.zeros((masses.shape[0], masses.shape[1] + 1))
+    np.cumsum(masses, axis=1, out=cums[:, 1:])
+    cums[:, 1:] /= totals[:, None]
+    cums[:, -1] = 1.0
+    return grid, cums
+
+
 def conditional_cdf(d: DiscreteDensity2D, condition_axis: str, cell_index: int) -> CDF1D:
     """CDF of one variable given that the other lies in a fixed cell.
 
     condition_axis='x' conditions on an x-cell and returns the CDF along y;
-    'y' the transpose. The slice is normalized by its own mass.
+    'y' the transpose. The slice is normalized by its own mass. This is one
+    row of the table that `conditional_quantile_field` inverts.
     """
-    if condition_axis == "x":
-        if not 0 <= cell_index < d.grid_x.n_cells:
-            raise IndexError(f"x-cell {cell_index} out of range")
-        masses = d.values[cell_index, :] * d.grid_y.cell_widths
-        grid = d.grid_y
-    elif condition_axis == "y":
-        if not 0 <= cell_index < d.grid_y.n_cells:
-            raise IndexError(f"y-cell {cell_index} out of range")
-        masses = d.values[:, cell_index] * d.grid_x.cell_widths
-        grid = d.grid_x
-    else:
-        raise ValueError("condition_axis must be 'x' or 'y'")
-    total = masses.sum()
-    if total <= 0:
-        raise DegenerateSliceError(f"slice {cell_index} carries no mass")
-    cum = np.concatenate([[0.0], np.cumsum(masses) / total])
-    cum[-1] = 1.0
-    return CDF1D(grid, cum, kind="linear")
+    grid, cums = _conditional_cums(d, condition_axis)
+    if not 0 <= cell_index < cums.shape[0]:
+        raise IndexError(f"{condition_axis}-cell {cell_index} out of range")
+    return CDF1D(grid, cums[cell_index], kind="linear")
 
 
 @dataclass(frozen=True)
 class ConditionalQuantileField:
-    """One quantile table per conditioning cell.
+    """Every conditional quantile function of a density as one stacked table.
 
-    axis='x': tables[i] inverts the conditional CDF along y given x-cell i;
-    axis='y': tables[j] inverts the conditional CDF along x given y-cell j.
+    axis='x': table row i inverts the conditional CDF along y given x-cell i;
+    axis='y': table row j inverts the conditional CDF along x given y-cell j.
     """
 
     axis: str
-    tables: tuple[QuantileTable, ...]
+    table: QuantileTable
+
+    def at_centers(
+        self, rows: np.ndarray, which: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Quantiles and ramp slopes at the cell-center levels of coupling masses.
+
+        rows holds one row of coupling masses along the free axis per table
+        row (per entry of `which` when given). A center's level counts half
+        of its own cell; each row is normalized by its mass, summed as in
+        `_conditional_cums`. Returns the quantiles, the slopes and the row
+        masses.
+        """
+        totals = np.ascontiguousarray(rows).sum(axis=1)
+        levels = np.cumsum(rows, axis=1)
+        levels -= 0.5 * rows
+        levels /= totals[:, None]
+        val, slope = self.table.value_and_slope(np.clip(levels, 1e-15, 1.0, out=levels), which)
+        return val, slope, totals
 
 
 def conditional_quantile_field(d: DiscreteDensity2D, condition_axis: str) -> ConditionalQuantileField:
-    n = d.grid_x.n_cells if condition_axis == "x" else d.grid_y.n_cells
-    tables = tuple(
-        QuantileTable.from_cdf(conditional_cdf(d, condition_axis, i)) for i in range(n)
-    )
-    return ConditionalQuantileField(condition_axis, tables)
-
-
-def center_levels(masses: np.ndarray) -> np.ndarray:
-    """Cumulative-mass levels at cell centers, normalized by the slice mass."""
-    cum = np.cumsum(masses)
-    v = (cum - 0.5 * masses) / cum[-1]
-    return np.clip(v, 1e-15, 1.0)
+    grid, cums = _conditional_cums(d, condition_axis)
+    table = QuantileTable(cums, np.broadcast_to(grid.nodes, cums.shape))
+    return ConditionalQuantileField(condition_axis, table)
 
 
 def _check_marginal_match(p_masses: np.ndarray, target_masses: np.ndarray, label: str) -> None:
@@ -92,21 +112,16 @@ def _check_marginal_match(p_masses: np.ndarray, target_masses: np.ndarray, label
 
 
 def map_values_from_field(field: ConditionalQuantileField, p_masses: np.ndarray) -> np.ndarray:
-    """Evaluate the conditional-quantile composition slice by slice.
+    """Evaluate the conditional-quantile composition on p's grid.
 
-    For axis='x' returns g with g[i, j] = tables[i](levels of p-row i at
-    centers); for axis='y' returns h with h[i, j] = tables[j](levels of
-    p-column j). Monotone along the free axis by construction.
+    For axis='x' returns g with g[i, j] = row i of the table at the levels of
+    p-row i's centers; for axis='y' returns h with h[i, j] = row j at the
+    levels of p-column j. Monotone along the free axis by construction.
     """
     if field.axis == "x":
-        out = np.empty_like(p_masses)
-        for i, table in enumerate(field.tables):
-            out[i, :] = table(center_levels(p_masses[i, :]))
-    else:
-        out = np.empty_like(p_masses)
-        for j, table in enumerate(field.tables):
-            out[:, j] = table(center_levels(p_masses[:, j]))
-    return out
+        return field.at_centers(p_masses)[0]
+    # C order like g, so that sums over h run in the same order as over g
+    return np.ascontiguousarray(field.at_centers(p_masses.T)[0].T)
 
 
 def build_g_map(f: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
@@ -150,36 +165,37 @@ class PushforwardReport:
     reference_masses: np.ndarray
 
 
-def _edge_levels(masses: np.ndarray) -> np.ndarray:
-    """Cumulative-mass levels at the cell edges (0 excluded, 1 included)."""
-    cum = np.cumsum(masses) / masses.sum()
-    return np.clip(cum, 1e-15, 1.0)
-
-
-def _deposit_slice(
-    interval_lo: np.ndarray,
-    interval_hi: np.ndarray,
-    masses: np.ndarray,
-    edges: np.ndarray,
+def _binned_pushforward(
+    field: ConditionalQuantileField, rows: np.ndarray, maps: np.ndarray, edges: np.ndarray, name: str
 ) -> np.ndarray:
-    """Spread each mass uniformly over its image interval across the bins."""
-    n_bins = edges.size - 1
-    out = np.zeros(n_bins)
-    for lo, hi, m in zip(interval_lo, interval_hi, masses):
-        if hi - lo <= 1e-300:  # degenerate image: whole mass to one cell
-            k = min(max(int(np.searchsorted(edges, lo, side="right")) - 1, 0), n_bins - 1)
-            out[k] += m
-            continue
-        k0 = min(max(int(np.searchsorted(edges, lo, side="right")) - 1, 0), n_bins - 1)
-        k1 = min(max(int(np.searchsorted(edges, hi, side="left")) - 1, 0), n_bins - 1)
-        if k0 == k1:
-            out[k0] += m
-            continue
-        width = hi - lo
-        for k in range(k0, k1 + 1):
-            overlap = min(hi, edges[k + 1]) - max(lo, edges[k])
-            out[k] += m * max(overlap, 0.0) / width
-    return out
+    """Law of the free coordinate under p, slice by slice, binned onto edges.
+
+    rows holds p's masses with one row per table row of the field, maps the
+    map values on the same layout. Each cell's mass is spread uniformly over
+    the image of the cell, whose edges are recomputed from the field and p.
+    The deposited mass is then piecewise linear in position between the
+    image edges, so a bin receives the difference of its values at the bin
+    edges.
+    """
+    deposited = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    cum = np.cumsum(rows, axis=1, out=deposited[:, 1:])
+    levels = np.clip(cum / np.ascontiguousarray(rows).sum(axis=1)[:, None], 1e-15, 1.0)
+    image_edges = np.concatenate([field.table.values[:, :1], field.table(levels)], axis=1)
+    if np.any(maps < image_edges[:, :-1] - 1e-9) or np.any(maps > image_edges[:, 1:] + 1e-9):
+        raise ValueError(f"{name} is inconsistent with its density and p; rebuild it with build_{name}_map")
+    binned = np.empty((rows.shape[0], edges.size - 1))
+    for s in range(rows.shape[0]):
+        binned[s] = np.diff(np.interp(edges, image_edges[s], deposited[s]))
+    return binned
+
+
+def _pushforward_report(binned: np.ndarray, ref: np.ndarray) -> PushforwardReport:
+    return PushforwardReport(
+        l1_deviation=float(np.sum(np.abs(binned - ref))),
+        max_deviation=float(np.max(np.abs(binned - ref))),
+        binned_masses=binned,
+        reference_masses=ref,
+    )
 
 
 def pushforward_check(
@@ -194,24 +210,10 @@ def pushforward_check(
     the passed g must be consistent). The deposition error vanishes under
     refinement; identically zero when p matches f's conditional structure.
     """
-    pd = as_density(p)
-    masses = pd.cell_masses
+    masses = as_density(p).cell_masses
     field = conditional_quantile_field(f, "x")
-    binned = np.zeros((f.grid_x.n_cells, f.grid_y.n_cells))
-    for i in range(masses.shape[0]):
-        levels = _edge_levels(masses[i, :])
-        hi = field.tables[i](levels)
-        lo = np.concatenate([[field.tables[i].values[0]], hi[:-1]])
-        if np.any(g[i, :] < lo - 1e-9) or np.any(g[i, :] > hi + 1e-9):
-            raise ValueError("g is inconsistent with (f, p); rebuild it with build_g_map")
-        binned[i, :] = _deposit_slice(lo, hi, masses[i, :], f.grid_y.nodes)
-    ref = f.cell_masses
-    return PushforwardReport(
-        l1_deviation=float(np.sum(np.abs(binned - ref))),
-        max_deviation=float(np.max(np.abs(binned - ref))),
-        binned_masses=binned,
-        reference_masses=ref,
-    )
+    binned = _binned_pushforward(field, masses, g, f.grid_y.nodes, "g")
+    return _pushforward_report(binned, f.cell_masses)
 
 
 def pushforward_check_h(
@@ -220,24 +222,10 @@ def pushforward_check_h(
     h: np.ndarray,
 ) -> PushforwardReport:
     """Law of (h(X1, Y2), Y2) under p against f~ (transpose of the g check)."""
-    pd = as_density(p)
-    masses = pd.cell_masses
+    masses = as_density(p).cell_masses
     field = conditional_quantile_field(f_tilde, "y")
-    binned = np.zeros((f_tilde.grid_x.n_cells, f_tilde.grid_y.n_cells))
-    for j in range(masses.shape[1]):
-        levels = _edge_levels(masses[:, j])
-        hi = field.tables[j](levels)
-        lo = np.concatenate([[field.tables[j].values[0]], hi[:-1]])
-        if np.any(h[:, j] < lo - 1e-9) or np.any(h[:, j] > hi + 1e-9):
-            raise ValueError("h is inconsistent with (f~, p); rebuild it with build_h_map")
-        binned[:, j] = _deposit_slice(lo, hi, masses[:, j], f_tilde.grid_x.nodes)
-    ref = f_tilde.cell_masses
-    return PushforwardReport(
-        l1_deviation=float(np.sum(np.abs(binned - ref))),
-        max_deviation=float(np.max(np.abs(binned - ref))),
-        binned_masses=binned,
-        reference_masses=ref,
-    )
+    binned = _binned_pushforward(field, masses.T, h.T, f_tilde.grid_x.nodes, "h")
+    return _pushforward_report(binned.T, f_tilde.cell_masses)
 
 
 @dataclass(frozen=True)

@@ -54,31 +54,31 @@ def _check_feasible(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, pd: Discre
 
 
 def _term_pass(
-    tables: Sequence, masses: np.ndarray, centers: np.ndarray
+    field: ConditionalQuantileField, rows: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-slice cost, map values and variation kernel for one L term.
 
-    masses is (n_slices, n_along): row s holds the coupling masses along the
-    integration axis for conditioning slice s; tables[s] inverts the matching
-    conditional CDF of the fixed density.
+    rows is (n_slices, n_along): row s holds the coupling masses along the
+    integration axis for conditioning slice s; table row s of the field
+    inverts the matching conditional CDF of the fixed density.
     """
-    n_slices, _ = masses.shape
-    maps = np.empty_like(masses)
-    kern = np.empty_like(masses)
-    costs = np.empty(n_slices)
-    for s in range(n_slices):
-        mrow = masses[s]
-        total = mrow.sum()
-        v = np.clip((np.cumsum(mrow) - 0.5 * mrow) / total, 1e-15, 1.0)
-        val, slope = tables[s].value_and_slope(v)
-        resid = centers - val
-        # tail integrand x cell mass: 2 (t - G)(-G_y) p w / f1
-        b = -2.0 * resid * slope * mrow / total
-        tail = np.cumsum(b[::-1])[::-1] - 0.5 * b
-        maps[s] = val
-        kern[s] = resid * resid + tail
-        costs[s] = float(np.dot(resid * resid, mrow))
-    return costs, maps, kern
+    val, slope, totals = field.at_centers(rows)
+    resid = centers - val
+    # tail integrand x cell mass: 2 (t - G)(-G_y) p w / f1, built in place
+    # so that few (S, K) temporaries are alive at once on large grids
+    b = -2.0 * resid
+    b *= slope
+    b *= rows
+    b /= totals[:, None]
+    tail = np.cumsum(b[:, ::-1], axis=1)[:, ::-1]
+    b *= 0.5
+    tail -= b
+    r2 = resid * resid
+    # BLAS sums a strided slice in an order that depends on the stride, so
+    # the dots run on the caller's own rows, one per slice
+    costs = np.array([np.dot(r2[s], rows[s]) for s in range(rows.shape[0])])
+    tail += r2
+    return costs, val, tail
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def objective_pass(
     grid_y: Grid1D,
 ) -> ObjectivePass:
     """Fast path used by the optimizer: fixed quantile fields, raw masses."""
-    costs_y, g, phi = _term_pass(field_f.tables, masses, grid_y.centers)
-    costs_x, h_t, psi_t = _term_pass(field_ft.tables, masses.T, grid_x.centers)
+    costs_y, g, phi = _term_pass(field_f, masses, grid_y.centers)
+    costs_x, h_t, psi_t = _term_pass(field_ft, masses.T, grid_x.centers)
     return ObjectivePass(
         L_value=float(costs_y.sum() + costs_x.sum()),
         g=g,
@@ -201,7 +201,7 @@ def euler_lagrange_residual(
 
     H is differenced across each cell at the mid-level of the other axis
     (exact central differences for the piecewise-bilinear H), the bracket
-    fields are evaluated through the conditional quantile tables, and the
+    fields are evaluated through the stacked conditional quantile tables, and the
     divergence uses central differences in the interior with one-sided
     differences on the boundary ring. The reported norm covers the interior
     only; the boundary content of the stationarity condition is exactly the
@@ -227,14 +227,8 @@ def euler_lagrange_residual(
     v_levels = np.clip(Hx / f1_density[:, None], 1e-15, 1.0)
     u_levels = np.clip(Hy / f2_density[None, :], 1e-15, 1.0)
 
-    field_f = conditional_quantile_field(f, "x")
-    field_ft = conditional_quantile_field(f_tilde, "y")
-    bracket_g = np.empty_like(v_levels)
-    for i, table in enumerate(field_f.tables):
-        bracket_g[i, :] = table(v_levels[i, :])
-    bracket_h = np.empty_like(u_levels)
-    for j, table in enumerate(field_ft.tables):
-        bracket_h[:, j] = table(u_levels[:, j])
+    bracket_g = conditional_quantile_field(f, "x").table(v_levels)
+    bracket_h = conditional_quantile_field(f_tilde, "y").table(u_levels.T).T
 
     xc = pd.grid_x.centers
     yc = pd.grid_y.centers

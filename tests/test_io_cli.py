@@ -127,6 +127,18 @@ class TestCliSolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_cell_exits_1(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"grid_x": {"min": 0, "max": 1, "n": 2}, "grid_y": {"min": 0, "max": 1, "n": 2}, '
+            f'"values": [[1.0, {bad}], [1.0, 1.0]]}}'
+        )
+        code = main(["solve", "--input-f", str(path), "--input-g", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main([
             "solve",

@@ -57,6 +57,18 @@ class TestBuildCdf:
         with pytest.raises(ValueError):
             DiscreteDensity1D(g, np.array([1.0, 0.5]))  # mass 0.75
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        g = Grid1D.uniform(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDensity1D(g, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDensity1D.from_values(g, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDensity2D(g, g, np.array([[bad, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDensity2D.from_values(g, g, np.array([[bad, 1.0], [1.0, 1.0]]))
+
 
 class TestQuantile:
     def test_left_continuity_at_atom(self):
@@ -77,7 +89,7 @@ class TestQuantile:
         assert quantile(c, 0.25) == pytest.approx(0.5, abs=0.05)
         assert quantile(c, 0.5625) == pytest.approx(0.75, abs=0.05)
 
-    @pytest.mark.parametrize("t", [0.0, -0.5, 1.0000001])
+    @pytest.mark.parametrize("t", [0.0, -0.5, 1.0000001, np.nan])
     def test_domain_errors(self, t):
         c = build_cdf(uniform_density(4))
         with pytest.raises(ValueError):
@@ -120,6 +132,63 @@ class TestQuantile:
         # inside the first ramp the slope is 1/f = 1/0.5
         _, slope = table.value_and_slope(np.array([0.05]))
         assert slope[0] == pytest.approx(2.0)
+
+
+@st.composite
+def stacked_table_and_levels(draw):
+    """Rows with flat steps in probs and values, and levels that hit breakpoints and 1."""
+    n_rows = draw(st.integers(1, 5))
+    n_nodes = draw(st.integers(2, 8))
+    n_levels = draw(st.integers(1, 6))
+    step = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(1e-6, 10.0)
+    probs, values, levels = [], [], []
+    for _ in range(n_rows):
+        inc = draw(st.lists(step, min_size=n_nodes - 1, max_size=n_nodes - 1).filter(lambda v: sum(v) > 0))
+        c = np.cumsum(inc)
+        row = np.concatenate([[0.0], c / c[-1]])
+        probs.append(row)
+        x0 = draw(st.floats(-5.0, 5.0))
+        values.append(x0 + np.concatenate([[0.0], np.cumsum(draw(st.lists(step, min_size=n_nodes - 1, max_size=n_nodes - 1)))]))
+        level = st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0) | st.sampled_from([float(t) for t in row if t > 0])
+        levels.append(draw(st.lists(level, min_size=n_levels, max_size=n_levels)))
+    return np.array(probs), np.array(values), np.array(levels)
+
+
+def _scalar_value_and_slope(probs, values, t):
+    """Reference: left-continuous inversion of one level by a linear scan."""
+    k = next(i for i in range(1, probs.size) if probs[i] >= t)
+    lo, hi = probs[k - 1], probs[k]
+    dv = values[k] - values[k - 1]
+    return values[k - 1] + (t - lo) / (hi - lo) * dv, dv / (hi - lo)
+
+
+class TestStackedQuantileTable:
+    @given(stacked_table_and_levels(), st.sampled_from([0.0, -0.5, 1.0 + 1e-9, np.nan]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_their_own_tables_bit_for_bit(self, case, bad_level):
+        probs, values, levels = case
+        table = QuantileTable(probs, values)
+        val, slope = table.value_and_slope(levels)
+        assert np.array_equal(table(levels), val)
+        for s in range(probs.shape[0]):
+            v1, s1 = QuantileTable(probs[s], values[s]).value_and_slope(levels[s])
+            assert np.array_equal(val[s], v1) and np.array_equal(slope[s], s1)
+            ref = [_scalar_value_and_slope(probs[s], values[s], t) for t in levels[s]]
+            assert np.array_equal(v1, [r[0] for r in ref]) and np.array_equal(s1, [r[1] for r in ref])
+        bad = levels.copy()
+        bad[-1, -1] = bad_level
+        with pytest.raises(ValueError):
+            table.value_and_slope(bad)
+
+    def test_selected_rows(self):
+        probs = np.array([[0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [0.0, 1.0, 1.0]])
+        table = QuantileTable(probs, np.array([[0.0, 1.0, 2.0]] * 3))
+        t = np.array([[0.5, 1.0], [0.5, 1.0]])
+        val, slope = table.value_and_slope(t, [2, 1])
+        assert np.array_equal(val, [[0.5, 1.0], [1 + 1 / 3, 2.0]])
+        assert np.array_equal(slope, [[1.0, 1.0], [4 / 3, 4 / 3]])
+        with pytest.raises(ValueError):
+            table(np.array([0.5, 0.5]))  # one level for a three-row table
 
 
 class TestW2:

@@ -167,17 +167,6 @@ class TestSolve:
         assert np.array_equal(r1.p_star.values, r2.p_star.values)
         assert r1.start_finals == r2.start_finals
 
-    def test_threaded_multistart_matches_serial(self, monkeypatch):
-        g = Grid1D.uniform(0.0, 1.0, 5)
-        f = smooth_random_density_2d(g, g, seed=73)
-        ft = smooth_random_density_2d(g, g, seed=74)
-        cfg = SolverConfig(max_iters=150, multistart=3, seed=2)
-        serial = solve(f, ft, cfg)
-        monkeypatch.setenv("PLANAR_MK_THREADS", "3")
-        threaded = solve(f, ft, cfg)
-        assert np.array_equal(serial.p_star.values, threaded.p_star.values)
-        assert serial.start_finals == threaded.start_finals
-
     def test_multistart_stability_flag_on_easy_instance(self):
         g = Grid1D.uniform(0.0, 1.0, 4)
         f = smooth_random_density_2d(g, g, seed=81)

@@ -185,6 +185,31 @@ class TestPushforward:
         assert devs[0] > devs[1] > devs[2]
         assert devs[0] < 0.05
 
+    @pytest.mark.parametrize("check_h", [False, True])
+    def test_closed_form_deposit_matches_cell_overlaps(self, check_h):
+        rng = np.random.default_rng(5)
+        gx = Grid1D(np.cumsum(np.r_[0.0, rng.uniform(0.2, 1.8, 12)]))
+        gy = Grid1D(np.cumsum(np.r_[-1.0, rng.uniform(0.2, 1.8, 10)]))
+        f = smooth_random_density_2d(gx, gy, seed=11)
+        p = make_smooth_feasible_coupling(f, f, seed=12)
+        masses = p.density.cell_masses
+        if check_h:
+            binned = pushforward_check_h(f, p, build_h_map(f, p)).binned_masses.T
+            masses, axis, edges = masses.T, "y", gx.nodes
+        else:
+            binned = pushforward_check(f, p, build_g_map(f, p)).binned_masses
+            axis, edges = "x", gy.nodes
+        expected = np.zeros_like(binned)
+        for s in range(masses.shape[0]):
+            levels = np.clip(np.cumsum(masses[s]) / masses[s].sum(), 1e-15, 1.0)
+            hi = quantile(conditional_cdf(f, axis, s), levels)
+            lo = np.r_[edges[0], hi[:-1]]
+            for a, b, m in zip(lo, hi, masses[s]):
+                for k in range(edges.size - 1):
+                    overlap = min(b, edges[k + 1]) - max(a, edges[k])
+                    expected[s, k] += m * max(overlap, 0.0) / (b - a)
+        assert np.max(np.abs(binned - expected)) <= 1e-15
+
     def test_product_case_below_tolerance(self):
         grid = Grid1D.uniform(0.0, 1.0, 32)
         u1 = density_1d_from_function(grid, lambda x: 1.0 + 0.3 * np.sin(2 * x))

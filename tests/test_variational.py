@@ -17,7 +17,7 @@ from planar_mk.measures import (
     quantile,
 )
 from planar_mk.optimizer import ipfp_project, project_zero_marginals
-from planar_mk.reduction import build_g_map, coupling_cost, build_h_map
+from planar_mk.reduction import build_g_map, build_h_map, conditional_quantile_field, coupling_cost
 from planar_mk.variational import (
     CumulativeH,
     Lemma2Schedule,
@@ -27,9 +27,22 @@ from planar_mk.variational import (
     first_variation,
     lemma1_checker,
     lemma2_checker,
+    objective_pass,
     simplified_cross_derivatives,
     variational_state,
 )
+
+
+def test_maps_equal_objective_pass_maps_bit_for_bit():
+    g16 = Grid1D.uniform(0.0, 1.0, 16)
+    f = gaussian_2d(g16, g16, rho=0.35, sigma=(0.25, 0.3))
+    ft = smooth_random_density_2d(g16, g16, seed=8)
+    p = make_smooth_feasible_coupling(f, ft, seed=9)
+    out = objective_pass(
+        conditional_quantile_field(f, "x"), conditional_quantile_field(ft, "y"), p.density.cell_masses, g16, g16
+    )
+    assert np.array_equal(build_g_map(f, p), out.g)
+    assert np.array_equal(build_h_map(ft, p), out.h)
 
 
 class TestEvaluateL:

@@ -38,6 +38,7 @@ from .oracle import (
 )
 from .reduction import build_g_map, build_h_map, coupling_cost
 from .variational import (
+    check_coupling_grids,
     euler_lagrange_residual,
     first_variation,
     lemma1_checker,
@@ -175,6 +176,7 @@ def cmd_check_el(args) -> int:
     _, f2 = marginals_2d(f_tilde)
     if args.input_p:
         grid_x, grid_y, values = read_grid_csv(args.input_p)
+        check_coupling_grids(f, f_tilde, grid_x, grid_y)
         p = ipfp_project(values, f1, f2)
     else:
         p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)

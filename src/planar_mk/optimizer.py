@@ -23,7 +23,7 @@ from .measures import (
     DiscreteDensity2D,
     marginals_2d,
 )
-from .reduction import conditional_quantile_field
+from .reduction import _slice_costs, conditional_quantile_field
 from .rng import Xoshiro256StarStar
 from .variational import euler_lagrange_residual, objective_pass
 
@@ -250,9 +250,6 @@ def _run_projected_gradient(
     n_cells = values0.size
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * n_cells
 
-    def L_of(values: np.ndarray) -> float:
-        return objective_pass(field_f, field_ft, values * areas, grid_x, grid_y).L_value
-
     def marg_err(values: np.ndarray) -> float:
         masses = values * areas
         return max(
@@ -281,21 +278,22 @@ def _run_projected_gradient(
             break
 
         # trial step: clip at the mass floor, repair marginals by IPFP, accept
-        # on a generalized Armijo decrease against the realized displacement
+        # on a generalized Armijo decrease against the realized displacement;
+        # the accepted trial's pass carries the descent on
         s = 2.0 * step
-        accepted = False
+        accepted = None
         while s > config.min_step:
             cand = np.maximum(values + s * direction, EPS_FLOOR)
             if marg_err(cand) > 1e-13:
                 cand = _ipfp_values(cand, f1, f2, config.ipfp_max_iters, config.ipfp_tol)
             predicted = float(np.sum(grad * (cand - values) * areas))
             if predicted < 0.0:
-                L_new = L_of(cand)
-                if L_new <= L_cur + config.armijo * predicted:
-                    accepted = True
+                trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y)
+                if trial.L_value <= L_cur + config.armijo * predicted:
+                    accepted = trial
                     break
             s *= config.backtrack
-        if not accepted:
+        if accepted is None:
             if it == 0:
                 raise NoDescentError(
                     "line search found no decrease at the first iteration"
@@ -303,11 +301,9 @@ def _run_projected_gradient(
             traces.termination = "stalled"  # no achievable decrease
             break
 
-        values = cand
-        out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y)
-        L_new = out.L_value
-        decrease = L_cur - L_new
-        L_cur = L_new
+        values, out = cand, accepted
+        decrease = L_cur - out.L_value
+        L_cur = out.L_value
         step = s
         traces.L_trace.append(L_cur)
         traces.max_marginal_error = max(traces.max_marginal_error, marg_err(values))
@@ -363,20 +359,20 @@ def _run_rectangle_cd(
     col_target = f2.cell_masses
     n_x, n_y = values0.shape
 
-    # the dots run on views of m: BLAS sums a strided slice in an order that
-    # depends on the stride
-    def row_costs(m: np.ndarray, which) -> list[float]:
-        val, _, _ = field_f.at_centers(m[which], which)
-        return [float(np.dot((yc - val[k]) ** 2, m[i])) for k, i in enumerate(which)]
+    def row_costs(m: np.ndarray, which) -> np.ndarray:
+        rows = m[which]
+        return _slice_costs(yc - field_f.at_centers(rows, which)[0], rows)
 
-    def col_costs(m: np.ndarray, which) -> list[float]:
-        val, _, _ = field_ft.at_centers(m[:, which].T, which)
-        return [float(np.dot((xc - val[k]) ** 2, m[:, j])) for k, j in enumerate(which)]
+    def col_costs(m: np.ndarray, which) -> np.ndarray:
+        # strided like the columns of m, since the dots' summation order
+        # depends on the stride (m[:, which].T alone has unit-stride rows)
+        cols = np.ascontiguousarray(m[:, which]).T
+        return _slice_costs(xc - field_ft.at_centers(cols, which)[0], cols)
 
     values = values0.copy()
     masses = values * areas
-    cost_rows = np.array(row_costs(masses, np.arange(n_x)))
-    cost_cols = np.array(col_costs(masses, np.arange(n_y)))
+    cost_rows = row_costs(masses, np.arange(n_x))
+    cost_cols = col_costs(masses, np.arange(n_y))
     L_cur = float(cost_rows.sum() + cost_cols.sum())
     traces = _StartResult(values, [L_cur], [], 0, "max_iters", 0.0)
 

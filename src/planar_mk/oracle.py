@@ -90,20 +90,22 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
     return arcs
 
 
-def _tree_adjacency(arcs: list[tuple[int, int]], m: int) -> dict[int, list[tuple[int, tuple[int, int]]]]:
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+Adjacency = dict[int, list[tuple[int, tuple[int, int]]]]
+
+
+def _tree_adjacency(arcs: list[tuple[int, int]], m: int) -> Adjacency:
+    adj: Adjacency = {}
     for (i, j) in arcs:
         adj.setdefault(i, []).append((m + j, (i, j)))
         adj.setdefault(m + j, []).append((i, (i, j)))
     return adj
 
 
-def _duals(arcs: list[tuple[int, int]], cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _duals(adj: Adjacency, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, k = cost.shape
     u = np.full(m, np.nan)
     v = np.full(k, np.nan)
     u[0] = 0.0
-    adj = _tree_adjacency(arcs, m)
     stack = [0]
     while stack:
         node = stack.pop()
@@ -117,8 +119,7 @@ def _duals(arcs: list[tuple[int, int]], cost: np.ndarray) -> tuple[np.ndarray, n
     return u, v
 
 
-def _tree_path(arcs: list[tuple[int, int]], m: int, start: int, goal: int) -> list[int]:
-    adj = _tree_adjacency(arcs, m)
+def _tree_path(adj: Adjacency, start: int, goal: int) -> list[int]:
     parent = {start: start}
     stack = [start]
     while stack:
@@ -188,7 +189,8 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
 
     basis = set(arcs)
     for _ in range(200 * (m + k) * max(m, k)):
-        u, v = _duals(arcs, cost)
+        adj = _tree_adjacency(arcs, m)
+        u, v = _duals(adj, cost)
         rc = cost - u[:, None] - v[None, :]
         rc_flat = rc.ravel()
         candidates = np.flatnonzero(rc_flat < -_RC_TOL)
@@ -198,7 +200,7 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
         ei, ej = divmod(enter, k)
 
         # unique cycle: entering arc + tree path from its column back to its row
-        path = _tree_path(arcs, m, m + ej, ei)
+        path = _tree_path(adj, m + ej, ei)
         cycle_nodes = [ei] + path  # row, col, row, col, ..., row(=ei)
         cycle_arcs = []
         for p, q in zip(cycle_nodes[:-1], cycle_nodes[1:]):

@@ -102,6 +102,17 @@ def conditional_quantile_field(d: DiscreteDensity2D, condition_axis: str) -> Con
     return ConditionalQuantileField(condition_axis, table)
 
 
+def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-slice sum of mass x squared residual; every cost of L sums here.
+
+    The dots run on the caller's own rows, one per slice, against C-ordered
+    squares: BLAS sums a strided vector in an order that depends on the
+    stride.
+    """
+    sq = np.square(resid, order="C")
+    return np.array([np.dot(sq[s], rows[s]) for s in range(rows.shape[0])])
+
+
 def _check_marginal_match(p_masses: np.ndarray, target_masses: np.ndarray, label: str) -> None:
     dev = float(np.max(np.abs(p_masses - target_masses)))
     if dev > MARGINAL_MATCH_TOL:
@@ -140,21 +151,6 @@ def build_h_map(f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity
         raise ValueError("p and f~ must share the y-grid")
     _check_marginal_match(pd.cell_masses.sum(axis=0), f_tilde.cell_masses.sum(axis=0), "y")
     return map_values_from_field(conditional_quantile_field(f_tilde, "y"), pd.cell_masses)
-
-
-@dataclass(frozen=True)
-class TransportMapPair:
-    g_values: np.ndarray
-    h_values: np.ndarray
-    source_coupling: CouplingDensity | DiscreteDensity2D
-
-
-def build_map_pair(
-    f: DiscreteDensity2D,
-    f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
-) -> TransportMapPair:
-    return TransportMapPair(build_g_map(f, p), build_h_map(f_tilde, p), p)
 
 
 @dataclass(frozen=True)
@@ -244,15 +240,13 @@ def coupling_cost(
 ) -> CouplingCost:
     """Expected squared distance of the reconstructed coupling.
 
-    term_y integrates (y - g)^2 against p, term_x integrates (x - h)^2; the
-    total equals the reduced objective evaluated at p.
+    term_y integrates (y - g)^2 against p, term_x integrates (x - h)^2; on
+    p's own maps the total equals `objective_pass(...).L_value` bit for bit.
     """
     pd = as_density(p)
     masses = pd.cell_masses
     if g.shape != masses.shape or h.shape != masses.shape:
         raise ValueError("maps must live on p's grid")
-    yc = pd.grid_y.centers[None, :]
-    xc = pd.grid_x.centers[:, None]
-    term_y = float(np.sum(masses * (yc - g) ** 2))
-    term_x = float(np.sum(masses * (xc - h) ** 2))
+    term_y = float(_slice_costs(pd.grid_y.centers - g, masses).sum())
+    term_x = float(_slice_costs(pd.grid_x.centers - h.T, masses.T).sum())
     return CouplingCost(total=term_x + term_y, term_x=term_x, term_y=term_y)

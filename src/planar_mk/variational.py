@@ -34,16 +34,19 @@ from .coupling import (
     marginal_l1_errors,
 )
 from .measures import DiscreteDensity2D, Grid1D, marginals_2d
-from .reduction import (
-    ConditionalQuantileField,
-    build_g_map,
-    build_h_map,
-    conditional_quantile_field,
-    coupling_cost,
-)
+from .reduction import ConditionalQuantileField, _slice_costs, conditional_quantile_field
 
 
-def _check_feasible(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, pd: DiscreteDensity2D) -> None:
+def check_coupling_grids(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, grid_x: Grid1D, grid_y: Grid1D) -> None:
+    """A coupling must lie on f's x-grid and f~'s y-grid, node for node."""
+    if not np.array_equal(grid_x.nodes, f.grid_x.nodes):
+        raise ValueError("p and f must share the x-grid")
+    if not np.array_equal(grid_y.nodes, f_tilde.grid_y.nodes):
+        raise ValueError("p and f~ must share the y-grid")
+
+
+def _check_input(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, pd: DiscreteDensity2D) -> None:
+    check_coupling_grids(f, f_tilde, pd.grid_x, pd.grid_y)
     f1, _ = marginals_2d(f)
     _, f2 = marginals_2d(f_tilde)
     row_err, col_err = marginal_l1_errors(pd, f1, f2)
@@ -73,11 +76,8 @@ def _term_pass(
     tail = np.cumsum(b[:, ::-1], axis=1)[:, ::-1]
     b *= 0.5
     tail -= b
-    r2 = resid * resid
-    # BLAS sums a strided slice in an order that depends on the stride, so
-    # the dots run on the caller's own rows, one per slice
-    costs = np.array([np.dot(r2[s], rows[s]) for s in range(rows.shape[0])])
-    tail += r2
+    costs = _slice_costs(resid, rows)
+    tail += np.square(resid, out=resid)
     return costs, val, tail
 
 
@@ -99,7 +99,7 @@ def objective_pass(
     grid_x: Grid1D,
     grid_y: Grid1D,
 ) -> ObjectivePass:
-    """Fast path used by the optimizer: fixed quantile fields, raw masses."""
+    """The one evaluation of L, at raw coupling masses on fixed quantile fields."""
     costs_y, g, phi = _term_pass(field_f, masses, grid_y.centers)
     costs_x, h_t, psi_t = _term_pass(field_ft, masses.T, grid_x.centers)
     return ObjectivePass(
@@ -111,17 +111,22 @@ def objective_pass(
     )
 
 
+def _checked_pass(
+    f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D
+) -> ObjectivePass:
+    pd = as_density(p)
+    _check_input(f, f_tilde, pd)
+    field_f, field_ft = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+    return objective_pass(field_f, field_ft, pd.cell_masses, pd.grid_x, pd.grid_y)
+
+
 def evaluate_L(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
     p: CouplingDensity | DiscreteDensity2D,
 ) -> float:
     """Reduced objective at p; identical to `coupling_cost` on its own maps."""
-    pd = as_density(p)
-    _check_feasible(f, f_tilde, pd)
-    g = build_g_map(f, pd)
-    h = build_h_map(f_tilde, pd)
-    return coupling_cost(f, f_tilde, pd, g, h).total
+    return _checked_pass(f, f_tilde, p).L_value
 
 
 def first_variation(
@@ -134,15 +139,7 @@ def first_variation(
     sum((phi + psi) * eta * area) is the exact directional derivative of the
     discrete L along any perturbation eta with zero row and column mass sums.
     """
-    pd = as_density(p)
-    _check_feasible(f, f_tilde, pd)
-    out = objective_pass(
-        conditional_quantile_field(f, "x"),
-        conditional_quantile_field(f_tilde, "y"),
-        pd.cell_masses,
-        pd.grid_x,
-        pd.grid_y,
-    )
+    out = _checked_pass(f, f_tilde, p)
     return out.phi, out.psi
 
 
@@ -152,12 +149,8 @@ def simplified_cross_derivatives(
     p: CouplingDensity | DiscreteDensity2D,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed forms phi_y = 2(y - g) and psi_x = 2(x - h) on the grid."""
-    pd = as_density(p)
-    g = build_g_map(f, pd)
-    h = build_h_map(f_tilde, pd)
-    phi_y = 2.0 * (pd.grid_y.centers[None, :] - g)
-    psi_x = 2.0 * (pd.grid_x.centers[:, None] - h)
-    return phi_y, psi_x
+    out = _checked_pass(f, f_tilde, p)
+    return 2.0 * (f_tilde.grid_y.centers - out.g), 2.0 * (f.grid_x.centers[:, None] - out.h)
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,7 @@ def euler_lagrange_residual(
     marginal constraints, tested through `cumulative_h`.
     """
     pd = as_density(p)
-    _check_feasible(f, f_tilde, pd)
+    _check_input(f, f_tilde, pd)
     H = cumulative_h(pd)
     hv = H.values
     wx = pd.grid_x.cell_widths
@@ -260,13 +253,13 @@ def variational_state(
     f_tilde: DiscreteDensity2D,
     p: CouplingDensity | DiscreteDensity2D,
 ) -> VariationalState:
-    phi, psi = first_variation(f, f_tilde, p)
+    out = _checked_pass(f, f_tilde, p)
     el = euler_lagrange_residual(f, f_tilde, p)
     return VariationalState(
-        L_value=evaluate_L(f, f_tilde, p),
-        phi=phi,
-        psi=psi,
-        grad=phi + psi,
+        L_value=out.L_value,
+        phi=out.phi,
+        psi=out.psi,
+        grad=out.phi + out.psi,
         el_residual=el.residual,
         el_interior_l2=el.interior_l2,
     )

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import planar_mk
 from planar_mk.cli import main
 from planar_mk.density_io import (
     DensityFormatError,
@@ -245,6 +248,20 @@ class TestCliOracleAndChecks:
         independent = json.loads((out3 / "report.json").read_text())
         assert solved["interior_l2"] < 0.25 * independent["interior_l2"]
 
+    @pytest.mark.parametrize(
+        "grid", [Grid1D.uniform(5.0, 9.0, 4), Grid1D.uniform(0.0, 1.0, 5)], ids=["wrong_grid", "wrong_shape"]
+    )
+    def test_check_el_rejects_coupling_off_f_grid(self, tmp_path, capsys, grid):
+        fa, fb = write_pair(tmp_path, n=4, seed=6)
+        p_csv = tmp_path / "p.csv"
+        write_grid_csv(p_csv, grid, grid, np.full((grid.n_cells, grid.n_cells), 1.0 / 16.0))
+        code = main(["check-el", "--input-f", fa, "--input-g", fb, "--input-p", str(p_csv),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: p and f must share the x-grid")
+        assert not (tmp_path / "out" / "residual.csv").exists()
+
     def test_check_lemmas_hits_analytic_values(self, tmp_path):
         out = tmp_path / "out"
         assert main(["check-lemmas", "--out-dir", str(out)]) == 0
@@ -291,10 +308,14 @@ def test_module_entry_point_runs(tmp_path):
     d = smooth_random_density_2d(g, g, seed=9)
     fa = tmp_path / "f.json"
     write_density_json(fa, d)
+    # the subprocess must import the same package as this test, installed or not
+    src = str(Path(planar_mk.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "planar_mk.cli", "check-el",
          "--input-f", str(fa), "--input-g", str(fa), "--out-dir", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr

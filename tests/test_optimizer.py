@@ -231,6 +231,27 @@ class TestSolve:
         assert cd.L_final == pytest.approx(pg.L_final, abs=5e-5)
         assert cd.max_marginal_error < 1e-9
 
+    def test_each_descent_point_evaluated_once(self, monkeypatch):
+        # the accepted line-search trial's pass carries the descent on, so no
+        # masses array reaches the objective twice
+        from planar_mk import optimizer
+
+        seen = []
+        original = optimizer.objective_pass
+
+        def recording(field_f, field_ft, masses, grid_x, grid_y):
+            seen.append(masses.tobytes())
+            return original(field_f, field_ft, masses, grid_x, grid_y)
+
+        monkeypatch.setattr(optimizer, "objective_pass", recording)
+        g6 = Grid1D.uniform(0.0, 1.0, 6)
+        f = gaussian_2d(g6, g6, rho=0.4)
+        ft = smooth_random_density_2d(g6, g6, seed=93)
+        report = solve(f, ft, SolverConfig(max_iters=50, grad_tol=1e-12, stall_tol=0.0))
+        assert report.iterations == 50
+        assert len(seen) > report.iterations
+        assert len(set(seen)) == len(seen)
+
     def test_unknown_scheme_rejected(self):
         g = Grid1D.uniform(0.0, 1.0, 3)
         f = smooth_random_density_2d(g, g, seed=97)

@@ -24,11 +24,12 @@ from planar_mk.reduction import (
     build_g_map,
     build_h_map,
     conditional_cdf,
+    conditional_quantile_field,
     coupling_cost,
     pushforward_check,
     pushforward_check_h,
 )
-from planar_mk.variational import evaluate_L
+from planar_mk.variational import evaluate_L, objective_pass
 
 
 def unit_cell_grid(n):
@@ -260,14 +261,24 @@ class TestCouplingCost:
         assert cost.total == pytest.approx(2.0, abs=1e-3)
 
     def test_agrees_with_evaluate_L_exactly(self):
-        g3 = Grid1D.uniform(0.0, 1.0, 3)
-        f = smooth_random_density_2d(g3, g3, seed=31)
-        ft = smooth_random_density_2d(g3, g3, seed=32)
-        f1, _ = marginals_2d(f)
-        _, f2 = marginals_2d(ft)
-        p = ipfp_project(random_feasible_coupling_values(f1, f2, seed=33), f1, f2)
-        total = coupling_cost(f, ft, p, build_g_map(f, p), build_h_map(ft, p)).total
-        assert evaluate_L(f, ft, p) == total
+        # one objective: evaluate_L, objective_pass and coupling_cost on the
+        # pass's own maps sum the same per-slice costs, on any grid
+        rng = np.random.default_rng(31)
+        for seed in range(40):
+            nx, ny = rng.integers(3, 13, size=2)
+            gx = Grid1D(np.cumsum(np.r_[rng.uniform(-1, 1), rng.uniform(0.2, 2.0, nx)]))
+            gy = Grid1D(np.cumsum(np.r_[rng.uniform(-1, 1), rng.uniform(0.2, 2.0, ny)]))
+            f = smooth_random_density_2d(gx, gy, seed=100 + seed)
+            ft = smooth_random_density_2d(gx, gy, seed=200 + seed)
+            f1, _ = marginals_2d(f)
+            _, f2 = marginals_2d(ft)
+            p = ipfp_project(random_feasible_coupling_values(f1, f2, seed=300 + seed), f1, f2)
+            out = objective_pass(
+                conditional_quantile_field(f, "x"), conditional_quantile_field(ft, "y"),
+                p.density.cell_masses, gx, gy,
+            )
+            total = coupling_cost(f, ft, p, out.g, out.h).total
+            assert evaluate_L(f, ft, p) == out.L_value == total, seed
 
     def test_oracle_lower_bound_on_random_couplings(self):
         # The LP places atoms at cell centers while the reduced cost runs

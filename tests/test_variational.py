@@ -82,6 +82,16 @@ class TestEvaluateL:
             evaluate_L(f, f_tilde, p_wrong.density)
 
 
+@pytest.mark.parametrize("entry", [evaluate_L, first_variation, euler_lagrange_residual])
+def test_coupling_on_another_grid_rejected(entry, correlated_pair_8, independent_coupling_8):
+    # same shape and cell masses as a feasible coupling, but on [0, 2]^2
+    f, f_tilde = correlated_pair_8
+    g2 = Grid1D.uniform(0.0, 2.0, 8)
+    p = DiscreteDensity2D(g2, g2, independent_coupling_8.values / 4.0)
+    with pytest.raises(ValueError, match="x-grid"):
+        entry(f, f_tilde, p)
+
+
 class TestFirstVariation:
     def test_matches_central_differences(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8

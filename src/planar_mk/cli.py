@@ -136,19 +136,25 @@ def cmd_solve(args) -> int:
     return 0 if report.termination_reason != "max_iters" else 2
 
 
+def _load_instance(path: str) -> TransportInstance:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    keys = ("supply", "demand", "cost")
+    if not isinstance(doc, dict) or not all(key in doc for key in keys):
+        raise ValueError(f"{path}: expected a JSON object with supply, demand and cost")
+    try:
+        arrays = [np.asarray(doc[key], dtype=float) for key in keys]
+    except TypeError as exc:  # an entry that is no number, e.g. an object
+        raise ValueError(f"{path}: {exc}") from exc
+    return TransportInstance(*arrays)
+
+
 def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        instance = TransportInstance(
-            np.asarray(doc["supply"], dtype=float),
-            np.asarray(doc["demand"], dtype=float),
-            np.asarray(doc["cost"], dtype=float),
-        )
-        plan = solve_lp(instance)
+        plan = solve_lp(_load_instance(args.instance))
         np.savetxt(out_dir / "plan.csv", plan.flows, delimiter=",")
         body = {"command": "oracle", "mode": "lp", "objective": plan.objective}
     else:

@@ -38,7 +38,6 @@ class IPFPConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    init: str = "independent"
     scheme: str = "projected_gradient"  # or "rectangle_cd"
     grad_tol: float | None = None       # default: 1e-6 * number of cells
     max_iters: int = 10_000

@@ -2,13 +2,19 @@
 
 The solver is a self-contained transportation simplex (northwest-corner
 start, Bland's entering rule, lexicographic supply perturbation against
-degeneracy). Instances here are tiny, so exactness beats speed: no external
-LP dependency, flows recomputed on the final basis tree with the original
+degeneracy). Each pivot walks the basis tree once, breadth first from row 0,
+and everything else comes from that walk's visit order, parent and depth
+arrays: the dual potentials (one pass in visit order), the pivot cycle
+(climbing from both ends of the entering arc until they meet) and the arc
+flows (each node ships its subtree's balance to its parent, leaves first).
+Instances here are tiny, so exactness beats speed: no external LP
+dependency, flows recomputed on the final basis tree with the original
 unperturbed masses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,8 @@ class TransportInstance:
             raise ValueError("supply and demand must be 1-D")
         if cost.shape != (supply.size, demand.size):
             raise ValueError("cost must be (len(supply), len(demand))")
+        if not all(np.isfinite(x).all() for x in (supply, demand, cost)):
+            raise ValueError("supply, demand and cost must be finite")
         if np.any(supply < 0) or np.any(demand < 0):
             raise ValueError("masses must be nonnegative")
         if np.any(cost < 0):
@@ -90,86 +98,45 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
     return arcs
 
 
-Adjacency = dict[int, list[tuple[int, tuple[int, int]]]]
+def _walk(arcs: Iterable[tuple[int, int]], m: int, k: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first walk of the basis tree from row 0.
 
-
-def _tree_adjacency(arcs: list[tuple[int, int]], m: int) -> Adjacency:
-    adj: Adjacency = {}
-    for (i, j) in arcs:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    return adj
-
-
-def _duals(adj: Adjacency, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m, k = cost.shape
-    u = np.full(m, np.nan)
-    v = np.full(k, np.nan)
-    u[0] = 0.0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nb, (i, j) in adj.get(node, ()):  # u_i + v_j = C_ij on the tree
-            if nb >= m and np.isnan(v[nb - m]):
-                v[nb - m] = cost[i, j] - u[i]
-                stack.append(nb)
-            elif nb < m and np.isnan(u[nb]):
-                u[nb] = cost[i, j] - v[j]
-                stack.append(nb)
-    return u, v
-
-
-def _tree_path(adj: Adjacency, start: int, goal: int) -> list[int]:
-    parent = {start: start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nb, _arc in adj.get(node, ()):
-            if nb not in parent:
+    Nodes 0..m-1 are rows, m..m+k-1 columns, and each arc (i, j) joins row i
+    to column j. Returns the visit order, each node's parent (row 0 is its
+    own) and each node's depth.
+    """
+    adj: list[list[int]] = [[] for _ in range(m + k)]
+    for i, j in arcs:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    order = [0]
+    parent = [0] * (m + k)
+    depth = [0] + [-1] * (m + k - 1)
+    for node in order:  # grows while it is read: a FIFO queue
+        for nb in adj[node]:
+            if depth[nb] < 0:
                 parent[nb] = node
-                stack.append(nb)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    return path[::-1]
+                depth[nb] = depth[node] + 1
+                order.append(nb)
+    if len(order) != m + k:
+        raise RuntimeError(f"basis spans {len(order)} of {m + k} nodes")
+    return order, parent, depth
 
 
-def _tree_flows(arcs: list[tuple[int, int]], a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
+def _arc(node: int, par: int, m: int) -> tuple[int, int]:
+    """The (row, column) arc joining a tree node to its parent."""
+    return (node, par - m) if node < m else (par, node - m)
+
+
+def _tree_flows(order: list[int], parent: list[int], a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
     """Unique arc flows on a basis tree balancing supplies a against demands b."""
-    m, k = a.size, b.size
-    balance = np.concatenate([a, -b])  # net outflow required at each node
-    adj = {node: set() for node in range(m + k)}
-    arc_of = {}
-    for (i, j) in arcs:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-        arc_of[(i, m + j)] = (i, j)
+    m = a.size
+    bal = a.tolist() + (-b).tolist()  # net outflow required at each node
     flows: dict[tuple[int, int], float] = {}
-    degree = {node: len(nbrs) for node, nbrs in adj.items()}
-    leaves = [node for node, d in degree.items() if d == 1]
-    bal = balance.astype(float).copy()
-    while leaves:
-        node = leaves.pop()
-        if degree[node] == 0:
-            continue
-        nb = next(iter(adj[node]))
-        if node < m:
-            i, j = arc_of[(node, nb)]
-            flow = bal[node]  # row leaf ships its remaining supply
-        else:
-            i, j = arc_of[(nb, node)]
-            flow = -bal[node]  # col leaf absorbs its remaining demand
-        flows[(i, j)] = flow
-        bal[nb] += bal[node]
-        bal[node] = 0.0
-        adj[node].discard(nb)
-        adj[nb].discard(node)
-        degree[node] -= 1
-        degree[nb] -= 1
-        if degree[nb] == 1:
-            leaves.append(nb)
+    for node in reversed(order[1:]):  # children first: ship the subtree balance to the parent
+        par = parent[node]
+        flows[_arc(node, par, m)] = bal[node] if node < m else -bal[node]
+        bal[par] += bal[node]
     return flows
 
 
@@ -185,48 +152,51 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
     arcs = _northwest_corner(a, b)
     if len(arcs) != m + k - 1:
         raise RuntimeError(f"northwest-corner basis has {len(arcs)} arcs, expected {m + k - 1}")
-    flows = _tree_flows(arcs, a, b)
+    order, parent, depth = _walk(arcs, m, k)
+    flows = _tree_flows(order, parent, a, b)  # its keys are the basis
 
-    basis = set(arcs)
+    cost_rows = cost.tolist()
     for _ in range(200 * (m + k) * max(m, k)):
-        adj = _tree_adjacency(arcs, m)
-        u, v = _duals(adj, cost)
-        rc = cost - u[:, None] - v[None, :]
-        rc_flat = rc.ravel()
-        candidates = np.flatnonzero(rc_flat < -_RC_TOL)
+        # potentials u_i + v_j = C_ij on the tree, u_0 = 0: rows then columns
+        pot = [0.0] * (m + k)
+        for node in order[1:]:
+            i, j = _arc(node, parent[node], m)
+            pot[node] = cost_rows[i][j] - pot[parent[node]]
+        rc = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
+        candidates = np.flatnonzero(rc.ravel() < -_RC_TOL)
         if candidates.size == 0:
             break
-        enter = int(candidates[0])  # Bland: smallest index
-        ei, ej = divmod(enter, k)
+        ei, ej = divmod(int(candidates[0]), k)  # Bland: smallest index
 
-        # unique cycle: entering arc + tree path from its column back to its row
-        path = _tree_path(adj, m + ej, ei)
-        cycle_nodes = [ei] + path  # row, col, row, col, ..., row(=ei)
-        cycle_arcs = []
-        for p, q in zip(cycle_nodes[:-1], cycle_nodes[1:]):
-            i, j = (p, q - m) if p < m else (q, p - m)
-            cycle_arcs.append((i, j))
+        # unique cycle: entering arc + tree path from its column back to its
+        # row, found by climbing both ends until they meet
+        up, down = [], []
+        x, y = m + ej, ei
+        while x != y:
+            if depth[x] >= depth[y]:
+                up.append(_arc(x, parent[x], m))
+                x = parent[x]
+            else:
+                down.append(_arc(y, parent[y], m))
+                y = parent[y]
+        cycle_arcs = [(ei, ej), *up, *reversed(down)]
         # signs alternate starting with + on the entering arc
         minus_arcs = cycle_arcs[1::2]
         theta = min(flows[arc] for arc in minus_arcs)
         leave = next(arc for arc in minus_arcs if flows[arc] == theta)
 
-        for idx, arc in enumerate(cycle_arcs):
-            if idx == 0:
-                flows[arc] = theta
-            elif idx % 2 == 1:
-                flows[arc] -= theta
-            else:
-                flows[arc] += theta
+        flows[(ei, ej)] = theta
+        for arc in minus_arcs:
+            flows[arc] -= theta
+        for arc in cycle_arcs[2::2]:
+            flows[arc] += theta
         del flows[leave]
-        basis.discard(leave)
-        basis.add((ei, ej))
-        arcs = list(basis)
+        order, parent, depth = _walk(flows, m, k)
     else:
         raise RuntimeError("transportation simplex failed to converge")
 
-    # drop the perturbation: recompute flows of the optimal basis exactly
-    final = _tree_flows(arcs, a0, b0)
+    # drop the perturbation: recompute flows on the last walk, the optimal basis
+    final = _tree_flows(order, parent, a0, b0)
     flow_mat = np.zeros((m, k))
     for (i, j), f in final.items():
         flow_mat[i, j] = max(f, 0.0)  # basis flows are >= -O(perturbation)
@@ -307,7 +277,7 @@ def solve_full_2d(
         )
     ps, ms = atoms_from_density_2d(f)
     pt, mt = atoms_from_density_2d(f_tilde)
-    # renormalize away float drift so the instance passes balance validation
     cost = np.sum((ps[:, None, :] - pt[None, :, :]) ** 2, axis=2)
+    # renormalize away float drift so the instance passes balance validation
     instance = TransportInstance(ms / ms.sum(), mt / mt.sum(), cost)
     return Planar2DPlan(solve_lp(instance), ps, pt)

@@ -210,10 +210,28 @@ class TestCliOracleAndChecks:
         assert report["mode"] == "full_2d"
         assert report["objective"] > 0
 
-    def test_oracle_unbalanced_exits_1(self, tmp_path):
+    def test_oracle_unbalanced_exits_1(self, tmp_path, capsys):
+        # unbalanced, non-finite (JSON NaN/Infinity/null) or malformed instances
+        bad_instances = [
+            '{"supply": [0.7, 0.7], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}',
+            '{"supply": [NaN, 1.0], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}',
+            '{"supply": [null, 1.0], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}',
+            '{"supply": [0.5, 0.5], "demand": [Infinity, 0.0], "cost": [[0, 1], [1, 0]]}',
+            '{"supply": [0.5, 0.5], "demand": [0.5, 0.5], "cost": [[0, NaN], [1, 0]]}',
+            '{"supply": [0.5, 0.5], "demand": [0.5, 0.5], "cost": [[0, 1], [-Infinity, 0]]}',
+            '{"demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}',
+            '{"supply": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}',
+            '{"supply": [0.5, 0.5], "demand": [0.5, 0.5]}',
+            '{"supply": [0.5, 0.5], "demand": [0.5, 0.5], "cost": {"a": 0}}',
+            '[[0.5, 0.5], [0.5, 0.5], [[0, 1], [1, 0]]]',
+            '"supply"',
+        ]
         inst = tmp_path / "instance.json"
-        inst.write_text(json.dumps({"supply": [0.7, 0.7], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}))
-        assert main(["oracle", "--instance", str(inst), "--out-dir", str(tmp_path / "o")]) == 1
+        for text in bad_instances:
+            inst.write_text(text)
+            assert main(["oracle", "--instance", str(inst), "--out-dir", str(tmp_path / "o")]) == 1, text
+            assert capsys.readouterr().err.startswith("error:"), text
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_check_el_writes_residual_and_gradient(self, tmp_path):
         fa, fb = write_pair(tmp_path, seed=6)

@@ -16,11 +16,15 @@ from planar_mk.oracle import (
 )
 
 
-def random_instance(rng, m, k):
+def random_instance(rng, m, k, tied=False):
     a = rng.dirichlet(np.ones(m))
     b = rng.dirichlet(np.ones(k))
-    x = rng.uniform(-2.0, 2.0, m)
-    y = rng.uniform(-2.0, 2.0, k)
+    if tied:  # integer positions: many equal costs, so many optimal plans
+        x = rng.integers(0, 4, m).astype(float)
+        y = rng.integers(0, 4, k).astype(float)
+    else:
+        x = rng.uniform(-2.0, 2.0, m)
+        y = rng.uniform(-2.0, 2.0, k)
     return x, a / a.sum(), y, b / b.sum()
 
 
@@ -52,13 +56,37 @@ class TestSolveLp:
 
     def test_basic_feasibility_bound(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
+        for tied in [False] * 20 + [True] * 20:
             m, k = int(rng.integers(2, 12)), int(rng.integers(2, 12))
-            x, a, y, b = random_instance(rng, m, k)
+            x, a, y, b = random_instance(rng, m, k, tied)
             plan = solve_lp(TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2))
             assert np.sum(plan.flows > 1e-14) <= m + k - 1
             r, c = plan.marginal_errors(a, b)
             assert max(r, c) < 1e-10
+
+    @pytest.mark.parametrize("field", ["supply", "demand", "cost"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        parts = {"supply": np.array([0.5, 0.5]), "demand": np.array([0.5, 0.5]), "cost": np.ones((2, 2))}
+        parts[field].flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TransportInstance(**parts)
+
+    def test_matches_highs(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            m, k = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+            x, a, y, b = random_instance(rng, m, k, tied=trial % 2 == 1)
+            cost = (x[:, None] - y[None, :]) ** 2
+            rows = np.kron(np.eye(m), np.ones(k))  # sum_j p_ij = a_i
+            cols = np.kron(np.ones(m), np.eye(k))  # sum_i p_ij = b_j
+            ref = scipy_optimize.linprog(
+                cost.ravel(), A_eq=np.vstack([rows, cols]), b_eq=np.concatenate([a, b]),
+                bounds=(0, None), method="highs",
+            )
+            assert ref.status == 0
+            assert solve_lp(TransportInstance(a, b, cost)).objective == pytest.approx(ref.fun, rel=0, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)

@@ -36,10 +36,11 @@ from .oracle import (
     solve_full_2d,
     solve_lp,
 )
-from .reduction import build_g_map, build_h_map, coupling_cost
+from .reduction import build_g_map, build_h_map
 from .variational import (
     check_coupling_grids,
     euler_lagrange_residual,
+    evaluate_L,
     first_variation,
     lemma1_checker,
     lemma2_checker,
@@ -256,17 +257,14 @@ def cmd_compare(args) -> int:
     f_tilde = _load_density_2d(args.input_g)
     oracle_result = solve_full_2d(f, f_tilde)  # size check runs before the solve
     config, report = _solve_pair(f, f_tilde, args)
-    p = report.p_star
-    g = build_g_map(f, p)
-    h = build_h_map(f_tilde, p)
-    cost = coupling_cost(f, f_tilde, p, g, h)
-    gap = abs(cost.total - oracle_result.objective)
+    L_p_star = evaluate_L(f, f_tilde, report.p_star)
+    gap = abs(L_p_star - oracle_result.objective)
     tolerance = args.tolerance
     body = {
         "command": "compare",
         "seed": config.seed,
         "grid": _grid_spec(f),
-        "L_p_star": cost.total,
+        "L_p_star": L_p_star,
         "oracle_optimum": oracle_result.objective,
         "gap": gap,
         "tolerance": tolerance,
@@ -284,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, need_g=True):
+    def add_io(p):
         p.add_argument("--input-f", required=True, help="source density file (.json or .csv)")
-        p.add_argument("--input-g", required=need_g, help="target density file (.json or .csv)")
+        p.add_argument("--input-g", required=True, help="target density file (.json or .csv)")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override (default 0 via config)")
         p.add_argument("--config", default=None, help="solver config JSON")
@@ -335,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         MarginalMismatchError,
         FeasibilityError,
         NoDescentError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

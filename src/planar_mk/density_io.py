@@ -45,7 +45,10 @@ def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D
     if not isinstance(doc, dict) or "grid_x" not in doc or "values" not in doc:
         raise DensityFormatError(f"{path}: expected an object with grid_x and values")
     grid_x = _grid_from_spec(doc["grid_x"], "grid_x")
-    values = np.asarray(doc["values"], dtype=float)
+    try:
+        values = np.asarray(doc["values"], dtype=float)
+    except (TypeError, ValueError) as exc:  # an entry that is no number, or ragged rows
+        raise DensityFormatError(f"{path}: values must be numbers ({exc})") from exc
     if "grid_y" in doc and doc["grid_y"] is not None:
         grid_y = _grid_from_spec(doc["grid_y"], "grid_y")
         if values.ndim == 1:

@@ -6,17 +6,21 @@ double-centered into the constraint tangent space, positivity is kept by
 clipping the step at the mass floor, and iterative proportional fitting
 (IPFP) both projects arbitrary positive starts into the polytope and repairs
 roundoff drift. A cyclic rectangle coordinate-descent scheme over four-cell
-bump directions is available as a cross-check on small grids.
+bump directions is available as a cross-check on small grids; `max_iters`
+caps its sweeps as it caps the gradient scheme's iterations.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .coupling import CouplingDensity
+from .coupling import CouplingDensity, marginal_l1_errors
 from .measures import (
     EPS_FLOOR,
     DiscreteDensity1D,
@@ -36,27 +40,53 @@ class IPFPConvergenceError(RuntimeError):
     pass
 
 
+_ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
+_BACKTRACK = 0.5     # step shrink factor per rejected trial
+_NOISE_SCALE = 0.5   # multistart log-perturbation amplitude
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     scheme: str = "projected_gradient"  # or "rectangle_cd"
     grad_tol: float | None = None       # default: 1e-6 * number of cells
-    max_iters: int = 10_000
+    max_iters: int = 10_000             # iterations, or rectangle sweeps
     multistart: int = 1
     seed: int = 0
     step_init: float = 1.0
-    armijo: float = 1e-4
-    backtrack: float = 0.5
     min_step: float = 1e-14
-    noise_scale: float = 0.5            # multistart log-perturbation amplitude
     stall_tol: float = 1e-12            # stop when the L decrease falls below
-    ipfp_tol: float = 1e-13
-    ipfp_max_iters: int = 10_000
-    rectangle_passes: int = 50
+
+    def __post_init__(self):
+        rules = {  # each rule starts with the field it checks
+            "scheme must be 'projected_gradient' or 'rectangle_cd'":
+                self.scheme in ("projected_gradient", "rectangle_cd"),
+            "grad_tol must be null or a finite number >= 0":
+                self.grad_tol is None or _is_finite(self.grad_tol) and self.grad_tol >= 0,
+            "max_iters must be an integer >= 0": _is_int(self.max_iters) and self.max_iters >= 0,
+            "multistart must be an integer >= 1": _is_int(self.multistart) and self.multistart >= 1,
+            "seed must be an integer": _is_int(self.seed),
+            "step_init must be a finite number > 0": _is_finite(self.step_init) and self.step_init > 0,
+            "min_step must be a finite number > 0": _is_finite(self.min_step) and self.min_step > 0,
+            "stall_tol must be a finite number >= 0": _is_finite(self.stall_tol) and self.stall_tol >= 0,
+        }
+        for rule, ok in rules.items():
+            if not ok:
+                raise ValueError(f"config {rule}, got {getattr(self, rule.split()[0])!r}")
 
     @staticmethod
     def from_json(path: str) -> "SolverConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a solver config must be a JSON object")
         known = {f.name for f in SolverConfig.__dataclass_fields__.values()}
         unknown = set(raw) - known
         if unknown:
@@ -90,38 +120,30 @@ def _ipfp_values(
     raw: np.ndarray,
     f1: DiscreteDensity1D,
     f2: DiscreteDensity1D,
-    max_iters: int,
-    tol: float,
+    max_iters: int = 10_000,
+    tol: float = 1e-13,
 ) -> np.ndarray:
-    """IPFP on plain value arrays; raises after max_iters with the residual."""
-    wx = f1.grid.cell_widths
-    wy = f2.grid.cell_widths
-    areas = np.outer(wx, wy)
+    """IPFP on plain value arrays; raises after max_iters with the residual.
+
+    The input is floored first; below tol it is returned as floored.
+    """
+    areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     values = np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR)
     row_target = f1.cell_masses
     col_target = f2.cell_masses
 
-    def errors(v: np.ndarray) -> tuple[float, float]:
-        masses = v * areas
-        r = float(np.sum(np.abs(masses.sum(axis=1) - row_target)))
-        c = float(np.sum(np.abs(masses.sum(axis=0) - col_target)))
-        return r, c
+    def residual(v: np.ndarray) -> float:
+        return max(marginal_l1_errors(v * areas, row_target, col_target))
 
     def alternate(v: np.ndarray) -> np.ndarray:
-        r_err, c_err = errors(v)
-        if max(r_err, c_err) < tol:
-            return v
-        for _ in range(max_iters):
-            row_mass = (v * areas).sum(axis=1)
-            v = v * (row_target / row_mass)[:, None]
-            col_mass = (v * areas).sum(axis=0)
-            v = v * (col_target / col_mass)[None, :]
-            r_err, c_err = errors(v)
-            if max(r_err, c_err) < tol:
-                return v
-        raise IPFPConvergenceError(
-            f"IPFP residual {max(r_err, c_err):.3e} after {max_iters} iterations"
-        )
+        err, sweeps = residual(v), 0
+        while not err < tol:
+            if sweeps == max_iters:
+                raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {max_iters} iterations")
+            v = v * (row_target / (v * areas).sum(axis=1))[:, None]
+            v = v * (col_target / (v * areas).sum(axis=0))[None, :]
+            err, sweeps = residual(v), sweeps + 1
+        return v
 
     values = alternate(values)
     # Scaling can shave floored cells; re-floor and re-converge. A final bump
@@ -181,45 +203,18 @@ def feasible_direction(
     return d
 
 
-def project_zero_marginals(
-    fld: np.ndarray, wx: np.ndarray, wy: np.ndarray, tol: float = 1e-15, max_sweeps: int = 200
-) -> np.ndarray:
+def project_zero_marginals(fld: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """Orthogonal projection (area inner product) onto zero-marginal fields.
 
-    Alternating weighted row/column centering; converges geometrically and is
-    exact after one sweep on uniform grids up to the grand-mean recursion.
+    One weighted row centering, then one weighted column centering. The
+    sweep is exact on any grid, uniform or not: the column step shifts each
+    weighted row sum by the weighted grand sum, which the row step has
+    already made 0.
     """
     g = np.array(fld, dtype=float)
-    Wx, Wy = wx.sum(), wy.sum()
-    scale = max(1.0, float(np.max(np.abs(g))))
-    for _ in range(max_sweeps):
-        g -= ((g @ wy) / Wy)[:, None]
-        g -= ((wx @ g) / Wx)[None, :]
-        row_res = float(np.max(np.abs(g @ wy)))
-        col_res = float(np.max(np.abs(wx @ g)))
-        if max(row_res, col_res) < tol * scale:
-            break
+    g -= ((g @ wy) / wy.sum())[:, None]
+    g -= ((wx @ g) / wx.sum())[None, :]
     return g
-
-
-def _independent_values(f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
-    return np.outer(f1.values, f2.values)
-
-
-def _start_values(
-    k: int,
-    f1: DiscreteDensity1D,
-    f2: DiscreteDensity1D,
-    config: SolverConfig,
-    rng: Xoshiro256StarStar,
-) -> np.ndarray:
-    base = _independent_values(f1, f2)
-    if k == 0:
-        return base
-    shape = base.shape
-    noise = rng.spawn(k).uniform(-1.0, 1.0, size=shape)
-    raw = base * np.exp(config.noise_scale * noise)
-    return ipfp_project(raw, f1, f2, config.ipfp_max_iters, config.ipfp_tol).values
 
 
 @dataclass
@@ -246,15 +241,10 @@ def _run_projected_gradient(
     areas = np.outer(wx, wy)
     row_target = f1.cell_masses
     col_target = f2.cell_masses
-    n_cells = values0.size
-    grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * n_cells
+    grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
     def marg_err(values: np.ndarray) -> float:
-        masses = values * areas
-        return max(
-            float(np.sum(np.abs(masses.sum(axis=1) - row_target))),
-            float(np.sum(np.abs(masses.sum(axis=0) - col_target))),
-        )
+        return max(marginal_l1_errors(values * areas, row_target, col_target))
 
     values = values0.copy()
     out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y)
@@ -282,16 +272,14 @@ def _run_projected_gradient(
         s = 2.0 * step
         accepted = None
         while s > config.min_step:
-            cand = np.maximum(values + s * direction, EPS_FLOOR)
-            if marg_err(cand) > 1e-13:
-                cand = _ipfp_values(cand, f1, f2, config.ipfp_max_iters, config.ipfp_tol)
+            cand = _ipfp_values(values + s * direction, f1, f2)
             predicted = float(np.sum(grad * (cand - values) * areas))
             if predicted < 0.0:
                 trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y)
-                if trial.L_value <= L_cur + config.armijo * predicted:
+                if trial.L_value <= L_cur + _ARMIJO * predicted:
                     accepted = trial
                     break
-            s *= config.backtrack
+            s *= _BACKTRACK
         if accepted is None:
             if it == 0:
                 raise NoDescentError(
@@ -351,8 +339,7 @@ def _run_rectangle_cd(
     Each move only touches two rows and two columns of the per-slice costs,
     so the objective update is O(n) per trial point.
     """
-    wx, wy = grid_x.cell_widths, grid_y.cell_widths
-    areas = np.outer(wx, wy)
+    areas = np.outer(grid_x.cell_widths, grid_y.cell_widths)
     xc, yc = grid_x.centers, grid_y.centers
     row_target = f1.cell_masses
     col_target = f2.cell_masses
@@ -368,41 +355,30 @@ def _run_rectangle_cd(
         cols = np.ascontiguousarray(m[:, which]).T
         return _slice_costs(xc - field_ft.at_centers(cols, which)[0], cols)
 
-    values = values0.copy()
-    masses = values * areas
+    masses = values0 * areas
+    floor_mass = EPS_FLOOR * areas
     cost_rows = row_costs(masses, np.arange(n_x))
     cost_cols = col_costs(masses, np.arange(n_y))
     L_cur = float(cost_rows.sum() + cost_cols.sum())
-    traces = _StartResult(values, [L_cur], [], 0, "max_iters", 0.0)
+    traces = _StartResult(values0, [L_cur], [], 0, "max_iters", 0.0)
 
-    rectangles = [
-        (a, a1, b, b1)
-        for a in range(n_x)
-        for a1 in range(a + 1, n_x)
-        for b in range(n_y)
-        for b1 in range(b + 1, n_y)
-    ]
+    rectangles = [(a, a1, b, b1) for a, a1 in combinations(range(n_x), 2) for b, b1 in combinations(range(n_y), 2)]
 
-    for sweep in range(config.rectangle_passes):
+    for sweep in range(config.max_iters):
         improved = 0.0
         for (a, a1, b, b1) in rectangles:
-            # mass-space direction: +delta at (a,b),(a1,b1), -delta at the others
-            cells = [(a, b), (a1, b1), (a1, b), (a, b1)]
-            signs = np.array([1.0, 1.0, -1.0, -1.0])
-            floor_mass = EPS_FLOOR * np.array([areas[c] for c in cells])
-            cur = np.array([masses[c] for c in cells])
-            room = cur - floor_mass
-            s_hi = float(min(room[2], room[3]))   # negative cells shrink as s grows
-            s_lo = -float(min(room[0], room[1]))
+            # the bump moves mass directly: masses + s * d keeps both marginals
+            d = feasible_direction((n_x, n_y), a, a1, b, b1)
+            room = masses - floor_mass
+            s_hi = float(room[d < 0].min())   # negative cells shrink as s grows
+            s_lo = -float(room[d > 0].min())
             if s_hi - s_lo <= 0:
                 continue
 
             base = L_cur - cost_rows[a] - cost_rows[a1] - cost_cols[b] - cost_cols[b1]
 
             def L_at(s: float) -> float:
-                m = masses.copy()
-                for (c, sg) in zip(cells, signs):
-                    m[c] += sg * s
+                m = masses + s * d
                 ca, ca1 = row_costs(m, [a, a1])
                 cb, cb1 = col_costs(m, [b, b1])
                 return base + ca + ca1 + cb + cb1
@@ -410,19 +386,16 @@ def _run_rectangle_cd(
             tol = 1e-10 * max(1.0, s_hi - s_lo)
             s_best, L_best = _golden_section(L_at, s_lo, s_hi, tol)
             if L_best < L_cur - 1e-15:
-                for (c, sg) in zip(cells, signs):
-                    masses[c] += sg * s_best
+                masses += s_best * d
                 cost_rows[[a, a1]] = row_costs(masses, [a, a1])
                 cost_cols[[b, b1]] = col_costs(masses, [b, b1])
                 improved += L_cur - L_best
                 L_cur = L_best
         traces.L_trace.append(L_cur)
         traces.iterations = sweep + 1
-        err = max(
-            float(np.sum(np.abs(masses.sum(axis=1) - row_target))),
-            float(np.sum(np.abs(masses.sum(axis=0) - col_target))),
+        traces.max_marginal_error = max(
+            traces.max_marginal_error, *marginal_l1_errors(masses, row_target, col_target)
         )
-        traces.max_marginal_error = max(traces.max_marginal_error, err)
         if improved < config.stall_tol * max(1.0, abs(L_cur)):
             traces.termination = "stalled"
             break
@@ -453,28 +426,25 @@ def solve(
     field_ft = conditional_quantile_field(f_tilde, "y")
     rng = Xoshiro256StarStar(config.seed)
 
-    runner = {
-        "projected_gradient": _run_projected_gradient,
-        "rectangle_cd": _run_rectangle_cd,
-    }.get(config.scheme)
-    if runner is None:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
+    runner = _run_rectangle_cd if config.scheme == "rectangle_cd" else _run_projected_gradient
+    independent = np.outer(f1.values, f2.values)
 
     def run_start(k: int) -> _StartResult:
-        if k == 0 and initial_values is not None:
-            v0 = _ipfp_values(initial_values, f1, f2, config.ipfp_max_iters, config.ipfp_tol)
-        else:
-            v0 = _start_values(k, f1, f2, config, rng)
+        if k == 0:
+            v0 = independent if initial_values is None else _ipfp_values(initial_values, f1, f2)
+        else:  # log-uniform perturbation of the independent coupling
+            noise = rng.spawn(k).uniform(-1.0, 1.0, size=independent.shape)
+            v0 = _ipfp_values(independent * np.exp(_NOISE_SCALE * noise), f1, f2)
         return runner(v0, f1, f2, field_f, field_ft, f.grid_x, f_tilde.grid_y, config)
 
-    results = [run_start(k) for k in range(max(1, config.multistart))]
+    results = [run_start(k) for k in range(config.multistart)]
 
     finals = [r.L_trace[-1] for r in results]
     best = int(np.argmin(finals))
     best_result = results[best]
     within = float(np.mean([Lk <= finals[best] + 1e-3 for Lk in finals]))
 
-    p_star = ipfp_project(best_result.values, f1, f2, config.ipfp_max_iters, config.ipfp_tol)
+    p_star = ipfp_project(best_result.values, f1, f2)
     el = euler_lagrange_residual(f, f_tilde, p_star)
     L_trace = np.asarray(best_result.L_trace)
     if not np.all(np.diff(L_trace) <= 0.0):

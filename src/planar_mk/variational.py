@@ -49,7 +49,7 @@ def _check_input(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, pd: DiscreteD
     check_coupling_grids(f, f_tilde, pd.grid_x, pd.grid_y)
     f1, _ = marginals_2d(f)
     _, f2 = marginals_2d(f_tilde)
-    row_err, col_err = marginal_l1_errors(pd, f1, f2)
+    row_err, col_err = marginal_l1_errors(pd.cell_masses, f1.cell_masses, f2.cell_masses)
     if max(row_err, col_err) > FEAS_TOL:
         raise FeasibilityError(
             f"p is not feasible: marginal L1 errors ({row_err:.3e}, {col_err:.3e})"

@@ -151,6 +151,29 @@ class TestCliSolve:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("case", ["config_is_directory", "input_is_directory", "object_entry"])
+    def test_unreadable_input_exits_1(self, tmp_path, capsys, case):
+        fa, fb = write_pair(tmp_path)
+        argv = ["solve", "--input-f", fa, "--input-g", fb, "--out-dir", str(tmp_path / "o")]
+        if case == "config_is_directory":
+            (tmp_path / "cfg.json").mkdir()
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        elif case == "input_is_directory":
+            (tmp_path / "dir.json").mkdir()
+            argv[2] = str(tmp_path / "dir.json")
+        else:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({
+                "grid_x": {"min": 0, "max": 1, "n": 2},
+                "grid_y": {"min": 0, "max": 1, "n": 2},
+                "values": [[1, {"a": 1}], [1, 1]],
+            }))
+            with pytest.raises(DensityFormatError):
+                read_density(bad)
+            argv[2] = str(bad)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_reports_byte_identical_excluding_timing(self, tmp_path):
         fa, fb = write_pair(tmp_path, seed=3)
         out1 = tmp_path / "run1"

@@ -115,12 +115,13 @@ class TestProjection:
 
     def test_projection_is_idempotent(self):
         rng = np.random.default_rng(4)
-        wx = np.full(5, 0.2)
-        wy = np.full(5, 0.2)
-        field = rng.normal(size=(5, 5))
-        once = project_zero_marginals(field, wx, wy)
-        twice = project_zero_marginals(once, wx, wy)
-        assert np.allclose(once, twice, atol=1e-13)
+        uniform = (np.full(5, 0.2), np.full(5, 0.2))
+        nonuniform = (np.diff(np.sort(rng.uniform(0, 1, 6))), np.diff(np.sort(rng.uniform(0, 3, 6))))
+        for wx, wy in (uniform, nonuniform):
+            field = rng.normal(size=(5, 5))
+            once = project_zero_marginals(field, wx, wy)
+            twice = project_zero_marginals(once, wx, wy)
+            assert np.allclose(once, twice, atol=1e-13)
 
 
 class TestSolve:
@@ -197,7 +198,7 @@ class TestSolve:
         cd = solve(
             f,
             f,
-            SolverConfig(scheme="rectangle_cd", rectangle_passes=40, stall_tol=1e-15),
+            SolverConfig(scheme="rectangle_cd", max_iters=40, stall_tol=1e-15),
             initial_values=pg.p_star.values,
         )
         assert cd.L_final <= pg.L_final
@@ -227,9 +228,18 @@ class TestSolve:
         f = smooth_random_density_2d(g, g, seed=95)
         ft = smooth_random_density_2d(g, g, seed=96)
         pg = solve(f, ft, SolverConfig(max_iters=2000, grad_tol=1e-9))
-        cd = solve(f, ft, SolverConfig(scheme="rectangle_cd", rectangle_passes=80))
+        cd = solve(f, ft, SolverConfig(scheme="rectangle_cd", max_iters=80))
         assert cd.L_final == pytest.approx(pg.L_final, abs=5e-5)
         assert cd.max_marginal_error < 1e-9
+
+    def test_rectangle_sweeps_capped_by_max_iters(self):
+        g = Grid1D.uniform(0.0, 1.0, 4)
+        f = smooth_random_density_2d(g, g, seed=95)
+        ft = smooth_random_density_2d(g, g, seed=96)
+        report = solve(f, ft, SolverConfig(scheme="rectangle_cd", max_iters=2))
+        assert report.iterations == 2
+        assert len(report.L_trace) == 3
+        assert report.termination_reason == "max_iters"
 
     def test_each_descent_point_evaluated_once(self, monkeypatch):
         # the accepted line-search trial's pass carries the descent on, so no
@@ -268,7 +278,47 @@ class TestSolverConfig:
         assert loaded == cfg
 
     def test_unknown_keys_rejected(self, tmp_path):
+        # names of removed fields are rejected like any other unknown key
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"scheme": "projected_gradient", "momentum": 0.9}))
-        with pytest.raises(ValueError):
-            SolverConfig.from_json(str(path))
+        for key, value in (("momentum", 0.9), ("armijo", 1e-4), ("rectangle_passes", 50)):
+            path.write_text(json.dumps({"scheme": "projected_gradient", key: value}))
+            with pytest.raises(ValueError, match="unknown config keys"):
+                SolverConfig.from_json(str(path))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"max_iters": "10"},
+            {"max_iters": -1},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"grad_tol": "1e-7"},
+            {"grad_tol": float("nan")},
+            {"grad_tol": -1e-7},
+            {"multistart": 0},
+            {"seed": 1.5},
+            {"step_init": 0.0},
+            {"min_step": float("inf")},
+            {"stall_tol": -1.0},
+            {"scheme": "newton"},
+            [],
+            [["max_iters", 10]],
+        ],
+        ids=lambda raw: json.dumps(raw, separators=(",", ":")),
+    )
+    def test_invalid_config_rejected(self, tmp_path, capsys, raw):
+        from planar_mk.cli import main
+        from planar_mk.density_io import write_density_json
+
+        if isinstance(raw, dict):
+            with pytest.raises(ValueError):
+                SolverConfig(**raw)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        g = Grid1D.uniform(0.0, 1.0, 3)
+        density = tmp_path / "f.json"
+        write_density_json(density, smooth_random_density_2d(g, g, seed=1))
+        code = main(["solve", "--input-f", str(density), "--input-g", str(density),
+                     "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -23,6 +23,7 @@ from . import __version__
 from .coupling import FeasibilityError, MarginalMismatchError
 from .density_io import (
     DensityFormatError,
+    json_numbers,
     read_density,
     read_grid_csv,
     write_grid_csv,
@@ -143,11 +144,7 @@ def _load_instance(path: str) -> TransportInstance:
     keys = ("supply", "demand", "cost")
     if not isinstance(doc, dict) or not all(key in doc for key in keys):
         raise ValueError(f"{path}: expected a JSON object with supply, demand and cost")
-    try:
-        arrays = [np.asarray(doc[key], dtype=float) for key in keys]
-    except TypeError as exc:  # an entry that is no number, e.g. an object
-        raise ValueError(f"{path}: {exc}") from exc
-    return TransportInstance(*arrays)
+    return TransportInstance(*(json_numbers(doc[key], f"{path}: {key}") for key in keys))
 
 
 def cmd_oracle(args) -> int:

@@ -26,14 +26,35 @@ class DensityFormatError(ValueError):
     pass
 
 
+def json_numbers(raw, what: str) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array.
+
+    Every entry must be an int or a float: strings, booleans, null and
+    objects are rejected, although `float()` would take "1" or true.
+    """
+    rows = [[raw]]
+    while rows:  # one nesting level at a time, collecting the entries' types
+        kinds = set().union(*(map(type, row) for row in rows))
+        bad = {t for t in kinds if t is not list and (t is bool or not issubclass(t, (int, float)))}
+        if bad:
+            v = next(v for row in rows for v in row if type(v) in bad)
+            raise DensityFormatError(f"{what} must be numbers, got {v!r}")
+        rows = [v for row in rows for v in row if type(v) is list] if list in kinds else []
+    try:
+        return np.asarray(raw, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise DensityFormatError(f"{what} must be numbers ({exc})") from exc
+
+
 def _grid_from_spec(spec: dict, label: str) -> Grid1D:
     try:
-        lo, hi, n = float(spec["min"]), float(spec["max"]), int(spec["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = [spec["min"], spec["max"], spec["n"]]
+    except (KeyError, TypeError) as exc:
         raise DensityFormatError(f"{label} must provide min, max and n") from exc
-    if not hi > lo or n < 1:
-        raise DensityFormatError(f"{label} needs max > min and n >= 1")
-    return Grid1D.uniform(lo, hi, n)
+    lo, hi, n = json_numbers(fields, f"{label} min, max and n")
+    if not hi > lo or not (n >= 1 and float(n).is_integer()):
+        raise DensityFormatError(f"{label} needs max > min and an integer n >= 1")
+    return Grid1D.uniform(float(lo), float(hi), int(n))
 
 
 def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D:
@@ -45,10 +66,7 @@ def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D
     if not isinstance(doc, dict) or "grid_x" not in doc or "values" not in doc:
         raise DensityFormatError(f"{path}: expected an object with grid_x and values")
     grid_x = _grid_from_spec(doc["grid_x"], "grid_x")
-    try:
-        values = np.asarray(doc["values"], dtype=float)
-    except (TypeError, ValueError) as exc:  # an entry that is no number, or ragged rows
-        raise DensityFormatError(f"{path}: values must be numbers ({exc})") from exc
+    values = json_numbers(doc["values"], f"{path}: values")
     if "grid_y" in doc and doc["grid_y"] is not None:
         grid_y = _grid_from_spec(doc["grid_y"], "grid_y")
         if values.ndim == 1:

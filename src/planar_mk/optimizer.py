@@ -1,13 +1,14 @@
 """Descent over the transportation polytope for the reduced objective.
 
-Feasibility is an affine constraint (both marginals fixed), so descent steps
-move along zero-marginal directions only: the variation kernel phi + psi is
-double-centered into the constraint tangent space, positivity is kept by
-clipping the step at the mass floor, and iterative proportional fitting
-(IPFP) both projects arbitrary positive starts into the polytope and repairs
-roundoff drift. A cyclic rectangle coordinate-descent scheme over four-cell
-bump directions is available as a cross-check on small grids; `max_iters`
-caps its sweeps as it caps the gradient scheme's iterations.
+Feasibility is an affine constraint (both marginals fixed). The descent is
+entropic mirror descent (Beck & Teboulle 2003): the variation kernel
+phi + psi is double-centered into the constraint tangent space, the coupling
+takes the multiplicative step p * exp(-s * kernel), and iterative
+proportional fitting (IPFP), which is the KL projection onto the polytope,
+brings it back to both marginals. Positivity therefore holds by construction
+rather than by clipping. Each iteration opens its backtracking line search
+at a Barzilai-Borwein step (Barzilai & Borwein 1988) in the mass-weighted
+log metric. IPFP also projects arbitrary positive starts into the polytope.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .measures import (
     DiscreteDensity2D,
     marginals_2d,
 )
-from .reduction import _slice_costs, conditional_quantile_field
+from .reduction import conditional_quantile_field
 from .rng import Xoshiro256StarStar
 from .variational import euler_lagrange_residual, objective_pass
 
@@ -55,19 +55,16 @@ def _is_finite(v) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = "projected_gradient"  # or "rectangle_cd"
     grad_tol: float | None = None       # default: 1e-6 * number of cells
-    max_iters: int = 10_000             # iterations, or rectangle sweeps
+    max_iters: int = 10_000
     multistart: int = 1
     seed: int = 0
-    step_init: float = 1.0
+    step_init: float = 1.0              # the first iteration's opening step
     min_step: float = 1e-14
     stall_tol: float = 1e-12            # stop when the L decrease falls below
 
     def __post_init__(self):
         rules = {  # each rule starts with the field it checks
-            "scheme must be 'projected_gradient' or 'rectangle_cd'":
-                self.scheme in ("projected_gradient", "rectangle_cd"),
             "grad_tol must be null or a finite number >= 0":
                 self.grad_tol is None or _is_finite(self.grad_tol) and self.grad_tol >= 0,
             "max_iters must be an integer >= 0": _is_int(self.max_iters) and self.max_iters >= 0,
@@ -227,7 +224,7 @@ class _StartResult:
     max_marginal_error: float
 
 
-def _run_projected_gradient(
+def _run_mirror_descent(
     values0: np.ndarray,
     f1: DiscreteDensity1D,
     f2: DiscreteDensity1D,
@@ -248,31 +245,32 @@ def _run_projected_gradient(
 
     values = values0.copy()
     out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y)
-    L_cur = out.L_value
+    L_cur, grad = out.L_value, out.phi + out.psi
+    pg = project_zero_marginals(grad, wx, wy)
     traces = _StartResult(values, [L_cur], [], 0, "max_iters", marg_err(values))
     step = config.step_init
 
     for it in range(config.max_iters):
-        grad = out.phi + out.psi
-        direction = -project_zero_marginals(grad, wx, wy)
         # row/col sums of the direction must vanish (descent stays in the polytope)
-        marg = max(np.max(np.abs(direction @ wy)), np.max(np.abs(wx @ direction)))
-        if not marg < 1e-10 * max(1.0, float(np.max(np.abs(direction)))):
+        marg = max(np.max(np.abs(pg @ wy)), np.max(np.abs(wx @ pg)))
+        if not marg < 1e-10 * max(1.0, float(np.max(np.abs(pg)))):
             raise RuntimeError(f"descent direction has marginal sums up to {marg:.3e}")
-        gnorm2 = float(np.sum(direction**2 * areas))
-        gnorm = float(np.sqrt(gnorm2))
+        gnorm = float(np.sqrt(np.sum(pg**2 * areas)))
         traces.grad_trace.append(gnorm)
         if gnorm <= grad_tol:
             traces.termination = "grad_tol"
             break
 
-        # trial step: clip at the mass floor, repair marginals by IPFP, accept
-        # on a generalized Armijo decrease against the realized displacement;
-        # the accepted trial's pass carries the descent on
-        s = 2.0 * step
+        # trial step: multiplicative (entropic mirror) update, then the KL
+        # projection back onto the polytope, which is IPFP; the exponent is
+        # shifted by its max so it cannot overflow, and IPFP cancels the
+        # constant factor. Accept on a generalized Armijo decrease against
+        # the realized displacement; the accepted trial's pass carries on.
+        s = step
         accepted = None
         while s > config.min_step:
-            cand = _ipfp_values(values + s * direction, f1, f2)
+            z = -s * pg
+            cand = _ipfp_values(values * np.exp(z - z.max()), f1, f2)
             predicted = float(np.sum(grad * (cand - values) * areas))
             if predicted < 0.0:
                 trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y)
@@ -288,10 +286,19 @@ def _run_projected_gradient(
             traces.termination = "stalled"  # no achievable decrease
             break
 
-        values, out = cand, accepted
-        decrease = L_cur - out.L_value
-        L_cur = out.L_value
-        step = s
+        # Barzilai-Borwein opening step for the next iteration, in the log
+        # metric weighted by the accepted masses; the accepted step when the
+        # curvature estimate is not positive
+        grad = accepted.phi + accepted.psi
+        pg_new = project_zero_marginals(grad, wx, wy)
+        m = cand * areas
+        dlog = np.log(cand) - np.log(values)
+        curv = float(np.sum(m * dlog * (pg_new - pg)))
+        step = float(np.sum(m * dlog * dlog)) / curv if curv > 0.0 else s
+
+        values, pg = cand, pg_new
+        decrease = L_cur - accepted.L_value
+        L_cur = accepted.L_value
         traces.L_trace.append(L_cur)
         traces.max_marginal_error = max(traces.max_marginal_error, marg_err(values))
         traces.iterations = it + 1
@@ -303,120 +310,18 @@ def _run_projected_gradient(
     return traces
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float, max_iters: int = 60) -> tuple[float, float]:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iters):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    s = c if fc < fd else d
-    return s, min(fc, fd)
-
-
-def _run_rectangle_cd(
-    values0: np.ndarray,
-    f1: DiscreteDensity1D,
-    f2: DiscreteDensity1D,
-    field_f,
-    field_ft,
-    grid_x,
-    grid_y,
-    config: SolverConfig,
-) -> _StartResult:
-    """Cyclic exact line searches along four-cell bump directions.
-
-    Each move only touches two rows and two columns of the per-slice costs,
-    so the objective update is O(n) per trial point.
-    """
-    areas = np.outer(grid_x.cell_widths, grid_y.cell_widths)
-    xc, yc = grid_x.centers, grid_y.centers
-    row_target = f1.cell_masses
-    col_target = f2.cell_masses
-    n_x, n_y = values0.shape
-
-    def row_costs(m: np.ndarray, which) -> np.ndarray:
-        rows = m[which]
-        return _slice_costs(yc - field_f.at_centers(rows, which)[0], rows)
-
-    def col_costs(m: np.ndarray, which) -> np.ndarray:
-        # strided like the columns of m, since the dots' summation order
-        # depends on the stride (m[:, which].T alone has unit-stride rows)
-        cols = np.ascontiguousarray(m[:, which]).T
-        return _slice_costs(xc - field_ft.at_centers(cols, which)[0], cols)
-
-    masses = values0 * areas
-    floor_mass = EPS_FLOOR * areas
-    cost_rows = row_costs(masses, np.arange(n_x))
-    cost_cols = col_costs(masses, np.arange(n_y))
-    L_cur = float(cost_rows.sum() + cost_cols.sum())
-    traces = _StartResult(values0, [L_cur], [], 0, "max_iters", 0.0)
-
-    rectangles = [(a, a1, b, b1) for a, a1 in combinations(range(n_x), 2) for b, b1 in combinations(range(n_y), 2)]
-
-    for sweep in range(config.max_iters):
-        improved = 0.0
-        for (a, a1, b, b1) in rectangles:
-            # the bump moves mass directly: masses + s * d keeps both marginals
-            d = feasible_direction((n_x, n_y), a, a1, b, b1)
-            room = masses - floor_mass
-            s_hi = float(room[d < 0].min())   # negative cells shrink as s grows
-            s_lo = -float(room[d > 0].min())
-            if s_hi - s_lo <= 0:
-                continue
-
-            base = L_cur - cost_rows[a] - cost_rows[a1] - cost_cols[b] - cost_cols[b1]
-
-            def L_at(s: float) -> float:
-                m = masses + s * d
-                ca, ca1 = row_costs(m, [a, a1])
-                cb, cb1 = col_costs(m, [b, b1])
-                return base + ca + ca1 + cb + cb1
-
-            tol = 1e-10 * max(1.0, s_hi - s_lo)
-            s_best, L_best = _golden_section(L_at, s_lo, s_hi, tol)
-            if L_best < L_cur - 1e-15:
-                masses += s_best * d
-                cost_rows[[a, a1]] = row_costs(masses, [a, a1])
-                cost_cols[[b, b1]] = col_costs(masses, [b, b1])
-                improved += L_cur - L_best
-                L_cur = L_best
-        traces.L_trace.append(L_cur)
-        traces.iterations = sweep + 1
-        traces.max_marginal_error = max(
-            traces.max_marginal_error, *marginal_l1_errors(masses, row_target, col_target)
-        )
-        if improved < config.stall_tol * max(1.0, abs(L_cur)):
-            traces.termination = "stalled"
-            break
-
-    traces.values = masses / areas
-    return traces  # no gradient trace for the derivative-free scheme
-
-
 def solve(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
     config: SolverConfig | None = None,
-    initial_values: np.ndarray | None = None,
 ) -> SolveReport:
     """Minimize the reduced objective over couplings of (f1, f2).
 
-    Multistart: start 0 is the independent coupling f1 (x) f2 (or
-    initial_values when given, projected to feasibility: warm starts let the
-    rectangle scheme polish a projected-gradient solution); further starts
-    are IPFP-projected log-uniform perturbations of the independent coupling,
-    each driven by a child stream of the seed so results are independent of
+    Each start runs entropic mirror descent (see the module docstring) until
+    the projected gradient norm reaches grad_tol, the decrease stalls, or
+    max_iters. Multistart: start 0 is the independent coupling f1 (x) f2;
+    further starts are IPFP-projected log-uniform perturbations of it, each
+    driven by a child stream of the seed so results are independent of
     scheduling. Starts run one after another.
     """
     config = config or SolverConfig()
@@ -426,16 +331,14 @@ def solve(
     field_ft = conditional_quantile_field(f_tilde, "y")
     rng = Xoshiro256StarStar(config.seed)
 
-    runner = _run_rectangle_cd if config.scheme == "rectangle_cd" else _run_projected_gradient
     independent = np.outer(f1.values, f2.values)
 
     def run_start(k: int) -> _StartResult:
-        if k == 0:
-            v0 = independent if initial_values is None else _ipfp_values(initial_values, f1, f2)
-        else:  # log-uniform perturbation of the independent coupling
+        v0 = independent
+        if k > 0:  # log-uniform perturbation of the independent coupling
             noise = rng.spawn(k).uniform(-1.0, 1.0, size=independent.shape)
             v0 = _ipfp_values(independent * np.exp(_NOISE_SCALE * noise), f1, f2)
-        return runner(v0, f1, f2, field_f, field_ft, f.grid_x, f_tilde.grid_y, config)
+        return _run_mirror_descent(v0, f1, f2, field_f, field_ft, f.grid_x, f_tilde.grid_y, config)
 
     results = [run_start(k) for k in range(config.multistart)]
 

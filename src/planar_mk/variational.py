@@ -238,33 +238,6 @@ def euler_lagrange_residual(
     return ELResidualReport(residual, l2, bracket_g, bracket_h, H)
 
 
-@dataclass(frozen=True)
-class VariationalState:
-    L_value: float
-    phi: np.ndarray
-    psi: np.ndarray
-    grad: np.ndarray
-    el_residual: np.ndarray
-    el_interior_l2: float
-
-
-def variational_state(
-    f: DiscreteDensity2D,
-    f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
-) -> VariationalState:
-    out = _checked_pass(f, f_tilde, p)
-    el = euler_lagrange_residual(f, f_tilde, p)
-    return VariationalState(
-        L_value=out.L_value,
-        phi=out.phi,
-        psi=out.psi,
-        grad=out.phi + out.psi,
-        el_residual=el.residual,
-        el_interior_l2=el.interior_l2,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Numerical checkers for the two averaging lemmas behind the stationarity
 # argument: shrinking-square means recover the integrand, and the four-corner

@@ -174,6 +174,34 @@ class TestCliSolve:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, capsys):
+        # density values, grid fields and LP instance arrays take JSON numbers
+        # only, although float() would accept "1", " 2.5 " and true
+        grid = {"min": 0, "max": 1, "n": 2}
+        values = [[1, 2.5], [1, 1]]
+        bad_densities = [
+            {"grid_x": grid, "grid_y": grid, "values": [["1", " 2.5 "], [1, True]]},
+            {"grid_x": grid, "grid_y": grid, "values": [[1, 2.5], [1, True]]},
+            {"grid_x": grid, "grid_y": {"min": 0, "max": "1", "n": "2"}, "values": values},
+            {"grid_x": {"min": False, "max": 1, "n": 2}, "grid_y": grid, "values": values},
+            {"grid_x": grid, "grid_y": {"min": 0, "max": 1, "n": 2.5}, "values": values},
+        ]
+        path = tmp_path / "bad.json"
+        for doc in bad_densities:
+            path.write_text(json.dumps(doc))
+            code = main(["solve", "--input-f", str(path), "--input-g", str(path), "--out-dir", str(tmp_path / "o")])
+            assert code == 1, doc
+            assert capsys.readouterr().err.startswith("error:"), doc
+        bad_instances = [
+            {"supply": ["0.5", 0.5], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]},
+            {"supply": [0.5, 0.5], "demand": [0.5, 0.5], "cost": [[0, True], [1, 0]]},
+        ]
+        for doc in bad_instances:
+            path.write_text(json.dumps(doc))
+            assert main(["oracle", "--instance", str(path), "--out-dir", str(tmp_path / "o")]) == 1, doc
+            assert capsys.readouterr().err.startswith("error:"), doc
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_reports_byte_identical_excluding_timing(self, tmp_path):
         fa, fb = write_pair(tmp_path, seed=3)
         out1 = tmp_path / "run1"

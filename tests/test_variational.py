@@ -29,7 +29,6 @@ from planar_mk.variational import (
     lemma2_checker,
     objective_pass,
     simplified_cross_derivatives,
-    variational_state,
 )
 
 
@@ -203,13 +202,6 @@ class TestEulerLagrange:
         )
         assert np.all(np.diff(H.values, axis=0) >= -1e-15)
         assert np.all(np.diff(H.values, axis=1) >= -1e-15)
-
-    def test_state_bundles_fields(self, correlated_pair_8, independent_coupling_8):
-        f, f_tilde = correlated_pair_8
-        state = variational_state(f, f_tilde, independent_coupling_8)
-        assert state.L_value >= 0.0
-        assert np.allclose(state.grad, state.phi + state.psi, atol=0)
-        assert state.el_interior_l2 > 0.0
 
 
 class TestLemma1:

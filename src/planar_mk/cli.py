@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -152,20 +153,18 @@ def cmd_oracle(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.instance:
-        plan = solve_lp(_load_instance(args.instance))
-        np.savetxt(out_dir / "plan.csv", plan.flows, delimiter=",")
-        body = {"command": "oracle", "mode": "lp", "objective": plan.objective}
+        instance = _load_instance(args.instance)
+        plan = solve_lp(instance)
+        body = {"command": "oracle", "mode": "lp"}
     else:
         f = _load_density_2d(args.input_f)
         f_tilde = _load_density_2d(args.input_g)
         result = solve_full_2d(f, f_tilde)
-        np.savetxt(out_dir / "plan.csv", result.plan.flows, delimiter=",")
-        body = {
-            "command": "oracle",
-            "mode": "full_2d",
-            "objective": result.objective,
-            "grid": _grid_spec(f),
-        }
+        plan, instance = result.plan, result.instance
+        body = {"command": "oracle", "mode": "full_2d", "grid": _grid_spec(f)}
+    np.savetxt(out_dir / "plan.csv", plan.flows, delimiter=",")
+    body["objective"] = plan.objective
+    body["duality_gap"] = plan.duality_gap(instance.supply, instance.demand)
     _write_report(out_dir, body, time.perf_counter() - t0)
     return 0
 
@@ -248,6 +247,9 @@ def cmd_check_lemmas(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = time.perf_counter()
+    tolerance = args.tolerance
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"--tolerance must be a finite number >= 0 (got {tolerance})")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     f = _load_density_2d(args.input_f)
@@ -256,7 +258,6 @@ def cmd_compare(args) -> int:
     config, report = _solve_pair(f, f_tilde, args)
     L_p_star = evaluate_L(f, f_tilde, report.p_star)
     gap = abs(L_p_star - oracle_result.objective)
-    tolerance = args.tolerance
     body = {
         "command": "compare",
         "seed": config.seed,

@@ -1,15 +1,19 @@
 """Exact transportation LP used as ground truth at desk scale.
 
 The solver is a self-contained transportation simplex (northwest-corner
-start, Bland's entering rule, lexicographic supply perturbation against
-degeneracy). Each pivot walks the basis tree once, breadth first from row 0,
-and everything else comes from that walk's visit order, parent and depth
-arrays: the dual potentials (one pass in visit order), the pivot cycle
-(climbing from both ends of the entering arc until they meet) and the arc
-flows (each node ships its subtree's balance to its parent, leaves first).
-Instances here are tiny, so exactness beats speed: no external LP
-dependency, flows recomputed on the final basis tree with the original
-unperturbed masses.
+start, Dantzig pricing, lexicographic supply perturbation against
+degeneracy). The entering arc is the one with the most negative reduced cost,
+ties going to the smallest flat index. The perturbation, not the pricing rule,
+is what prevents cycling: it keeps every basis flow at least the perturbation
+size away from zero, so each pivot moves a positive amount of flow and
+strictly lowers the perturbed objective. Each pivot walks the basis tree once,
+breadth first from row 0, and everything else comes from that walk's visit
+order, parent and depth arrays: the dual potentials (one pass in visit order),
+the pivot cycle (climbing from both ends of the entering arc until they meet)
+and the arc flows (each node ships its subtree's balance to its parent, leaves
+first). No external LP dependency: flows are recomputed on the final basis
+tree with the original unperturbed masses, and the final potentials (u, v)
+are kept on the plan as a duality certificate.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ class SizeLimitError(ValueError):
     pass
 
 
-# Total flow-matrix entries the simplex will accept by default; keeps the
-# full planar solve at grids of at most 8x8 per axis (64 atoms per side).
-MAX_ATOMS_PER_SIDE = 64
+# Atoms per side the full planar solve accepts by default: grids of at most
+# 16x16 per axis (256 atoms per side).
+MAX_ATOMS_PER_SIDE = 256
 
 _BALANCE_TOL = 1e-12
 _RC_TOL = 1e-11  # reduced-cost threshold for entering arcs
@@ -70,13 +74,26 @@ class TransportInstance:
 
 @dataclass(frozen=True)
 class TransportPlan:
+    """A transport plan; `solve_lp` also sets the dual potentials u, v.
+
+    The potentials satisfy u_i + v_j = C_ij on the final basis and
+    u_i + v_j <= C_ij elsewhere (to the reduced-cost tolerance), so together
+    with a `duality_gap` near zero they certify the plan optimal.
+    """
+
     flows: np.ndarray
     objective: float
+    u: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def marginal_errors(self, supply: np.ndarray, demand: np.ndarray) -> tuple[float, float]:
         r = float(np.max(np.abs(self.flows.sum(axis=1) - supply)))
         c = float(np.max(np.abs(self.flows.sum(axis=0) - demand)))
         return r, c
+
+    def duality_gap(self, supply: np.ndarray, demand: np.ndarray) -> float:
+        """|u.a + v.b - objective|: the dual value's distance from the primal one."""
+        return abs(float(self.u @ supply + self.v @ demand) - self.objective)
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
@@ -163,10 +180,10 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
             i, j = _arc(node, parent[node], m)
             pot[node] = cost_rows[i][j] - pot[parent[node]]
         rc = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
-        candidates = np.flatnonzero(rc.ravel() < -_RC_TOL)
-        if candidates.size == 0:
+        enter = int(np.argmin(rc))  # Dantzig: most negative, ties to the smallest index
+        if rc.flat[enter] >= -_RC_TOL:
             break
-        ei, ej = divmod(int(candidates[0]), k)  # Bland: smallest index
+        ei, ej = divmod(enter, k)
 
         # unique cycle: entering arc + tree path from its column back to its
         # row, found by climbing both ends until they meet
@@ -201,7 +218,7 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
     for (i, j), f in final.items():
         flow_mat[i, j] = max(f, 0.0)  # basis flows are >= -O(perturbation)
     objective = float(np.sum(flow_mat * cost))
-    plan = TransportPlan(flow_mat, objective)
+    plan = TransportPlan(flow_mat, objective, np.array(pot[:m]), np.array(pot[m:]))
     r_err, c_err = plan.marginal_errors(a0, b0)
     if max(r_err, c_err) > 1e-10:
         raise RuntimeError(f"plan marginals off by {max(r_err, c_err)}")
@@ -252,6 +269,7 @@ class Planar2DPlan:
     plan: TransportPlan
     source_points: np.ndarray
     target_points: np.ndarray
+    instance: TransportInstance
 
     @property
     def objective(self) -> float:
@@ -266,18 +284,18 @@ def solve_full_2d(
     """Exact planar optimum: both densities flattened to cell-center atoms.
 
     The flow matrix has (n_x*n_y)^2 entries; the default cap keeps grids at
-    8x8 per axis, which the Python simplex handles comfortably.
+    16x16 per axis, which the Python simplex solves in about a second.
     """
     n_src = f.grid_x.n_cells * f.grid_y.n_cells
     n_tgt = f_tilde.grid_x.n_cells * f_tilde.grid_y.n_cells
     if n_src > max_atoms_per_side or n_tgt > max_atoms_per_side:
         raise SizeLimitError(
             f"grids give {n_src}x{n_tgt} flow variables; "
-            f"limit is {max_atoms_per_side} atoms per side (about 8x8 cells)"
+            f"limit is {max_atoms_per_side} atoms per side (about 16x16 cells)"
         )
     ps, ms = atoms_from_density_2d(f)
     pt, mt = atoms_from_density_2d(f_tilde)
     cost = np.sum((ps[:, None, :] - pt[None, :, :]) ** 2, axis=2)
     # renormalize away float drift so the instance passes balance validation
     instance = TransportInstance(ms / ms.sum(), mt / mt.sum(), cost)
-    return Planar2DPlan(solve_lp(instance), ps, pt)
+    return Planar2DPlan(solve_lp(instance), ps, pt, instance)

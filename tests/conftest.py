@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from planar_mk.instances import gaussian_2d, smooth_random_density_2d
-from planar_mk.measures import Grid1D, marginals_2d
+from planar_mk.instances import gaussian_2d, shifted_density_2d, smooth_random_density_2d
+from planar_mk.measures import DiscreteDensity2D, Grid1D, marginals_2d
 from planar_mk.optimizer import ipfp_project
 
 
@@ -35,3 +35,16 @@ def make_smooth_feasible_coupling(f, f_tilde, seed, amplitude=0.6):
     _, f2 = marginals_2d(f_tilde)
     bump = smooth_random_density_2d(f.grid_x, f_tilde.grid_y, seed=seed, amplitude=amplitude)
     return ipfp_project(np.outer(f1.values, f2.values) * bump.values, f1, f2)
+
+
+def shift_pair(seed, sx, sy, n):
+    """Criterion 4's construction on an n x n grid: a smooth density with a
+    vacated margin, paired with its whole-cell shift."""
+    g = Grid1D.uniform(0.0, 1.0, n)
+    vals = smooth_random_density_2d(g, g, seed=seed).values.copy()
+    if sx:
+        vals[-sx:, :] = 0
+    if sy:
+        vals[:, -sy:] = 0
+    f = DiscreteDensity2D.from_values(g, g, vals)
+    return f, shifted_density_2d(f, sx, sy)

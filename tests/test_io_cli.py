@@ -261,6 +261,21 @@ class TestCliOracleAndChecks:
         assert report["mode"] == "full_2d"
         assert report["objective"] > 0
 
+    @pytest.mark.parametrize("mode", ["lp", "full_2d"])
+    def test_oracle_reports_duality_gap(self, tmp_path, mode):
+        if mode == "lp":
+            inst = tmp_path / "instance.json"
+            inst.write_text(json.dumps({"supply": [0.2, 0.8], "demand": [0.5, 0.5], "cost": [[0, 1], [4, 1]]}))
+            argv = ["--instance", str(inst)]
+        else:
+            fa, fb = write_pair(tmp_path, n=4, seed=5)
+            argv = ["--input-f", fa, "--input-g", fb]
+        out = tmp_path / "out"
+        assert main(["oracle", *argv, "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == mode
+        assert 0 <= report["duality_gap"] <= 1e-10
+
     def test_oracle_unbalanced_exits_1(self, tmp_path, capsys):
         # unbalanced, non-finite (JSON NaN/Infinity/null) or malformed instances
         bad_instances = [
@@ -362,8 +377,26 @@ class TestCliCompare:
         assert report["oracle_optimum"] == pytest.approx(0.0, abs=1e-9)
         assert report["gap"] <= 1e-5
 
+    @pytest.mark.parametrize("seed, shift", [(1, (1, 0)), (2, (0, 1)), (3, (1, 1))])
+    def test_shift_instance_at_16x16(self, tmp_path, seed, shift):
+        fa, fb = write_pair(tmp_path, n=16, shift=shift, seed=seed)
+        out = tmp_path / "out"
+        assert main(["compare", "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["grid"]["x"]["n"] == 16
+        assert report["gap"] <= 1e-3
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_1_before_solving(self, tmp_path, capsys, tolerance):
+        fa, fb = write_pair(tmp_path, n=4, seed=7)
+        out = tmp_path / "out"
+        code = main(["compare", "--input-f", fa, "--input-g", fb, "--out-dir", str(out), "--tolerance", tolerance])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --tolerance")
+        assert not out.exists()
+
     def test_oversized_grid_exits_3(self, tmp_path, capsys):
-        g = Grid1D.uniform(0.0, 1.0, 16)
+        g = Grid1D.uniform(0.0, 1.0, 17)
         d = gaussian_2d(g, g, rho=0.2)
         fa = tmp_path / "f.json"
         write_density_json(fa, d)

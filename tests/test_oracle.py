@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import shift_pair
+from planar_mk import oracle
 from planar_mk.instances import smooth_random_density_2d
 from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
 from planar_mk.oracle import (
@@ -26,6 +28,57 @@ def random_instance(rng, m, k, tied=False):
         x = rng.uniform(-2.0, 2.0, m)
         y = rng.uniform(-2.0, 2.0, k)
     return x, a / a.sum(), y, b / b.sum()
+
+
+# the benchmark's compare8 cases: (seed, (sx, sy)) on 8x8 grids
+COMPARE8_CASES = ((1, (1, 0)), (2, (0, 1)), (3, (1, 1)), (4, (2, 1)), (5, (1, 2)), (6, (2, 2)))
+
+
+def compare8_pairs():
+    for seed, (sx, sy) in COMPARE8_CASES:
+        yield shift_pair(seed, sx, sy, 8)
+
+
+def tied_instances(seed, count, max_side):
+    """Random instances on integer atom positions (many tied costs); every
+    other one has uniform masses, so degenerate bases are common."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m, k = int(rng.integers(1, max_side + 1)), int(rng.integers(1, max_side + 1))
+        x, a, y, b = random_instance(rng, m, k, tied=True)
+        if trial % 2:
+            a, b = np.full(m, 1.0 / m), np.full(k, 1.0 / k)
+        yield TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2)
+
+
+def assert_certified(plan, instance):
+    """Dual feasibility and strong duality: a proof of optimality."""
+    assert np.max(plan.u[:, None] + plan.v[None, :] - instance.cost) <= oracle._RC_TOL
+    assert plan.duality_gap(instance.supply, instance.demand) <= 1e-10
+
+
+def spy_walks(monkeypatch):
+    """Record every pivot's theta, read off the basis each `_walk` call gets.
+
+    A solve walks its northwest-corner basis first (a list of arcs), then the
+    flow dict after each pivot; the one arc new to that dict is the entering
+    arc, and its flow is the pivot's theta.
+    """
+    thetas = []
+    basis = set()
+    walk = oracle._walk
+
+    def spy(arcs, m, k):
+        nonlocal basis
+        keys = set(arcs)
+        if isinstance(arcs, dict):
+            (entering,) = keys - basis
+            thetas.append(arcs[entering])
+        basis = keys
+        return walk(arcs, m, k)
+
+    monkeypatch.setattr(oracle, "_walk", spy)
+    return thetas
 
 
 class TestSolveLp:
@@ -87,6 +140,32 @@ class TestSolveLp:
             )
             assert ref.status == 0
             assert solve_lp(TransportInstance(a, b, cost)).objective == pytest.approx(ref.fun, rel=0, abs=1e-12)
+
+    def test_duality_certificate_on_compare8(self):
+        for f, f_tilde in compare8_pairs():
+            result = solve_full_2d(f, f_tilde)
+            assert_certified(result.plan, result.instance)
+
+    def test_duality_certificate_on_tied_instances(self):
+        for instance in tied_instances(seed=15, count=200, max_side=12):
+            assert_certified(solve_lp(instance), instance)
+
+    def test_every_pivot_moves_flow(self, monkeypatch):
+        # the supply perturbation keeps every basis flow >= _PERTURB (up to
+        # roundoff), so no pivot is degenerate and the simplex cannot cycle
+        thetas = spy_walks(monkeypatch)
+        for instance in tied_instances(seed=16, count=300, max_side=12):
+            solve_lp(instance)
+        assert len(thetas) > 1000
+        assert min(thetas) > oracle._PERTURB / 2
+
+    def test_pivot_budget_on_compare8(self, monkeypatch):
+        # Dantzig pricing takes 114-181 pivots per case; Bland's rule took 908-2952
+        thetas = spy_walks(monkeypatch)
+        for f, f_tilde in compare8_pairs():
+            before = len(thetas)
+            solve_full_2d(f, f_tilde)
+            assert len(thetas) - before + 1 <= 300  # pivots plus the first walk
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
@@ -164,7 +243,7 @@ class TestFull2D:
         assert full == pytest.approx(ax1 + ax2, abs=1e-10)
 
     def test_size_limit(self):
-        g = Grid1D.uniform(0.0, 1.0, 16)
+        g = Grid1D.uniform(0.0, 1.0, 17)
         f = smooth_random_density_2d(g, g, seed=1)
         with pytest.raises(SizeLimitError):
             solve_full_2d(f, f)

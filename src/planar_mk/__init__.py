@@ -8,7 +8,7 @@ cross-checked against an exact discrete LP and a stationarity residual.
 
 __version__ = "0.1.0"
 
-from .coupling import CouplingDensity, FeasibilityError, MarginalMismatchError
+from .coupling import CouplingDensity, FeasibilityError
 from .measures import (
     CDF1D,
     EPS_FLOOR,
@@ -54,7 +54,6 @@ __all__ = [
     "EPS_FLOOR",
     "FeasibilityError",
     "Grid1D",
-    "MarginalMismatchError",
     "QuantileTable",
     "SolveReport",
     "SolverConfig",

@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coupling import FeasibilityError, MarginalMismatchError
+from .coupling import FeasibilityError, check_coupling_grid
 from .density_io import (
     DensityFormatError,
+    grid_spec,
     json_numbers,
     read_density,
     read_grid_csv,
@@ -40,7 +41,6 @@ from .oracle import (
 )
 from .reduction import build_g_map, build_h_map
 from .variational import (
-    check_coupling_grids,
     euler_lagrange_residual,
     evaluate_L,
     first_variation,
@@ -70,10 +70,7 @@ def _load_density_2d(path: str) -> DiscreteDensity2D:
 
 
 def _grid_spec(d: DiscreteDensity2D) -> dict:
-    return {
-        "x": {"min": float(d.grid_x.nodes[0]), "max": float(d.grid_x.nodes[-1]), "n": d.grid_x.n_cells},
-        "y": {"min": float(d.grid_y.nodes[0]), "max": float(d.grid_y.nodes[-1]), "n": d.grid_y.n_cells},
-    }
+    return {"x": grid_spec(d.grid_x), "y": grid_spec(d.grid_y)}
 
 
 def _per_axis_w2_sum(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, n_quad: int = 4096) -> float:
@@ -179,7 +176,11 @@ def cmd_check_el(args) -> int:
     _, f2 = marginals_2d(f_tilde)
     if args.input_p:
         grid_x, grid_y, values = read_grid_csv(args.input_p)
-        check_coupling_grids(f, f_tilde, grid_x, grid_y)
+        check_coupling_grid(grid_x, f1, 0)
+        check_coupling_grid(grid_y, f2, 1)
+        # IPFP would floor a negative entry without a word and sweep NaNs to its iteration cap
+        if not np.all(np.isfinite(values)) or np.any(values < 0):
+            raise ValueError(f"{args.input_p}: coupling values must be finite and nonnegative")
         p = ipfp_project(values, f1, f2)
     else:
         p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
@@ -328,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         DensityFormatError,
         UnbalancedInstanceError,
-        MarginalMismatchError,
         FeasibilityError,
         NoDescentError,
         OSError,

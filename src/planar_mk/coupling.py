@@ -1,8 +1,10 @@
 """Couplings: 2-D densities constrained to the transportation polytope.
 
 A coupling density fixes its first marginal to the source's x-marginal and
-its second marginal to the target's y-marginal. Membership is validated in
-L1 of the cell masses.
+its second marginal to the target's y-marginal. This module owns the rule
+for "p is a coupling of f and f~", checked one side at a time: along each
+axis p lies on the target marginal's grid, node for node, and its marginal
+matches the target's cell masses within FEAS_TOL in L1.
 """
 
 from __future__ import annotations
@@ -11,27 +13,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D
+from .measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, Grid1D
 
 # L1 tolerance for membership in the constraint polytope.
 FEAS_TOL = 1e-9
 
-
-class MarginalMismatchError(ValueError):
-    pass
+# (density, axis) named in error texts: axis 0 is f's x-marginal, axis 1 f~'s y-marginal
+_SIDES = (("f", "x"), ("f~", "y"))
 
 
 class FeasibilityError(ValueError):
     pass
 
 
-def marginal_l1_errors(
-    masses: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
-) -> tuple[float, float]:
-    """L1 distances of the row and column sums of cell masses from their targets."""
-    row_err = float(np.sum(np.abs(masses.sum(axis=1) - row_target)))
-    col_err = float(np.sum(np.abs(masses.sum(axis=0) - col_target)))
-    return row_err, col_err
+def marginal_l1_error(masses: np.ndarray, target: np.ndarray, axis: int) -> float:
+    """L1 distance of a marginal of cell masses from its target.
+
+    axis 0 is the x-marginal (row sums), axis 1 the y-marginal (column sums).
+    """
+    return float(np.sum(np.abs(masses.sum(axis=1 - axis) - target)))
+
+
+def check_coupling_grid(grid: Grid1D, target: DiscreteDensity1D, axis: int) -> None:
+    """The grid rule: p's grid along axis is the target marginal's, node for node."""
+    if not np.array_equal(grid.nodes, target.grid.nodes):
+        name, label = _SIDES[axis]
+        raise ValueError(f"p and {name} must share the {label}-grid")
+
+
+def check_coupling_side(p: DiscreteDensity2D, target: DiscreteDensity1D, axis: int) -> None:
+    """The coupling check on one side: axis 0 against f's x-marginal, 1 against f~'s y-marginal.
+
+    The grid rule first, then the L1 marginal error must be at most FEAS_TOL.
+    """
+    check_coupling_grid((p.grid_x, p.grid_y)[axis], target, axis)
+    err = marginal_l1_error(p.cell_masses, target.cell_masses, axis)
+    if not err <= FEAS_TOL:
+        raise FeasibilityError(
+            f"p is not feasible: {_SIDES[axis][1]}-marginal L1 error {err:.3e} exceeds {FEAS_TOL}"
+        )
 
 
 @dataclass(frozen=True)
@@ -41,19 +61,8 @@ class CouplingDensity:
     target_col_marginal: DiscreteDensity1D  # y-marginal of the target density
 
     def __post_init__(self):
-        if not np.array_equal(self.density.grid_x.nodes, self.target_row_marginal.grid.nodes):
-            raise ValueError("coupling x-grid must match the row-marginal grid")
-        if not np.array_equal(self.density.grid_y.nodes, self.target_col_marginal.grid.nodes):
-            raise ValueError("coupling y-grid must match the col-marginal grid")
-        row_err, col_err = marginal_l1_errors(
-            self.density.cell_masses,
-            self.target_row_marginal.cell_masses,
-            self.target_col_marginal.cell_masses,
-        )
-        if max(row_err, col_err) > FEAS_TOL:
-            raise FeasibilityError(
-                f"marginal L1 errors ({row_err:.3e}, {col_err:.3e}) exceed {FEAS_TOL}"
-            )
+        check_coupling_side(self.density, self.target_row_marginal, 0)
+        check_coupling_side(self.density, self.target_col_marginal, 1)
         # unit-mass rescaling after the floor bump can shave a relative sliver
         if np.min(self.density.values) < EPS_FLOOR * (1.0 - 1e-9):
             raise ValueError("coupling density dips below the positivity floor")

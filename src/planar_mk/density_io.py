@@ -15,6 +15,7 @@ floors and renormalizes; bit-exactness of the stored values is not required.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ def json_numbers(raw, what: str) -> np.ndarray:
         raise DensityFormatError(f"{what} must be numbers ({exc})") from exc
 
 
-def _grid_from_spec(spec: dict, label: str) -> Grid1D:
+def _grid_fields(spec: dict, label: str) -> tuple[float, float, int]:
+    """min, max and n of a grid spec, checked but not yet built into a grid."""
     try:
         fields = [spec["min"], spec["max"], spec["n"]]
     except (KeyError, TypeError) as exc:
@@ -54,7 +56,12 @@ def _grid_from_spec(spec: dict, label: str) -> Grid1D:
     lo, hi, n = json_numbers(fields, f"{label} min, max and n")
     if not hi > lo or not (n >= 1 and float(n).is_integer()):
         raise DensityFormatError(f"{label} needs max > min and an integer n >= 1")
-    return Grid1D.uniform(float(lo), float(hi), int(n))
+    return float(lo), float(hi), int(n)
+
+
+def grid_spec(grid: Grid1D) -> dict:
+    """The {"min", "max", "n"} record of a uniform grid, as density files and reports store it."""
+    return {"min": float(grid.nodes[0]), "max": float(grid.nodes[-1]), "n": grid.n_cells}
 
 
 def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D:
@@ -65,32 +72,32 @@ def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D
         raise DensityFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "grid_x" not in doc or "values" not in doc:
         raise DensityFormatError(f"{path}: expected an object with grid_x and values")
-    grid_x = _grid_from_spec(doc["grid_x"], "grid_x")
+    specs = [_grid_fields(doc["grid_x"], "grid_x")]
+    if doc.get("grid_y") is not None:
+        specs.append(_grid_fields(doc["grid_y"], "grid_y"))
     values = json_numbers(doc["values"], f"{path}: values")
-    if "grid_y" in doc and doc["grid_y"] is not None:
-        grid_y = _grid_from_spec(doc["grid_y"], "grid_y")
-        if values.ndim == 1:
-            values = values.reshape(grid_x.n_cells, grid_y.n_cells)
-        if values.shape != (grid_x.n_cells, grid_y.n_cells):
-            raise DensityFormatError(f"{path}: values shape {values.shape} does not match grids")
-        return DiscreteDensity2D.from_values(grid_x, grid_y, values)
-    if values.shape != (grid_x.n_cells,):
-        raise DensityFormatError(f"{path}: values length does not match grid_x")
-    return DiscreteDensity1D.from_values(grid_x, values)
+    # the shape is compared before any grid is built, so that an absurd n is
+    # rejected instead of allocated
+    shape = tuple(n for _, _, n in specs)
+    if values.ndim == 1 and values.size == math.prod(shape):
+        values = values.reshape(shape)
+    if values.shape != shape:
+        raise DensityFormatError(f"{path}: values shape {values.shape} does not match the grids {shape}")
+    grids = [Grid1D.uniform(*spec) for spec in specs]
+    if len(grids) == 2:
+        return DiscreteDensity2D.from_values(*grids, values)
+    return DiscreteDensity1D.from_values(grids[0], values)
 
 
 def write_density_json(path: str | Path, d: DiscreteDensity1D | DiscreteDensity2D) -> None:
-    def spec(grid: Grid1D) -> dict:
-        return {"min": float(grid.nodes[0]), "max": float(grid.nodes[-1]), "n": grid.n_cells}
-
     if isinstance(d, DiscreteDensity2D):
         doc = {
-            "grid_x": spec(d.grid_x),
-            "grid_y": spec(d.grid_y),
+            "grid_x": grid_spec(d.grid_x),
+            "grid_y": grid_spec(d.grid_y),
             "values": [[float(v) for v in row] for row in d.values],
         }
     else:
-        doc = {"grid_x": spec(d.grid), "values": [float(v) for v in d.values]}
+        doc = {"grid_x": grid_spec(d.grid), "values": [float(v) for v in d.values]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

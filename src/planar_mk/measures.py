@@ -255,29 +255,27 @@ class QuantileTable:
         """Quantiles alone: the first output of `value_and_slope`."""
         return self.value_and_slope(t)[0]
 
-    def value_and_slope(
-        self, t: np.ndarray | float, rows: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Quantiles and the exact slopes of the active ramps (dvalue/dprob).
 
-        Row r of the levels t is evaluated in table row rows[r] (in row r when
-        rows is None); a one-row table takes levels of any shape. The slope is
-        the inverse-function derivative 1/F' evaluated at the quantile point;
-        at a level hit exactly it is the left ramp's slope, matching the
-        left-continuous convention. Raises for levels outside (0, 1].
+        Row s of the levels t is evaluated in table row s; a one-row table
+        takes levels of any shape. The slope is the inverse-function
+        derivative 1/F' evaluated at the quantile point; at a level hit
+        exactly it is the left ramp's slope, matching the left-continuous
+        convention. Raises for levels outside (0, 1].
         """
         t_arr = np.asarray(t, dtype=float)
         _check_levels(t_arr)
-        rows = np.arange(self.probs.shape[0]) if rows is None else np.asarray(rows)
-        if rows.size > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != rows.size):
+        n_rows = self.probs.shape[0]
+        if n_rows > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != n_rows):
             raise ValueError("levels need one row per table row")
-        levels = t_arr.reshape(rows.size, -1)
+        levels = t_arr.reshape(n_rows, -1)
         # first index with probs >= t, so probs[idx-1] < t <= probs[idx]
         idx = np.empty(levels.shape, dtype=np.intp)
-        for r, s in enumerate(rows):
-            idx[r] = np.searchsorted(self.probs[s], levels[r], side="left")
+        for s in range(n_rows):
+            idx[s] = np.searchsorted(self.probs[s], levels[s], side="left")
         # in-place steps keep few (S, M) temporaries alive on large grids
-        s = rows[:, None]
+        s = np.arange(n_rows)[:, None]
         hi, v1 = self.probs[s, idx], self.values[s, idx]
         idx -= 1
         lo, v0 = self.probs[s, idx], self.values[s, idx]

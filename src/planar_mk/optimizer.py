@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingDensity, marginal_l1_errors
+from .coupling import CouplingDensity, marginal_l1_error
 from .measures import (
     EPS_FLOOR,
     DiscreteDensity1D,
@@ -130,7 +130,8 @@ def _ipfp_values(
     col_target = f2.cell_masses
 
     def residual(v: np.ndarray) -> float:
-        return max(marginal_l1_errors(v * areas, row_target, col_target))
+        m = v * areas
+        return max(marginal_l1_error(m, row_target, 0), marginal_l1_error(m, col_target, 1))
 
     def alternate(v: np.ndarray) -> np.ndarray:
         err, sweeps = residual(v), 0
@@ -241,7 +242,8 @@ def _run_mirror_descent(
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
     def marg_err(values: np.ndarray) -> float:
-        return max(marginal_l1_errors(values * areas, row_target, col_target))
+        m = values * areas
+        return max(marginal_l1_error(m, row_target, 0), marginal_l1_error(m, col_target, 1))
 
     values = values0.copy()
     out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y)

@@ -34,8 +34,8 @@ class SizeLimitError(ValueError):
     pass
 
 
-# Atoms per side the full planar solve accepts by default: grids of at most
-# 16x16 per axis (256 atoms per side).
+# Atoms per side the full planar solve accepts: grids of at most 16x16 per
+# axis (256 atoms per side).
 MAX_ATOMS_PER_SIDE = 256
 
 _BALANCE_TOL = 1e-12
@@ -276,22 +276,18 @@ class Planar2DPlan:
         return self.plan.objective
 
 
-def solve_full_2d(
-    f: DiscreteDensity2D,
-    f_tilde: DiscreteDensity2D,
-    max_atoms_per_side: int = MAX_ATOMS_PER_SIDE,
-) -> Planar2DPlan:
+def solve_full_2d(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> Planar2DPlan:
     """Exact planar optimum: both densities flattened to cell-center atoms.
 
-    The flow matrix has (n_x*n_y)^2 entries; the default cap keeps grids at
-    16x16 per axis, which the Python simplex solves in about a second.
+    The flow matrix has (n_x*n_y)^2 entries; the MAX_ATOMS_PER_SIDE cap keeps
+    grids at 16x16 per axis, which the Python simplex solves in about a second.
     """
     n_src = f.grid_x.n_cells * f.grid_y.n_cells
     n_tgt = f_tilde.grid_x.n_cells * f_tilde.grid_y.n_cells
-    if n_src > max_atoms_per_side or n_tgt > max_atoms_per_side:
+    if n_src > MAX_ATOMS_PER_SIDE or n_tgt > MAX_ATOMS_PER_SIDE:
         raise SizeLimitError(
             f"grids give {n_src}x{n_tgt} flow variables; "
-            f"limit is {max_atoms_per_side} atoms per side (about 16x16 cells)"
+            f"limit is {MAX_ATOMS_PER_SIDE} atoms per side (about 16x16 cells)"
         )
     ps, ms = atoms_from_density_2d(f)
     pt, mt = atoms_from_density_2d(f_tilde)

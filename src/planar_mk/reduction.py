@@ -17,12 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingDensity, MarginalMismatchError, as_density
-from .measures import CDF1D, DiscreteDensity2D, Grid1D, QuantileTable
-
-# Maps are built only when the coupling's fixed marginal agrees with the
-# conditioned density's marginal to this tolerance (max cell-mass deviation).
-MARGINAL_MATCH_TOL = 1e-9
+from .coupling import CouplingDensity, as_density, check_coupling_side
+from .measures import CDF1D, DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
 
 
 class DegenerateSliceError(ValueError):
@@ -77,22 +73,19 @@ class ConditionalQuantileField:
     axis: str
     table: QuantileTable
 
-    def at_centers(
-        self, rows: np.ndarray, which: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def at_centers(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Quantiles and ramp slopes at the cell-center levels of coupling masses.
 
         rows holds one row of coupling masses along the free axis per table
-        row (per entry of `which` when given). A center's level counts half
-        of its own cell; each row is normalized by its mass, summed as in
-        `_conditional_cums`. Returns the quantiles, the slopes and the row
-        masses.
+        row. A center's level counts half of its own cell; each row is
+        normalized by its mass, summed as in `_conditional_cums`. Returns the
+        quantiles, the slopes and the row masses.
         """
         totals = np.ascontiguousarray(rows).sum(axis=1)
         levels = np.cumsum(rows, axis=1)
         levels -= 0.5 * rows
         levels /= totals[:, None]
-        val, slope = self.table.value_and_slope(np.clip(levels, 1e-15, 1.0, out=levels), which)
+        val, slope = self.table.value_and_slope(np.clip(levels, 1e-15, 1.0, out=levels))
         return val, slope, totals
 
 
@@ -113,15 +106,6 @@ def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([np.dot(sq[s], rows[s]) for s in range(rows.shape[0])])
 
 
-def _check_marginal_match(p_masses: np.ndarray, target_masses: np.ndarray, label: str) -> None:
-    dev = float(np.max(np.abs(p_masses - target_masses)))
-    if dev > MARGINAL_MATCH_TOL:
-        raise MarginalMismatchError(
-            f"{label} marginal of p deviates from the density's by {dev:.3e} "
-            f"(tolerance {MARGINAL_MATCH_TOL})"
-        )
-
-
 def map_values_from_field(field: ConditionalQuantileField, p_masses: np.ndarray) -> np.ndarray:
     """Evaluate the conditional-quantile composition on p's grid.
 
@@ -136,20 +120,22 @@ def map_values_from_field(field: ConditionalQuantileField, p_masses: np.ndarray)
 
 
 def build_g_map(f: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
-    """g(x, y) on the p-grid; g[i, j] lives on f's second axis."""
+    """g(x, y) on the p-grid; g[i, j] lives on f's second axis.
+
+    p must couple f's x-marginal (`check_coupling_side`, axis 0).
+    """
     pd = as_density(p)
-    if not np.array_equal(pd.grid_x.nodes, f.grid_x.nodes):
-        raise ValueError("p and f must share the x-grid")
-    _check_marginal_match(pd.cell_masses.sum(axis=1), f.cell_masses.sum(axis=1), "x")
+    check_coupling_side(pd, marginals_2d(f)[0], 0)
     return map_values_from_field(conditional_quantile_field(f, "x"), pd.cell_masses)
 
 
 def build_h_map(f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
-    """h(x, y) on the p-grid; h[i, j] lives on f~'s first axis."""
+    """h(x, y) on the p-grid; h[i, j] lives on f~'s first axis.
+
+    p must couple f~'s y-marginal (`check_coupling_side`, axis 1).
+    """
     pd = as_density(p)
-    if not np.array_equal(pd.grid_y.nodes, f_tilde.grid_y.nodes):
-        raise ValueError("p and f~ must share the y-grid")
-    _check_marginal_match(pd.cell_masses.sum(axis=0), f_tilde.cell_masses.sum(axis=0), "y")
+    check_coupling_side(pd, marginals_2d(f_tilde)[1], 1)
     return map_values_from_field(conditional_quantile_field(f_tilde, "y"), pd.cell_masses)
 
 

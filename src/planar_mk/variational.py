@@ -16,6 +16,14 @@ becomes a reverse cumulative sum in which the cell containing y counts half,
 matching the center-level convention of the maps, and G_y is the exact slope
 of the active quantile ramp (inverse-function rule on the piecewise-linear
 conditional CDF).
+
+The stationarity residual d/dx[G(x, H_x/f1)] + d/dy[G~(H_y/f2, y)], with H
+the cumulative of p, needs no H. H is bilinear on each cell, so at a cell
+center H_x is the mass of p's x-row below y, the center's own cell counting
+half, per unit of x-width; f1 is the row's whole mass per unit of x-width,
+because p couples f1. H_x/f1 is therefore exactly the center level
+F_{Y2|X1}(y|x) that the map g evaluates, so G(x, H_x/f1) is g and, likewise,
+G~(H_y/f2, y) is h.
 """
 
 from __future__ import annotations
@@ -26,34 +34,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import (
-    FEAS_TOL,
-    CouplingDensity,
-    FeasibilityError,
-    as_density,
-    marginal_l1_errors,
-)
+from .coupling import CouplingDensity, as_density, check_coupling_side
 from .measures import DiscreteDensity2D, Grid1D, marginals_2d
-from .reduction import ConditionalQuantileField, _slice_costs, conditional_quantile_field
-
-
-def check_coupling_grids(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, grid_x: Grid1D, grid_y: Grid1D) -> None:
-    """A coupling must lie on f's x-grid and f~'s y-grid, node for node."""
-    if not np.array_equal(grid_x.nodes, f.grid_x.nodes):
-        raise ValueError("p and f must share the x-grid")
-    if not np.array_equal(grid_y.nodes, f_tilde.grid_y.nodes):
-        raise ValueError("p and f~ must share the y-grid")
-
-
-def _check_input(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, pd: DiscreteDensity2D) -> None:
-    check_coupling_grids(f, f_tilde, pd.grid_x, pd.grid_y)
-    f1, _ = marginals_2d(f)
-    _, f2 = marginals_2d(f_tilde)
-    row_err, col_err = marginal_l1_errors(pd.cell_masses, f1.cell_masses, f2.cell_masses)
-    if max(row_err, col_err) > FEAS_TOL:
-        raise FeasibilityError(
-            f"p is not feasible: marginal L1 errors ({row_err:.3e}, {col_err:.3e})"
-        )
+from .reduction import (
+    ConditionalQuantileField,
+    _slice_costs,
+    build_g_map,
+    build_h_map,
+    conditional_quantile_field,
+)
 
 
 def _term_pass(
@@ -115,7 +104,8 @@ def _checked_pass(
     f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D
 ) -> ObjectivePass:
     pd = as_density(p)
-    _check_input(f, f_tilde, pd)
+    check_coupling_side(pd, marginals_2d(f)[0], 0)
+    check_coupling_side(pd, marginals_2d(f_tilde)[1], 1)
     field_f, field_ft = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
     return objective_pass(field_f, field_ft, pd.cell_masses, pd.grid_x, pd.grid_y)
 
@@ -180,9 +170,8 @@ def cumulative_h(p: CouplingDensity | DiscreteDensity2D) -> CumulativeH:
 class ELResidualReport:
     residual: np.ndarray      # divergence field g_x + h_y at cell centers
     interior_l2: float        # L2 norm over the interior cells
-    bracket_g: np.ndarray     # G(x, H_x / f1) at cell centers
-    bracket_h: np.ndarray     # G~(H_y / f2, y) at cell centers
-    H: CumulativeH
+    bracket_g: np.ndarray     # G(x, H_x / f1) at cell centers: the map g
+    bracket_h: np.ndarray     # G~(H_y / f2, y) at cell centers: the map h
 
 
 def euler_lagrange_residual(
@@ -192,42 +181,20 @@ def euler_lagrange_residual(
 ) -> ELResidualReport:
     """Stationarity residual d/dx[G(x, H_x/f1)] + d/dy[G~(H_y/f2, y)].
 
-    H is differenced across each cell at the mid-level of the other axis
-    (exact central differences for the piecewise-bilinear H), the bracket
-    fields are evaluated through the stacked conditional quantile tables, and the
-    divergence uses central differences in the interior with one-sided
-    differences on the boundary ring. The reported norm covers the interior
-    only; the boundary content of the stationarity condition is exactly the
-    marginal constraints, tested through `cumulative_h`.
+    At a cell center H_x/f1 equals the center level F_{Y2|X1}(y|x) and H_y/f2
+    the level F_{X1|Y2}(x|y) (see the module docstring), so the bracket
+    fields are the maps themselves, built by `build_g_map` and `build_h_map`
+    (which check p against f and f~, one side each). The divergence uses
+    central differences in the interior with one-sided differences on the
+    boundary ring. The reported norm covers the interior only; the boundary
+    content of the stationarity condition is exactly the marginal
+    constraints, tested through `cumulative_h`.
     """
     pd = as_density(p)
-    _check_input(f, f_tilde, pd)
-    H = cumulative_h(pd)
-    hv = H.values
-    wx = pd.grid_x.cell_widths
-    wy = pd.grid_y.cell_widths
-
-    # H at (node, y-center) / (x-center, node): exact since H is bilinear per cell
-    h_mid_y = 0.5 * (hv[:, :-1] + hv[:, 1:])
-    h_mid_x = 0.5 * (hv[:-1, :] + hv[1:, :])
-    Hx = np.diff(h_mid_y, axis=0) / wx[:, None]   # dH/dx at centers
-    Hy = np.diff(h_mid_x, axis=1) / wy[None, :]   # dH/dy at centers
-
-    row_mass = pd.cell_masses.sum(axis=1)
-    col_mass = pd.cell_masses.sum(axis=0)
-    f1_density = row_mass / wx
-    f2_density = col_mass / wy
-    v_levels = np.clip(Hx / f1_density[:, None], 1e-15, 1.0)
-    u_levels = np.clip(Hy / f2_density[None, :], 1e-15, 1.0)
-
-    bracket_g = conditional_quantile_field(f, "x").table(v_levels)
-    bracket_h = conditional_quantile_field(f_tilde, "y").table(u_levels.T).T
-
-    xc = pd.grid_x.centers
-    yc = pd.grid_y.centers
-    g_x = np.gradient(bracket_g, xc, axis=0)
-    h_y = np.gradient(bracket_h, yc, axis=1)
-    residual = g_x + h_y
+    bracket_g = build_g_map(f, pd)
+    bracket_h = build_h_map(f_tilde, pd)
+    g_x = np.gradient(bracket_g, pd.grid_x.centers, axis=0)
+    residual = g_x + np.gradient(bracket_h, pd.grid_y.centers, axis=1)
 
     areas = pd.cell_areas
     inner = (slice(1, -1), slice(1, -1))
@@ -235,7 +202,7 @@ def euler_lagrange_residual(
         l2 = float(np.sqrt(np.sum(residual[inner] ** 2 * areas[inner])))
     else:
         l2 = float(np.sqrt(np.sum(residual**2 * areas)))
-    return ELResidualReport(residual, l2, bracket_g, bracket_h, H)
+    return ELResidualReport(residual, l2, bracket_g, bracket_h)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import planar_mk
+from planar_mk import cli
 from planar_mk.cli import main
 from planar_mk.density_io import (
     DensityFormatError,
@@ -92,9 +93,17 @@ class TestDensityIO:
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"grid_x": {"min": 0, "max": 1, "n": 3}, "values": [1, 2]}))
-        with pytest.raises(DensityFormatError):
-            read_density(path)
+        # an absurd n must be rejected by the shape check, not allocated first
+        huge = {"min": 0, "max": 1, "n": 10**15}
+        docs = [
+            {"grid_x": {"min": 0, "max": 1, "n": 3}, "values": [1, 2]},
+            {"grid_x": huge, "values": [1, 2]},
+            {"grid_x": {"min": 0, "max": 1, "n": 2}, "grid_y": huge, "values": [[1, 2], [3, 4]]},
+        ]
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DensityFormatError):
+                read_density(path)
 
 
 class TestCliSolve:
@@ -344,6 +353,25 @@ class TestCliOracleAndChecks:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: p and f must share the x-grid")
+        assert not (tmp_path / "out" / "residual.csv").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_check_el_rejects_bad_coupling_values(self, tmp_path, capsys, monkeypatch, bad):
+        fa, fb = write_pair(tmp_path, n=4, seed=6)
+        p_csv = tmp_path / "p.csv"
+        values = np.full((4, 4), 1.0)
+        values[1, 2] = bad
+        write_grid_csv(p_csv, Grid1D.uniform(0.0, 1.0, 4), Grid1D.uniform(0.0, 1.0, 4), values)
+
+        def no_ipfp(*args, **kwargs):
+            raise AssertionError("IPFP ran on a bad coupling")
+
+        monkeypatch.setattr(cli, "ipfp_project", no_ipfp)
+        code = main(["check-el", "--input-f", fa, "--input-g", fb, "--input-p", str(p_csv),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite and nonnegative" in err
         assert not (tmp_path / "out" / "residual.csv").exists()
 
     def test_check_lemmas_hits_analytic_values(self, tmp_path):

@@ -180,13 +180,9 @@ class TestStackedQuantileTable:
         with pytest.raises(ValueError):
             table.value_and_slope(bad)
 
-    def test_selected_rows(self):
+    def test_levels_need_one_row_per_table_row(self):
         probs = np.array([[0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [0.0, 1.0, 1.0]])
         table = QuantileTable(probs, np.array([[0.0, 1.0, 2.0]] * 3))
-        t = np.array([[0.5, 1.0], [0.5, 1.0]])
-        val, slope = table.value_and_slope(t, [2, 1])
-        assert np.array_equal(val, [[0.5, 1.0], [1 + 1 / 3, 2.0]])
-        assert np.array_equal(slope, [[1.0, 1.0], [4 / 3, 4 / 3]])
         with pytest.raises(ValueError):
             table(np.array([0.5, 0.5]))  # one level for a three-row table
 

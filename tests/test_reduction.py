@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_smooth_feasible_coupling
-from planar_mk.coupling import MarginalMismatchError
+from planar_mk.coupling import FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
     gaussian_2d,
@@ -105,7 +105,7 @@ class TestGMap:
     def test_marginal_mismatch_rejected(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8
         bad = ipfp_project(f_tilde.values, *marginals_2d(f_tilde))
-        with pytest.raises(MarginalMismatchError):
+        with pytest.raises(FeasibilityError):
             build_g_map(f, bad)
 
     def test_monotone_along_free_axis(self, correlated_pair_8):

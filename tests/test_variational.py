@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_smooth_feasible_coupling
+from conftest import make_smooth_feasible_coupling, shift_pair
 from planar_mk.coupling import FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
@@ -16,7 +16,7 @@ from planar_mk.measures import (
     marginals_2d,
     quantile,
 )
-from planar_mk.optimizer import ipfp_project, project_zero_marginals
+from planar_mk.optimizer import ipfp_project, project_zero_marginals, solve
 from planar_mk.reduction import build_g_map, build_h_map, conditional_quantile_field, coupling_cost
 from planar_mk.variational import (
     CumulativeH,
@@ -183,8 +183,16 @@ class TestEulerLagrange:
         f, f_tilde = correlated_pair_8
         p = independent_coupling_8
         report = euler_lagrange_residual(f, f_tilde, p)
-        assert np.allclose(report.bracket_g, build_g_map(f, p), atol=1e-10)
-        assert np.allclose(report.bracket_h, build_h_map(f_tilde, p), atol=1e-10)
+        assert np.array_equal(report.bracket_g, build_g_map(f, p))
+        assert np.array_equal(report.bracket_h, build_h_map(f_tilde, p))
+
+    def test_bracket_fields_are_the_maps_at_a_shift_optimum(self):
+        # an optimum, with floor cells in the vacated margin
+        f, f_tilde = shift_pair(3, 1, 1, 8)
+        p = solve(f, f_tilde).p_star
+        report = euler_lagrange_residual(f, f_tilde, p)
+        assert np.array_equal(report.bracket_g, build_g_map(f, p))
+        assert np.array_equal(report.bracket_h, build_h_map(f_tilde, p))
 
     def test_cumulative_h_boundary_conditions(self, correlated_pair_8, independent_coupling_8):
         f, f_tilde = correlated_pair_8

@@ -39,7 +39,6 @@ from .oracle import (
     solve_full_2d,
     solve_lp,
 )
-from .reduction import build_g_map, build_h_map
 from .variational import (
     euler_lagrange_residual,
     evaluate_L,
@@ -91,18 +90,16 @@ def _solve_pair(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, args) -> tuple
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     f = _load_density_2d(args.input_f)
     f_tilde = _load_density_2d(args.input_g)
     config, report = _solve_pair(f, f_tilde, args)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     p = report.p_star
-    g = build_g_map(f, p)
-    h = build_h_map(f_tilde, p)
     write_grid_csv(out_dir / "p_star.csv", p.density.grid_x, p.density.grid_y, p.values)
-    write_grid_csv(out_dir / "g.csv", p.density.grid_x, p.density.grid_y, g)
-    write_grid_csv(out_dir / "h.csv", p.density.grid_x, p.density.grid_y, h)
+    write_grid_csv(out_dir / "g.csv", p.density.grid_x, p.density.grid_y, report.g_map)
+    write_grid_csv(out_dir / "h.csv", p.density.grid_x, p.density.grid_y, report.h_map)
 
     f1, _ = marginals_2d(f)
     _, f2 = marginals_2d(f_tilde)
@@ -147,8 +144,6 @@ def _load_instance(path: str) -> TransportInstance:
 
 def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.instance:
         instance = _load_instance(args.instance)
         plan = solve_lp(instance)
@@ -159,6 +154,8 @@ def cmd_oracle(args) -> int:
         result = solve_full_2d(f, f_tilde)
         plan, instance = result.plan, result.instance
         body = {"command": "oracle", "mode": "full_2d", "grid": _grid_spec(f)}
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "plan.csv", plan.flows, delimiter=",")
     body["objective"] = plan.objective
     body["duality_gap"] = plan.duality_gap(instance.supply, instance.demand)
@@ -168,8 +165,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_check_el(args) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     f = _load_density_2d(args.input_f)
     f_tilde = _load_density_2d(args.input_g)
     f1, _ = marginals_2d(f)
@@ -186,6 +181,8 @@ def cmd_check_el(args) -> int:
         p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
     el = euler_lagrange_residual(f, f_tilde, p)
     phi, psi = first_variation(f, f_tilde, p)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_grid_csv(out_dir / "residual.csv", p.density.grid_x, p.density.grid_y, el.residual)
     write_grid_csv(out_dir / "grad.csv", p.density.grid_x, p.density.grid_y, phi + psi)
     body = {
@@ -251,8 +248,6 @@ def cmd_compare(args) -> int:
     tolerance = args.tolerance
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"--tolerance must be a finite number >= 0 (got {tolerance})")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     f = _load_density_2d(args.input_f)
     f_tilde = _load_density_2d(args.input_g)
     oracle_result = solve_full_2d(f, f_tilde)  # size check runs before the solve
@@ -270,6 +265,8 @@ def cmd_compare(args) -> int:
         "within_tolerance": bool(gap <= tolerance),
         "el_residual_interior_l2": report.el_residual_final,
     }
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir, body, time.perf_counter() - t0)
     return 0 if gap <= tolerance else 4
 

@@ -7,9 +7,10 @@ JSON densities:
 
 CSV grids: the header row carries the y-cell edges (first field is a label),
 each data row carries its left x-edge followed by the row of values, and a
-final short row carries the last x-edge. The format is self-contained, so
-every emitted grid round-trips through `read_grid_csv`. Density ingestion
-floors and renormalizes; bit-exactness of the stored values is not required.
+final short row carries the last x-edge. The format is self-contained. The
+writers' bytes are fixed (JSON in the `indent=1` layout with each float as
+its `repr`, CSV with every number as `%.17g`), and both round-trip every
+float64 exactly. Density ingestion floors and renormalizes.
 """
 
 from __future__ import annotations
@@ -90,30 +91,30 @@ def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D
 
 
 def write_density_json(path: str | Path, d: DiscreteDensity1D | DiscreteDensity2D) -> None:
+    """Write the bytes of `json.dump(doc, fh, indent=1)` plus a newline, the floats encoded in C."""
+    values = d.values.tolist()
     if isinstance(d, DiscreteDensity2D):
-        doc = {
-            "grid_x": grid_spec(d.grid_x),
-            "grid_y": grid_spec(d.grid_y),
-            "values": [[float(v) for v in row] for row in d.values],
-        }
+        doc = {"grid_x": grid_spec(d.grid_x), "grid_y": grid_spec(d.grid_y)}
+        # one float per line; the separator also joins the rows, and "],\n   [" occurs only there
+        rows = json.dumps(values, separators=(",\n   ", ":"))[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
+        body = f"[\n  [\n   {rows}\n  ]\n ]"
     else:
-        doc = {"grid_x": grid_spec(d.grid), "values": [float(v) for v in d.values]}
+        doc = {"grid_x": grid_spec(d.grid)}
+        body = "[\n  " + json.dumps(values, separators=(",\n  ", ":"))[1:-1] + "\n ]"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1)[:-2] + f',\n "values": {body}\n}}\n')
 
 
 def write_grid_csv(path: str | Path, grid_x: Grid1D, grid_y: Grid1D, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid_x.n_cells, grid_y.n_cells):
         raise ValueError("values must be (n_x, n_y)")
+    row = ",".join(["%.17g"] * (grid_y.n_cells + 1)) + "\n"  # left x-edge, then the values
+    cells = np.column_stack((grid_x.nodes[:-1], values)).ravel().tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        header = ["x_edge\\y_edges"] + [f"{v:.17g}" for v in grid_y.nodes]
-        fh.write(",".join(header) + "\n")
-        for i in range(grid_x.n_cells):
-            row = [f"{grid_x.nodes[i]:.17g}"] + [f"{v:.17g}" for v in values[i]]
-            fh.write(",".join(row) + "\n")
-        fh.write(f"{grid_x.nodes[-1]:.17g}\n")
+        fh.write("x_edge\\y_edges," + row % tuple(grid_y.nodes.tolist()))
+        fh.write(row * grid_x.n_cells % tuple(cells))
+        fh.write("%.17g\n" % grid_x.nodes[-1])
 
 
 def read_grid_csv(path: str | Path) -> tuple[Grid1D, Grid1D, np.ndarray]:

@@ -100,6 +100,8 @@ class SolveReport:
     L_trace: np.ndarray
     grad_norm_trace: np.ndarray
     el_residual_final: float
+    g_map: np.ndarray  # g and h at p_star, the stationarity residual's brackets
+    h_map: np.ndarray
     iterations: int
     termination_reason: str
     max_marginal_error: float
@@ -359,6 +361,8 @@ def solve(
         L_trace=L_trace,
         grad_norm_trace=np.asarray(best_result.grad_trace),
         el_residual_final=el.interior_l2,
+        g_map=el.bracket_g,
+        h_map=el.bracket_h,
         iterations=best_result.iterations,
         termination_reason=best_result.termination,
         max_marginal_error=best_result.max_marginal_error,

@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import planar_mk
-from planar_mk import cli
+from planar_mk import cli, reduction
 from planar_mk.cli import main
 from planar_mk.density_io import (
     DensityFormatError,
+    grid_spec,
     read_density,
     read_density_json,
     read_grid_csv,
@@ -20,6 +24,7 @@ from planar_mk.density_io import (
 )
 from planar_mk.instances import gaussian_2d, shifted_density_2d, smooth_random_density_2d
 from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
+from planar_mk.optimizer import SolverConfig, solve
 
 
 def write_pair(tmp_path, n=4, shift=(1, 0), seed=1):
@@ -38,6 +43,37 @@ def write_pair(tmp_path, n=4, shift=(1, 0), seed=1):
     write_density_json(fa, f)
     write_density_json(fb, ft)
     return str(fa), str(fb)
+
+
+def reference_density_json(d) -> bytes:
+    """The writer's layout as `json.dump(doc, fh, indent=1)` over boxed floats produces it."""
+    if isinstance(d, DiscreteDensity2D):
+        doc = {
+            "grid_x": grid_spec(d.grid_x),
+            "grid_y": grid_spec(d.grid_y),
+            "values": [[float(v) for v in row] for row in d.values],
+        }
+    else:
+        doc = {"grid_x": grid_spec(d.grid), "values": [float(v) for v in d.values]}
+    return (json.dumps(doc, indent=1) + "\n").encode()
+
+
+def reference_grid_csv(grid_x, grid_y, values) -> bytes:
+    """The grid CSV layout, one `f"{v:.17g}"` per number."""
+    lines = [",".join(["x_edge\\y_edges"] + [f"{v:.17g}" for v in grid_y.nodes])]
+    for i in range(grid_x.n_cells):
+        lines.append(",".join([f"{grid_x.nodes[i]:.17g}"] + [f"{v:.17g}" for v in values[i]]))
+    lines.append(f"{grid_x.nodes[-1]:.17g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def unchecked_density(values, grid_x, grid_y=None):
+    """A density holding arbitrary floats, bypassing the mass and sign checks, to feed the writer."""
+    d = object.__new__(DiscreteDensity1D if grid_y is None else DiscreteDensity2D)
+    fields = {"grid": grid_x} if grid_y is None else {"grid_x": grid_x, "grid_y": grid_y}
+    for name, value in {**fields, "values": values}.items():
+        object.__setattr__(d, name, value)
+    return d
 
 
 def report_without_timing(path):
@@ -91,6 +127,55 @@ class TestDensityIO:
         with pytest.raises(DensityFormatError):
             read_density(path)
 
+    @pytest.mark.parametrize("case", ["2d", "1d", "1x1", "nonuniform_y"])
+    def test_json_writer_bytes_match_indent_1_dump(self, tmp_path, case):
+        g = Grid1D.uniform(-1.0, 1.0, 6)
+        gy = Grid1D(np.array([0.0, 0.1, 0.35, 0.4, 1.0, 2.5]))
+        d = {
+            "2d": gaussian_2d(g, g, mean=(0.0, 0.2), rho=0.3),
+            "1d": DiscreteDensity1D.from_values(g, np.linspace(1.0, 2.0, 6)),
+            "1x1": DiscreteDensity2D.from_values(Grid1D.uniform(0.0, 1.0, 1), Grid1D.uniform(0.0, 1.0, 1), [[1.0]]),
+            "nonuniform_y": smooth_random_density_2d(g, gy, seed=4),
+        }[case]
+        path = tmp_path / "d.json"
+        write_density_json(path, d)
+        assert path.read_bytes() == reference_density_json(d)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 1), (1, 4), (4, 1)])
+    def test_csv_writer_bytes_match_per_value_format(self, tmp_path, shape):
+        grid_x = Grid1D(np.cumsum(np.r_[-0.5, np.linspace(0.1, 0.9, shape[0])]))
+        grid_y = Grid1D.uniform(-2.0, 2.0, shape[1])
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, np.pi]
+        values = np.resize(specials, shape[0] * shape[1]).reshape(shape)
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, grid_x, grid_y, values)
+        assert path.read_bytes() == reference_grid_csv(grid_x, grid_y, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_grid_csv_round_trips_every_float(self, tmp_path_factory, values):
+        grid_x = Grid1D.uniform(0.0, 1.0, values.shape[0])
+        grid_y = Grid1D.uniform(-3.0, 7.0, values.shape[1])
+        path = tmp_path_factory.mktemp("csv") / "grid.csv"
+        write_grid_csv(path, grid_x, grid_y, values)
+        bx, by, back = read_grid_csv(path)
+        assert np.array_equal(back, values)
+        assert back.tobytes() == values.tobytes()  # bit for bit, -0.0 included
+        assert bx.nodes.tobytes() == grid_x.nodes.tobytes() and by.nodes.tobytes() == grid_y.nodes.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=6),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_density_json_round_trips_every_float(self, tmp_path_factory, values):
+        grids = [Grid1D.uniform(0.0, 1.0, n) for n in values.shape]
+        path = tmp_path_factory.mktemp("json") / "d.json"
+        d = unchecked_density(values, *grids)
+        write_density_json(path, d)
+        assert path.read_bytes() == reference_density_json(d)
+        back = np.asarray(json.loads(path.read_text())["values"], dtype=float)
+        assert back.tobytes() == values.tobytes()
+
     def test_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         # an absurd n must be rejected by the shape check, not allocated first
@@ -132,12 +217,38 @@ class TestCliSolve:
         # p_star additionally parses as a density
         assert abs(read_density(out / "p_star.csv").total_mass() - 1.0) < 1e-12
 
+    def test_maps_written_from_the_solve_residual(self, tmp_path, monkeypatch):
+        # solve() builds g and h at p* for its stationarity residual; g.csv and
+        # h.csv reuse them, so the maps are evaluated 4 times, not 6: twice at
+        # p* and twice at the independent coupling for the report's baseline
+        fa, fb = write_pair(tmp_path, seed=3)
+        calls = []
+        original = reduction.map_values_from_field
+
+        def spy(*args):
+            calls.append(args[0].axis)
+            return original(*args)
+
+        monkeypatch.setattr(reduction, "map_values_from_field", spy)
+        out = tmp_path / "out"
+        assert main(["solve", "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
+        assert sorted(calls) == ["x", "x", "y", "y"]
+        monkeypatch.undo()
+        f, f_tilde = read_density(fa), read_density(fb)
+        p = solve(f, f_tilde, SolverConfig()).p_star
+        grid_x, grid_y = p.density.grid_x, p.density.grid_y
+        write_grid_csv(tmp_path / "g_ref.csv", grid_x, grid_y, reduction.build_g_map(f, p))
+        write_grid_csv(tmp_path / "h_ref.csv", grid_x, grid_y, reduction.build_h_map(f_tilde, p))
+        assert (out / "g.csv").read_bytes() == (tmp_path / "g_ref.csv").read_bytes()
+        assert (out / "h.csv").read_bytes() == (tmp_path / "h_ref.csv").read_bytes()
+
     def test_malformed_input_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
         code = main(["solve", "--input-f", str(bad), "--input-g", str(bad), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # inputs are validated before --out-dir is made
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_cell_exits_1(self, tmp_path, capsys, bad):
@@ -306,7 +417,7 @@ class TestCliOracleAndChecks:
             inst.write_text(text)
             assert main(["oracle", "--instance", str(inst), "--out-dir", str(tmp_path / "o")]) == 1, text
             assert capsys.readouterr().err.startswith("error:"), text
-        assert not (tmp_path / "o" / "report.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_check_el_writes_residual_and_gradient(self, tmp_path):
         fa, fb = write_pair(tmp_path, seed=6)
@@ -353,7 +464,7 @@ class TestCliOracleAndChecks:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: p and f must share the x-grid")
-        assert not (tmp_path / "out" / "residual.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     def test_check_el_rejects_bad_coupling_values(self, tmp_path, capsys, monkeypatch, bad):
@@ -372,7 +483,7 @@ class TestCliOracleAndChecks:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite and nonnegative" in err
-        assert not (tmp_path / "out" / "residual.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_check_lemmas_hits_analytic_values(self, tmp_path):
         out = tmp_path / "out"
@@ -431,6 +542,7 @@ class TestCliCompare:
         code = main(["compare", "--input-f", str(fa), "--input-g", str(fa), "--out-dir", str(tmp_path / "o")])
         assert code == 3
         assert "limit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_module_entry_point_runs(tmp_path):

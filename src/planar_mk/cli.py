@@ -39,13 +39,7 @@ from .oracle import (
     solve_full_2d,
     solve_lp,
 )
-from .variational import (
-    euler_lagrange_residual,
-    evaluate_L,
-    first_variation,
-    lemma1_checker,
-    lemma2_checker,
-)
+from .variational import euler_lagrange_residual, lemma1_checker, lemma2_checker
 
 SCHEMA_VERSION = 1
 
@@ -98,8 +92,8 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     p = report.p_star
     write_grid_csv(out_dir / "p_star.csv", p.density.grid_x, p.density.grid_y, p.values)
-    write_grid_csv(out_dir / "g.csv", p.density.grid_x, p.density.grid_y, report.g_map)
-    write_grid_csv(out_dir / "h.csv", p.density.grid_x, p.density.grid_y, report.h_map)
+    write_grid_csv(out_dir / "g.csv", p.density.grid_x, p.density.grid_y, report.at_p_star.g)
+    write_grid_csv(out_dir / "h.csv", p.density.grid_x, p.density.grid_y, report.at_p_star.h)
 
     f1, _ = marginals_2d(f)
     _, f2 = marginals_2d(f_tilde)
@@ -179,12 +173,11 @@ def cmd_check_el(args) -> int:
         p = ipfp_project(values, f1, f2)
     else:
         p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
-    el = euler_lagrange_residual(f, f_tilde, p)
-    phi, psi = first_variation(f, f_tilde, p)
+    el = euler_lagrange_residual(f, f_tilde, p)  # residual.csv and grad.csv come from its one pass
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_grid_csv(out_dir / "residual.csv", p.density.grid_x, p.density.grid_y, el.residual)
-    write_grid_csv(out_dir / "grad.csv", p.density.grid_x, p.density.grid_y, phi + psi)
+    write_grid_csv(out_dir / "grad.csv", p.density.grid_x, p.density.grid_y, el.at_p.phi + el.at_p.psi)
     body = {
         "command": "check-el",
         "grid": _grid_spec(f),
@@ -252,7 +245,7 @@ def cmd_compare(args) -> int:
     f_tilde = _load_density_2d(args.input_g)
     oracle_result = solve_full_2d(f, f_tilde)  # size check runs before the solve
     config, report = _solve_pair(f, f_tilde, args)
-    L_p_star = evaluate_L(f, f_tilde, report.p_star)
+    L_p_star = report.at_p_star.L_value  # L at p_star itself; L_final is the iterate's before re-projection
     gap = abs(L_p_star - oracle_result.objective)
     body = {
         "command": "compare",

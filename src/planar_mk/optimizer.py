@@ -29,7 +29,7 @@ from .measures import (
 )
 from .reduction import conditional_quantile_field
 from .rng import Xoshiro256StarStar
-from .variational import euler_lagrange_residual, objective_pass
+from .variational import ObjectivePass, euler_lagrange_residual, objective_pass
 
 
 class NoDescentError(RuntimeError):
@@ -100,8 +100,7 @@ class SolveReport:
     L_trace: np.ndarray
     grad_norm_trace: np.ndarray
     el_residual_final: float
-    g_map: np.ndarray  # g and h at p_star, the stationarity residual's brackets
-    h_map: np.ndarray
+    at_p_star: ObjectivePass  # L, g, h, phi and psi at p_star, from its residual
     iterations: int
     termination_reason: str
     max_marginal_error: float
@@ -113,6 +112,11 @@ class SolveReport:
     @property
     def L_final(self) -> float:
         return float(self.L_trace[-1])
+
+
+def _marginal_residual(masses: np.ndarray, row_target: np.ndarray, col_target: np.ndarray) -> float:
+    """The larger of the two L1 marginal errors of cell masses."""
+    return max(marginal_l1_error(masses, row_target, 0), marginal_l1_error(masses, col_target, 1))
 
 
 def _ipfp_values(
@@ -131,18 +135,14 @@ def _ipfp_values(
     row_target = f1.cell_masses
     col_target = f2.cell_masses
 
-    def residual(v: np.ndarray) -> float:
-        m = v * areas
-        return max(marginal_l1_error(m, row_target, 0), marginal_l1_error(m, col_target, 1))
-
     def alternate(v: np.ndarray) -> np.ndarray:
-        err, sweeps = residual(v), 0
+        err, sweeps = _marginal_residual(v * areas, row_target, col_target), 0
         while not err < tol:
             if sweeps == max_iters:
                 raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {max_iters} iterations")
             v = v * (row_target / (v * areas).sum(axis=1))[:, None]
             v = v * (col_target / (v * areas).sum(axis=0))[None, :]
-            err, sweeps = residual(v), sweeps + 1
+            err, sweeps = _marginal_residual(v * areas, row_target, col_target), sweeps + 1
         return v
 
     values = alternate(values)
@@ -233,25 +233,21 @@ def _run_mirror_descent(
     f2: DiscreteDensity1D,
     field_f,
     field_ft,
-    grid_x,
-    grid_y,
     config: SolverConfig,
 ) -> _StartResult:
+    grid_x, grid_y = f1.grid, f2.grid
     wx, wy = grid_x.cell_widths, grid_y.cell_widths
     areas = np.outer(wx, wy)
     row_target = f1.cell_masses
     col_target = f2.cell_masses
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
-    def marg_err(values: np.ndarray) -> float:
-        m = values * areas
-        return max(marginal_l1_error(m, row_target, 0), marginal_l1_error(m, col_target, 1))
-
     values = values0.copy()
     out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y)
     L_cur, grad = out.L_value, out.phi + out.psi
     pg = project_zero_marginals(grad, wx, wy)
-    traces = _StartResult(values, [L_cur], [], 0, "max_iters", marg_err(values))
+    marg_err = _marginal_residual(values * areas, row_target, col_target)
+    traces = _StartResult(values, [L_cur], [], 0, "max_iters", marg_err)
     step = config.step_init
 
     for it in range(config.max_iters):
@@ -304,7 +300,9 @@ def _run_mirror_descent(
         decrease = L_cur - accepted.L_value
         L_cur = accepted.L_value
         traces.L_trace.append(L_cur)
-        traces.max_marginal_error = max(traces.max_marginal_error, marg_err(values))
+        traces.max_marginal_error = max(
+            traces.max_marginal_error, _marginal_residual(values * areas, row_target, col_target)
+        )
         traces.iterations = it + 1
         if decrease < config.stall_tol * max(1.0, abs(L_cur)):
             traces.termination = "stalled"
@@ -342,7 +340,7 @@ def solve(
         if k > 0:  # log-uniform perturbation of the independent coupling
             noise = rng.spawn(k).uniform(-1.0, 1.0, size=independent.shape)
             v0 = _ipfp_values(independent * np.exp(_NOISE_SCALE * noise), f1, f2)
-        return _run_mirror_descent(v0, f1, f2, field_f, field_ft, f.grid_x, f_tilde.grid_y, config)
+        return _run_mirror_descent(v0, f1, f2, field_f, field_ft, config)
 
     results = [run_start(k) for k in range(config.multistart)]
 
@@ -361,8 +359,7 @@ def solve(
         L_trace=L_trace,
         grad_norm_trace=np.asarray(best_result.grad_trace),
         el_residual_final=el.interior_l2,
-        g_map=el.bracket_g,
-        h_map=el.bracket_h,
+        at_p_star=el.at_p,
         iterations=best_result.iterations,
         termination_reason=best_result.termination,
         max_marginal_error=best_result.max_marginal_error,

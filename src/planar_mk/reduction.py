@@ -106,19 +106,6 @@ def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([np.dot(sq[s], rows[s]) for s in range(rows.shape[0])])
 
 
-def map_values_from_field(field: ConditionalQuantileField, p_masses: np.ndarray) -> np.ndarray:
-    """Evaluate the conditional-quantile composition on p's grid.
-
-    For axis='x' returns g with g[i, j] = row i of the table at the levels of
-    p-row i's centers; for axis='y' returns h with h[i, j] = row j at the
-    levels of p-column j. Monotone along the free axis by construction.
-    """
-    if field.axis == "x":
-        return field.at_centers(p_masses)[0]
-    # C order like g, so that sums over h run in the same order as over g
-    return np.ascontiguousarray(field.at_centers(p_masses.T)[0].T)
-
-
 def build_g_map(f: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
     """g(x, y) on the p-grid; g[i, j] lives on f's second axis.
 
@@ -126,7 +113,7 @@ def build_g_map(f: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) ->
     """
     pd = as_density(p)
     check_coupling_side(pd, marginals_2d(f)[0], 0)
-    return map_values_from_field(conditional_quantile_field(f, "x"), pd.cell_masses)
+    return conditional_quantile_field(f, "x").at_centers(pd.cell_masses)[0]
 
 
 def build_h_map(f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
@@ -136,7 +123,9 @@ def build_h_map(f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity
     """
     pd = as_density(p)
     check_coupling_side(pd, marginals_2d(f_tilde)[1], 1)
-    return map_values_from_field(conditional_quantile_field(f_tilde, "y"), pd.cell_masses)
+    field = conditional_quantile_field(f_tilde, "y")
+    # C order like g, so that sums over h run in the same order as over g
+    return np.ascontiguousarray(field.at_centers(pd.cell_masses.T)[0].T)
 
 
 @dataclass(frozen=True)

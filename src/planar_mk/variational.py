@@ -36,13 +36,7 @@ import numpy as np
 
 from .coupling import CouplingDensity, as_density, check_coupling_side
 from .measures import DiscreteDensity2D, Grid1D, marginals_2d
-from .reduction import (
-    ConditionalQuantileField,
-    _slice_costs,
-    build_g_map,
-    build_h_map,
-    conditional_quantile_field,
-)
+from .reduction import ConditionalQuantileField, _slice_costs, conditional_quantile_field
 
 
 def _term_pass(
@@ -170,8 +164,17 @@ def cumulative_h(p: CouplingDensity | DiscreteDensity2D) -> CumulativeH:
 class ELResidualReport:
     residual: np.ndarray      # divergence field g_x + h_y at cell centers
     interior_l2: float        # L2 norm over the interior cells
-    bracket_g: np.ndarray     # G(x, H_x / f1) at cell centers: the map g
-    bracket_h: np.ndarray     # G~(H_y / f2, y) at cell centers: the map h
+    at_p: ObjectivePass       # the one evaluation at p; its g and h are the brackets
+
+
+def _axis_derivative(values: np.ndarray, centers: np.ndarray, axis: int) -> np.ndarray:
+    """Central differences inside, one-sided on the boundary ring.
+
+    Along an axis with one cell the map cannot vary, so the derivative is 0.
+    """
+    if centers.size < 2:
+        return np.zeros(values.shape)
+    return np.gradient(values, centers, axis=axis)
 
 
 def euler_lagrange_residual(
@@ -182,19 +185,15 @@ def euler_lagrange_residual(
     """Stationarity residual d/dx[G(x, H_x/f1)] + d/dy[G~(H_y/f2, y)].
 
     At a cell center H_x/f1 equals the center level F_{Y2|X1}(y|x) and H_y/f2
-    the level F_{X1|Y2}(x|y) (see the module docstring), so the bracket
-    fields are the maps themselves, built by `build_g_map` and `build_h_map`
-    (which check p against f and f~, one side each). The divergence uses
-    central differences in the interior with one-sided differences on the
-    boundary ring. The reported norm covers the interior only; the boundary
-    content of the stationarity condition is exactly the marginal
-    constraints, tested through `cumulative_h`.
+    the level F_{X1|Y2}(x|y) (see the module docstring), so the brackets are
+    the maps g and h of the objective pass at p, which is checked against f
+    and f~ first; the residual differences them. The reported norm covers
+    the interior only; the boundary content of the stationarity condition is
+    exactly the marginal constraints, tested through `cumulative_h`.
     """
     pd = as_density(p)
-    bracket_g = build_g_map(f, pd)
-    bracket_h = build_h_map(f_tilde, pd)
-    g_x = np.gradient(bracket_g, pd.grid_x.centers, axis=0)
-    residual = g_x + np.gradient(bracket_h, pd.grid_y.centers, axis=1)
+    at_p = _checked_pass(f, f_tilde, pd)
+    residual = _axis_derivative(at_p.g, pd.grid_x.centers, 0) + _axis_derivative(at_p.h, pd.grid_y.centers, 1)
 
     areas = pd.cell_areas
     inner = (slice(1, -1), slice(1, -1))
@@ -202,7 +201,7 @@ def euler_lagrange_residual(
         l2 = float(np.sqrt(np.sum(residual[inner] ** 2 * areas[inner])))
     else:
         l2 = float(np.sqrt(np.sum(residual**2 * areas)))
-    return ELResidualReport(residual, l2, bracket_g, bracket_h)
+    return ELResidualReport(residual, l2, at_p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import planar_mk
+from conftest import shift_pair
 from planar_mk import cli, reduction
 from planar_mk.cli import main
 from planar_mk.density_io import (
@@ -23,8 +25,9 @@ from planar_mk.density_io import (
     write_grid_csv,
 )
 from planar_mk.instances import gaussian_2d, shifted_density_2d, smooth_random_density_2d
-from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
-from planar_mk.optimizer import SolverConfig, solve
+from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D, marginals_2d
+from planar_mk.optimizer import SolverConfig, ipfp_project, solve
+from planar_mk.variational import evaluate_L, first_variation
 
 
 def write_pair(tmp_path, n=4, shift=(1, 0), seed=1):
@@ -218,21 +221,27 @@ class TestCliSolve:
         assert abs(read_density(out / "p_star.csv").total_mass() - 1.0) < 1e-12
 
     def test_maps_written_from_the_solve_residual(self, tmp_path, monkeypatch):
-        # solve() builds g and h at p* for its stationarity residual; g.csv and
-        # h.csv reuse them, so the maps are evaluated 4 times, not 6: twice at
-        # p* and twice at the independent coupling for the report's baseline
+        # one evaluation per coupling, each building both conditional-quantile
+        # fields: check-el evaluates once at p; compare builds the descent's
+        # fields, then its residual's pass at p* gives L_p_star; solve also
+        # evaluates the independent coupling for the report's baseline. g.csv
+        # and h.csv come from the pass at p*.
         fa, fb = write_pair(tmp_path, seed=3)
-        calls = []
-        original = reduction.map_values_from_field
+        builds = []
+        original = reduction.conditional_quantile_field
 
-        def spy(*args):
-            calls.append(args[0].axis)
-            return original(*args)
+        def spy(d, condition_axis):
+            builds.append(condition_axis)
+            return original(d, condition_axis)
 
-        monkeypatch.setattr(reduction, "map_values_from_field", spy)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("planar_mk") and getattr(module, "conditional_quantile_field", None) is original:
+                monkeypatch.setattr(module, "conditional_quantile_field", spy)
         out = tmp_path / "out"
-        assert main(["solve", "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
-        assert sorted(calls) == ["x", "x", "y", "y"]
+        for command, expected in (("check-el", 2), ("compare", 4), ("solve", 6)):
+            builds.clear()
+            assert main([command, "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
+            assert len(builds) == expected and builds.count("x") == builds.count("y"), (command, builds)
         monkeypatch.undo()
         f, f_tilde = read_density(fa), read_density(fb)
         p = solve(f, f_tilde, SolverConfig()).p_star
@@ -430,6 +439,17 @@ class TestCliOracleAndChecks:
             gx, gy, vals = read_grid_csv(out / name)
             assert vals.shape == (gx.n_cells, gy.n_cells)
 
+    def test_check_el_gradient_is_the_first_variation(self, tmp_path):
+        fa, fb = write_pair(tmp_path, seed=6)
+        out = tmp_path / "out"
+        assert main(["check-el", "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
+        f, f_tilde = read_density(fa), read_density(fb)
+        f1, f2 = marginals_2d(f)[0], marginals_2d(f_tilde)[1]
+        p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
+        phi, psi = first_variation(f, f_tilde, p)
+        write_grid_csv(tmp_path / "grad_ref.csv", f.grid_x, f_tilde.grid_y, phi + psi)
+        assert (out / "grad.csv").read_bytes() == (tmp_path / "grad_ref.csv").read_bytes()
+
     def test_check_el_accepts_coupling_file(self, tmp_path):
         # identical correlated pair: the solved coupling is near the known
         # solution p = f, whose residual vanishes; the independent one is far
@@ -525,6 +545,20 @@ class TestCliCompare:
         assert report["grid"]["x"]["n"] == 16
         assert report["gap"] <= 1e-3
 
+    def test_L_p_star_is_L_at_p_star(self, tmp_path):
+        # solve() re-projects its final iterate, so L_final is not L at p*
+        f, f_tilde = shift_pair(3, 1, 1, 8)
+        fa, fb = tmp_path / "f.json", tmp_path / "g.json"
+        write_density_json(fa, f)
+        write_density_json(fb, f_tilde)
+        out = tmp_path / "out"
+        assert main(["compare", "--input-f", str(fa), "--input-g", str(fb), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        f, f_tilde = read_density(fa), read_density(fb)
+        solved = solve(f, f_tilde)
+        assert report["L_p_star"] == evaluate_L(f, f_tilde, solved.p_star)
+        assert report["L_p_star"] != solved.L_final
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_bad_tolerance_exits_1_before_solving(self, tmp_path, capsys, tolerance):
         fa, fb = write_pair(tmp_path, n=4, seed=7)
@@ -543,6 +577,28 @@ class TestCliCompare:
         assert code == 3
         assert "limit" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1)], ids=["1x4", "4x1"])
+@pytest.mark.parametrize("command", ["solve", "check-el", "compare"])
+def test_one_cell_axis(tmp_path, command, shape):
+    # a map cannot vary along an axis with one cell, so that axis adds
+    # nothing to the stationarity residual
+    d = DiscreteDensity2D.from_values(
+        Grid1D.uniform(0.0, 1.0, shape[0]), Grid1D.uniform(0.0, 1.0, shape[1]),
+        np.arange(1.0, 5.0).reshape(shape),
+    )
+    fa = tmp_path / "f.json"
+    write_density_json(fa, d)
+    out = tmp_path / "out"
+    assert main([command, "--input-f", str(fa), "--input-g", str(fa), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    residual = {
+        "solve": lambda: report["el_residual"]["interior_l2"],
+        "check-el": lambda: report["interior_l2"],
+        "compare": lambda: report["el_residual_interior_l2"],
+    }[command]()
+    assert math.isfinite(residual)
 
 
 def test_module_entry_point_runs(tmp_path):

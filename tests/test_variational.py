@@ -183,16 +183,16 @@ class TestEulerLagrange:
         f, f_tilde = correlated_pair_8
         p = independent_coupling_8
         report = euler_lagrange_residual(f, f_tilde, p)
-        assert np.array_equal(report.bracket_g, build_g_map(f, p))
-        assert np.array_equal(report.bracket_h, build_h_map(f_tilde, p))
+        assert np.array_equal(report.at_p.g, build_g_map(f, p))
+        assert np.array_equal(report.at_p.h, build_h_map(f_tilde, p))
 
     def test_bracket_fields_are_the_maps_at_a_shift_optimum(self):
         # an optimum, with floor cells in the vacated margin
         f, f_tilde = shift_pair(3, 1, 1, 8)
         p = solve(f, f_tilde).p_star
         report = euler_lagrange_residual(f, f_tilde, p)
-        assert np.array_equal(report.bracket_g, build_g_map(f, p))
-        assert np.array_equal(report.bracket_h, build_h_map(f_tilde, p))
+        assert np.array_equal(report.at_p.g, build_g_map(f, p))
+        assert np.array_equal(report.at_p.h, build_h_map(f_tilde, p))
 
     def test_cumulative_h_boundary_conditions(self, correlated_pair_8, independent_coupling_8):
         f, f_tilde = correlated_pair_8

@@ -12,6 +12,7 @@ max_iters, 3 oracle size limit, 4 compare gap above tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -98,7 +99,7 @@ def cmd_solve(args) -> int:
     f1, _ = marginals_2d(f)
     _, f2 = marginals_2d(f_tilde)
     independent = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
-    el_independent = euler_lagrange_residual(f, f_tilde, independent).interior_l2
+    el_independent = euler_lagrange_residual(f, f_tilde, independent, report.fields).interior_l2
     body = {
         "command": "solve",
         "version": __version__,
@@ -280,39 +281,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="minimize the reduced objective and export maps")
     add_io(p_solve)
-    p_solve.set_defaults(fn=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="exact LP optimum (instance file or density pair)")
     p_oracle.add_argument("--instance", default=None, help="JSON with supply/demand/cost")
     p_oracle.add_argument("--input-f", default=None)
     p_oracle.add_argument("--input-g", default=None)
     p_oracle.add_argument("--out-dir", default="out")
-    p_oracle.set_defaults(fn=cmd_oracle)
 
     p_el = sub.add_parser("check-el", help="stationarity residual at a coupling")
     add_io(p_el)
     p_el.add_argument("--input-p", default=None, help="coupling grid CSV (default: independent)")
-    p_el.set_defaults(fn=cmd_check_el)
 
     p_lem = sub.add_parser("check-lemmas", help="averaging-lemma convergence checks")
     p_lem.add_argument("--out-dir", default="out")
-    p_lem.set_defaults(fn=cmd_check_lemmas)
 
     p_cmp = sub.add_parser("compare", help="solver optimum against the exact LP")
     add_io(p_cmp)
     p_cmp.add_argument("--tolerance", type=float, default=1e-3)
-    p_cmp.set_defaults(fn=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "oracle" and not args.instance and not (args.input_f and args.input_g):
         parser.error("oracle needs --instance or both --input-f and --input-g")
+    # looked up per call, not kept in the cached parser, so that a patched module attribute runs
+    commands = {"solve": cmd_solve, "oracle": cmd_oracle, "check-el": cmd_check_el,
+                "check-lemmas": cmd_check_lemmas, "compare": cmd_compare}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,12 +26,17 @@ class FeasibilityError(ValueError):
     pass
 
 
+def _sums_l1_error(sums: np.ndarray, target: np.ndarray) -> float:
+    """L1 distance of precomputed marginal sums of cell masses from their target."""
+    return float(np.sum(np.abs(sums - target)))
+
+
 def marginal_l1_error(masses: np.ndarray, target: np.ndarray, axis: int) -> float:
     """L1 distance of a marginal of cell masses from its target.
 
     axis 0 is the x-marginal (row sums), axis 1 the y-marginal (column sums).
     """
-    return float(np.sum(np.abs(masses.sum(axis=1 - axis) - target)))
+    return _sums_l1_error(masses.sum(axis=1 - axis), target)
 
 
 def check_coupling_grid(grid: Grid1D, target: DiscreteDensity1D, axis: int) -> None:

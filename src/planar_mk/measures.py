@@ -240,8 +240,9 @@ class QuantileTable:
     values: np.ndarray  # (S, K)
 
     def __post_init__(self):
-        probs = np.atleast_2d(np.asarray(self.probs, dtype=float))
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        # C order once, so that evaluation gathers from the raveled tables
+        probs = np.ascontiguousarray(np.atleast_2d(np.asarray(self.probs, dtype=float)))
+        values = np.ascontiguousarray(np.atleast_2d(np.asarray(self.values, dtype=float)))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "values", values)
         if probs.shape != values.shape or probs.ndim != 2 or probs.shape[1] < 2:
@@ -270,15 +271,18 @@ class QuantileTable:
         if n_rows > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != n_rows):
             raise ValueError("levels need one row per table row")
         levels = t_arr.reshape(n_rows, -1)
-        # first index with probs >= t, so probs[idx-1] < t <= probs[idx]
+        # first index with probs >= t, so probs[idx-1] < t <= probs[idx]; the
+        # method skips np.searchsorted's wrapper, and no batched search was faster
         idx = np.empty(levels.shape, dtype=np.intp)
         for s in range(n_rows):
-            idx[s] = np.searchsorted(self.probs[s], levels[s], side="left")
+            idx[s] = self.probs[s].searchsorted(levels[s], side="left")
+        # gathers from the raveled tables, where row s starts at s * K; the
         # in-place steps keep few (S, M) temporaries alive on large grids
-        s = np.arange(n_rows)[:, None]
-        hi, v1 = self.probs[s, idx], self.values[s, idx]
+        idx += np.arange(0, self.probs.size, self.probs.shape[1])[:, None]
+        probs, values = self.probs.ravel(), self.values.ravel()
+        hi, v1 = probs.take(idx), values.take(idx)
         idx -= 1
-        lo, v0 = self.probs[s, idx], self.values[s, idx]
+        lo, v0 = probs.take(idx), values.take(idx)
         del idx
         width = np.subtract(hi, lo, out=hi)
         dv = np.subtract(v1, v0, out=v1)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingDensity, marginal_l1_error
+from .coupling import CouplingDensity, _sums_l1_error
 from .measures import (
     EPS_FLOOR,
     DiscreteDensity1D,
@@ -29,7 +29,7 @@ from .measures import (
 )
 from .reduction import conditional_quantile_field
 from .rng import Xoshiro256StarStar
-from .variational import ObjectivePass, euler_lagrange_residual, objective_pass
+from .variational import ObjectivePass, QuantileFields, euler_lagrange_residual, objective_pass
 
 
 class NoDescentError(RuntimeError):
@@ -101,6 +101,7 @@ class SolveReport:
     grad_norm_trace: np.ndarray
     el_residual_final: float
     at_p_star: ObjectivePass  # L, g, h, phi and psi at p_star, from its residual
+    fields: QuantileFields    # the descent's conditional-quantile fields of f and f~
     iterations: int
     termination_reason: str
     max_marginal_error: float
@@ -114,9 +115,13 @@ class SolveReport:
         return float(self.L_trace[-1])
 
 
-def _marginal_residual(masses: np.ndarray, row_target: np.ndarray, col_target: np.ndarray) -> float:
-    """The larger of the two L1 marginal errors of cell masses."""
-    return max(marginal_l1_error(masses, row_target, 0), marginal_l1_error(masses, col_target, 1))
+def _marginal_residual(
+    masses: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The larger of the two L1 marginal errors of cell masses, and the row sums it read."""
+    row_sums = masses.sum(axis=1)
+    err = max(_sums_l1_error(row_sums, row_target), _sums_l1_error(masses.sum(axis=0), col_target))
+    return err, row_sums
 
 
 def _ipfp_values(
@@ -136,13 +141,16 @@ def _ipfp_values(
     col_target = f2.cell_masses
 
     def alternate(v: np.ndarray) -> np.ndarray:
-        err, sweeps = _marginal_residual(v * areas, row_target, col_target), 0
+        # the row step scales by the row sums that the residual check read
+        err, row_sums = _marginal_residual(v * areas, row_target, col_target)
+        sweeps = 0
         while not err < tol:
             if sweeps == max_iters:
                 raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {max_iters} iterations")
-            v = v * (row_target / (v * areas).sum(axis=1))[:, None]
+            v = v * (row_target / row_sums)[:, None]
             v = v * (col_target / (v * areas).sum(axis=0))[None, :]
-            err, sweeps = _marginal_residual(v * areas, row_target, col_target), sweeps + 1
+            err, row_sums = _marginal_residual(v * areas, row_target, col_target)
+            sweeps += 1
         return v
 
     values = alternate(values)
@@ -246,7 +254,7 @@ def _run_mirror_descent(
     out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y)
     L_cur, grad = out.L_value, out.phi + out.psi
     pg = project_zero_marginals(grad, wx, wy)
-    marg_err = _marginal_residual(values * areas, row_target, col_target)
+    marg_err = _marginal_residual(values * areas, row_target, col_target)[0]
     traces = _StartResult(values, [L_cur], [], 0, "max_iters", marg_err)
     step = config.step_init
 
@@ -301,7 +309,7 @@ def _run_mirror_descent(
         L_cur = accepted.L_value
         traces.L_trace.append(L_cur)
         traces.max_marginal_error = max(
-            traces.max_marginal_error, _marginal_residual(values * areas, row_target, col_target)
+            traces.max_marginal_error, _marginal_residual(m, row_target, col_target)[0]
         )
         traces.iterations = it + 1
         if decrease < config.stall_tol * max(1.0, abs(L_cur)):
@@ -350,7 +358,7 @@ def solve(
     within = float(np.mean([Lk <= finals[best] + 1e-3 for Lk in finals]))
 
     p_star = ipfp_project(best_result.values, f1, f2)
-    el = euler_lagrange_residual(f, f_tilde, p_star)
+    el = euler_lagrange_residual(f, f_tilde, p_star, (field_f, field_ft))
     L_trace = np.asarray(best_result.L_trace)
     if not np.all(np.diff(L_trace) <= 0.0):
         raise RuntimeError("descent trace must be nonincreasing")
@@ -360,6 +368,7 @@ def solve(
         grad_norm_trace=np.asarray(best_result.grad_trace),
         el_residual_final=el.interior_l2,
         at_p_star=el.at_p,
+        fields=(field_f, field_ft),
         iterations=best_result.iterations,
         termination_reason=best_result.termination,
         max_marginal_error=best_result.max_marginal_error,

@@ -98,12 +98,15 @@ def conditional_quantile_field(d: DiscreteDensity2D, condition_axis: str) -> Con
 def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-slice sum of mass x squared residual; every cost of L sums here.
 
-    The dots run on the caller's own rows, one per slice, against C-ordered
-    squares: BLAS sums a strided vector in an order that depends on the
-    stride.
+    One batched matmul of (S, 1, K) by (S, K, 1): numpy runs each 1x1
+    product as one BLAS dot on the caller's own strides, the dot `np.dot`
+    makes on one slice. The squares are C-ordered and the rows keep their
+    strides, because BLAS sums a strided vector in an order that depends on
+    the stride. `einsum` and a multiply-then-sum add in other orders, so
+    they would move the last bits of L.
     """
     sq = np.square(resid, order="C")
-    return np.array([np.dot(sq[s], rows[s]) for s in range(rows.shape[0])])
+    return np.matmul(sq[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
 def build_g_map(f: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:

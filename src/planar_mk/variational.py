@@ -94,13 +94,23 @@ def objective_pass(
     )
 
 
+# f's conditional-quantile field along y given x, and f~'s along x given y
+QuantileFields = tuple[ConditionalQuantileField, ConditionalQuantileField]
+
+
 def _checked_pass(
-    f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D
+    f: DiscreteDensity2D,
+    f_tilde: DiscreteDensity2D,
+    p: CouplingDensity | DiscreteDensity2D,
+    fields: QuantileFields | None = None,
 ) -> ObjectivePass:
+    """The coupling check, then one pass on fields, built from f and f~ if not given."""
     pd = as_density(p)
     check_coupling_side(pd, marginals_2d(f)[0], 0)
     check_coupling_side(pd, marginals_2d(f_tilde)[1], 1)
-    field_f, field_ft = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+    if fields is None:
+        fields = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+    field_f, field_ft = fields
     return objective_pass(field_f, field_ft, pd.cell_masses, pd.grid_x, pd.grid_y)
 
 
@@ -181,6 +191,7 @@ def euler_lagrange_residual(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
     p: CouplingDensity | DiscreteDensity2D,
+    fields: QuantileFields | None = None,
 ) -> ELResidualReport:
     """Stationarity residual d/dx[G(x, H_x/f1)] + d/dy[G~(H_y/f2, y)].
 
@@ -190,9 +201,12 @@ def euler_lagrange_residual(
     and f~ first; the residual differences them. The reported norm covers
     the interior only; the boundary content of the stationarity condition is
     exactly the marginal constraints, tested through `cumulative_h`.
+    fields, if given, must be f's "x" and f~'s "y" conditional-quantile
+    fields, built once by a caller that evaluates several couplings of the
+    same pair.
     """
     pd = as_density(p)
-    at_p = _checked_pass(f, f_tilde, pd)
+    at_p = _checked_pass(f, f_tilde, pd, fields)
     residual = _axis_derivative(at_p.g, pd.grid_x.centers, 0) + _axis_derivative(at_p.h, pd.grid_y.centers, 1)
 
     areas = pd.cell_areas

@@ -221,11 +221,11 @@ class TestCliSolve:
         assert abs(read_density(out / "p_star.csv").total_mass() - 1.0) < 1e-12
 
     def test_maps_written_from_the_solve_residual(self, tmp_path, monkeypatch):
-        # one evaluation per coupling, each building both conditional-quantile
-        # fields: check-el evaluates once at p; compare builds the descent's
-        # fields, then its residual's pass at p* gives L_p_star; solve also
-        # evaluates the independent coupling for the report's baseline. g.csv
-        # and h.csv come from the pass at p*.
+        # both conditional-quantile fields are built once per command:
+        # check-el evaluates once at p; compare and solve build the descent's
+        # fields, and the residual's pass at p* (which gives L_p_star) and
+        # solve's independent-coupling baseline reuse them. g.csv and h.csv
+        # come from the pass at p*.
         fa, fb = write_pair(tmp_path, seed=3)
         builds = []
         original = reduction.conditional_quantile_field
@@ -238,7 +238,7 @@ class TestCliSolve:
             if name.startswith("planar_mk") and getattr(module, "conditional_quantile_field", None) is original:
                 monkeypatch.setattr(module, "conditional_quantile_field", spy)
         out = tmp_path / "out"
-        for command, expected in (("check-el", 2), ("compare", 4), ("solve", 6)):
+        for command, expected in (("check-el", 2), ("compare", 2), ("solve", 2)):
             builds.clear()
             assert main([command, "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
             assert len(builds) == expected and builds.count("x") == builds.count("y"), (command, builds)
@@ -617,3 +617,28 @@ def test_module_entry_point_runs(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_built_once_and_not_on_import(tmp_path, capsys, monkeypatch):
+    src = str(Path(planar_mk.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import planar_mk.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "0", proc.stderr
+    cli._parser.cache_clear()
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    missing = str(tmp_path / "missing.json")
+    argv = ["solve", "--input-f", missing, "--input-g", missing, "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 1 and main(argv) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and errors[0] == errors[1] and errors[0].startswith("error:")
+    # the command runs through the module attribute, patched or not
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: 7)
+    assert main(argv) == 7
+    assert len(built) == 1

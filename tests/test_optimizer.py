@@ -14,6 +14,7 @@ from planar_mk.instances import (
 from planar_mk.measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, Grid1D, marginals_2d
 from planar_mk.optimizer import (
     IPFPConvergenceError,
+    _ipfp_values,
     NoDescentError,
     SolverConfig,
     feasible_direction,
@@ -26,6 +27,90 @@ from planar_mk.optimizer import (
 def unit_marginal(values):
     g = Grid1D.uniform(0.0, float(len(values)), len(values))
     return DiscreteDensity1D(g, np.asarray(values, dtype=float))
+
+
+def reference_ipfp_values(raw, f1, f2, max_iters=10_000, tol=1e-13):
+    """The IPFP sweep with three products per sweep that `_ipfp_values` replaced.
+
+    Returns the values, the sweeps run in total and the re-floor passes.
+    """
+    areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+    row_target, col_target = f1.cell_masses, f2.cell_masses
+    sweeps_total = 0
+
+    def residual(v):
+        rows = float(np.sum(np.abs((v * areas).sum(axis=1) - row_target)))
+        return max(rows, float(np.sum(np.abs((v * areas).sum(axis=0) - col_target))))
+
+    def alternate(v):
+        nonlocal sweeps_total
+        err, sweeps = residual(v), 0
+        while not err < tol:
+            if sweeps == max_iters:
+                raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {max_iters} iterations")
+            v = v * (row_target / (v * areas).sum(axis=1))[:, None]
+            v = v * (col_target / (v * areas).sum(axis=0))[None, :]
+            err, sweeps = residual(v), sweeps + 1
+        sweeps_total += sweeps
+        return v
+
+    values = alternate(np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR))
+    refloors = 0
+    for _ in range(3):
+        if np.min(values) >= EPS_FLOOR:
+            break
+        values, refloors = alternate(np.maximum(values, EPS_FLOOR)), refloors + 1
+    if np.min(values) < EPS_FLOOR:
+        values = np.maximum(values, EPS_FLOOR)
+        values = values / float(np.sum(values * areas))
+    return values, sweeps_total, refloors
+
+
+def random_marginals(rng, seed):
+    """x- and y-marginals of smooth densities on random nonuniform grids."""
+    nx, ny = rng.integers(2, 20, size=2)
+    gx = Grid1D(np.cumsum(np.r_[rng.uniform(-1, 1), rng.uniform(0.2, 2.0, nx)]))
+    gy = Grid1D(np.cumsum(np.r_[rng.uniform(-1, 1), rng.uniform(0.2, 2.0, ny)]))
+    return (
+        marginals_2d(smooth_random_density_2d(gx, gy, seed=seed))[0],
+        marginals_2d(smooth_random_density_2d(gx, gy, seed=seed + 1))[1],
+    )
+
+
+class TestIpfpBitForBit:
+    def test_random_positive_inputs_on_nonuniform_grids(self):
+        rng = np.random.default_rng(41)
+        for seed in range(30):
+            f1, f2 = random_marginals(rng, 10 * seed)
+            raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
+            expected, sweeps, _ = reference_ipfp_values(raw, f1, f2)
+            assert sweeps > 0
+            assert np.array_equal(_ipfp_values(raw, f1, f2), expected), seed
+
+    def test_sparse_inputs_through_the_refloor_loop(self):
+        # zeros are floored, and scaling a row down shaves its floored cells
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            f1, f2 = random_marginals(rng, seed)
+            raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
+            raw[rng.random(raw.shape) < 0.5] = 0.0
+            expected, _, refloors = reference_ipfp_values(raw, f1, f2)
+            assert refloors > 0, seed
+            assert np.array_equal(_ipfp_values(raw, f1, f2), expected), seed
+
+    def test_raises_at_the_same_sweep_budget(self):
+        rng = np.random.default_rng(43)
+        f1, f2 = random_marginals(rng, 7)
+        raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
+        _, needed, _ = reference_ipfp_values(raw, f1, f2)
+        for budget in (0, 1, needed - 1):
+            with pytest.raises(IPFPConvergenceError) as ref_exc:
+                reference_ipfp_values(raw, f1, f2, max_iters=budget)
+            with pytest.raises(IPFPConvergenceError) as exc:
+                _ipfp_values(raw, f1, f2, max_iters=budget)
+            assert str(exc.value) == str(ref_exc.value)
+        expected, _, _ = reference_ipfp_values(raw, f1, f2, max_iters=needed)
+        assert np.array_equal(_ipfp_values(raw, f1, f2, max_iters=needed), expected)
 
 
 class TestIpfp:

@@ -21,6 +21,7 @@ from planar_mk.measures import (
 from planar_mk.optimizer import ipfp_project
 from planar_mk.oracle import solve_full_2d
 from planar_mk.reduction import (
+    _slice_costs,
     build_g_map,
     build_h_map,
     conditional_cdf,
@@ -220,6 +221,23 @@ class TestPushforward:
         p = product_density_2d(u1, v2)
         report = pushforward_check(f, p, build_g_map(f, p))
         assert report.l1_deviation < 0.02
+
+
+class TestSliceCosts:
+    @pytest.mark.parametrize("shape", [(1, 257), (257, 1), (3, 3), (16, 16), (64, 64), (257, 257)])
+    def test_equal_to_per_slice_dot(self, shape):
+        # the per-slice loop the batched kernel replaced: one np.dot per
+        # slice on the caller's rows, against C-ordered squares
+        rng = np.random.default_rng(sum(shape))
+        masses = 10.0 ** rng.uniform(-12.0, 0.0, size=shape)
+        resid = rng.standard_normal(shape)
+        # C-ordered rows, and transposed rows as the x-term of L passes them
+        for rows, res in ((masses, resid), (masses.T, resid.T), (masses.T, np.ascontiguousarray(resid.T))):
+            sq = np.square(res, order="C")
+            expected = np.array([np.dot(sq[s], rows[s]) for s in range(rows.shape[0])])
+            got = _slice_costs(res, rows)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected), rows.flags.c_contiguous
 
 
 class TestCouplingCost:

@@ -18,6 +18,7 @@ from .measures import (
     QuantileTable,
     build_cdf,
     marginals_2d,
+    per_axis_w2_sum,
     quantile,
     w2_squared_1d,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "lemma1_checker",
     "lemma2_checker",
     "marginals_2d",
+    "per_axis_w2_sum",
     "pushforward_check",
     "pushforward_check_h",
     "quantile",

@@ -31,7 +31,7 @@ from .density_io import (
     read_grid_csv,
     write_grid_csv,
 )
-from .measures import DiscreteDensity2D, build_cdf, marginals_2d, w2_squared_1d
+from .measures import DiscreteDensity2D, marginals_2d, per_axis_w2_sum
 from .optimizer import NoDescentError, SolverConfig, ipfp_project, solve
 from .oracle import (
     SizeLimitError,
@@ -65,14 +65,6 @@ def _load_density_2d(path: str) -> DiscreteDensity2D:
 
 def _grid_spec(d: DiscreteDensity2D) -> dict:
     return {"x": grid_spec(d.grid_x), "y": grid_spec(d.grid_y)}
-
-
-def _per_axis_w2_sum(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, n_quad: int = 4096) -> float:
-    f1, f2 = marginals_2d(f)
-    g1, g2 = marginals_2d(f_tilde)
-    return w2_squared_1d(build_cdf(f1), build_cdf(g1), n_quad) + w2_squared_1d(
-        build_cdf(f2), build_cdf(g2), n_quad
-    )
 
 
 def _solve_pair(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, args) -> tuple:
@@ -116,7 +108,7 @@ def cmd_solve(args) -> int:
             "independent_coupling_interior_l2": el_independent,
         },
         "marginal_error": {"max_iterate_l1": report.max_marginal_error},
-        "per_axis_w2_sum": _per_axis_w2_sum(f, f_tilde),
+        "per_axis_w2_sum": per_axis_w2_sum(f, f_tilde),
         "multistart": {
             "finals": report.start_finals,
             "best_start": report.best_start,
@@ -208,30 +200,21 @@ def cmd_check_lemmas(args) -> int:
     t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = {"lemma1": [], "lemma2": []}
-    for name, beta, a, b, expected in _LEMMA_CASES["lemma1"]:
-        rep = lemma1_checker(beta, a, b)
-        results["lemma1"].append(
-            {
+    checkers = {"lemma1": lemma1_checker, "lemma2": lemma2_checker}
+    results = {lemma: [] for lemma in _LEMMA_CASES}
+    for lemma, cases in _LEMMA_CASES.items():
+        for name, beta, a, b, expected in cases:
+            rep = checkers[lemma](beta, a, b)
+            row = {
                 "case": name,
                 "expected": expected,
                 "limit": rep.limit,
                 "error": abs(rep.limit - expected),
                 "observed_order": rep.observed_order,
             }
-        )
-    for name, beta, a, b, expected in _LEMMA_CASES["lemma2"]:
-        rep = lemma2_checker(beta, a, b)
-        results["lemma2"].append(
-            {
-                "case": name,
-                "expected": expected,
-                "limit": rep.limit,
-                "error": abs(rep.limit - expected),
-                "fd_reference": rep.reference,
-                "observed_order": rep.observed_order,
-            }
-        )
+            if rep.reference is not None:
+                row["fd_reference"] = rep.reference
+            results[lemma].append(row)
     body = {"command": "check-lemmas", "results": results}
     _write_report(out_dir, body, time.perf_counter() - t0)
     return 0

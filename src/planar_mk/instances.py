@@ -99,12 +99,13 @@ def random_feasible_coupling_values(
 def aligned_atomic_instance(
     seed: int,
     n_atoms: int,
-    n_quad: int,
+    resolution: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random 1-D atoms whose masses are exact multiples of 1/n_quad.
+    """Random 1-D atoms whose masses are exact multiples of 1/resolution.
 
-    Keeps every quantile breakpoint on the midpoint-quadrature lattice, so
-    the quadrature value of the squared quantile distance is exact.
+    Every quantile breakpoint lies on the lattice k/resolution. Exactness of
+    `w2_squared_1d` does not depend on it: its merged-level integral is exact
+    for any masses.
     """
     rng = Xoshiro256StarStar(seed)
     x = np.sort(rng.uniform(-2.0, 2.0, size=n_atoms))
@@ -113,13 +114,13 @@ def aligned_atomic_instance(
     y += 1e-6 * np.arange(n_atoms)
 
     def masses() -> np.ndarray:
-        cuts = np.sort([rng.integers(n_quad - 1) + 1 for _ in range(n_atoms - 1)])
-        counts = np.diff(np.concatenate([[0], cuts, [n_quad]]))
+        cuts = np.sort([rng.integers(resolution - 1) + 1 for _ in range(n_atoms - 1)])
+        counts = np.diff(np.concatenate([[0], cuts, [resolution]]))
         counts = np.maximum(counts, 1)
-        counts[-1] = n_quad - counts[:-1].sum()
+        counts[-1] = resolution - counts[:-1].sum()
         if counts[-1] < 1:  # rebalance pathological draws
-            counts = np.full(n_atoms, n_quad // n_atoms)
-            counts[-1] = n_quad - counts[:-1].sum()
-        return counts / n_quad
+            counts = np.full(n_atoms, resolution // n_atoms)
+            counts[-1] = resolution - counts[:-1].sum()
+        return counts / resolution
 
     return x, masses(), y, masses()

@@ -4,8 +4,9 @@ Densities are cell-centered and piecewise constant: a grid of strictly
 increasing node coordinates (cell edges) and one nonnegative value per cell.
 CDFs built from them are piecewise linear in the nodes; their left-continuous
 inverses (quantile functions) are evaluated exactly by inverting each linear
-ramp. Atomic distributions are supported through step-interpolated CDFs so
-the same quantile routine serves both.
+ramp. Atomic distributions are supported through step-interpolated CDFs,
+whose inverses are the same kind of table with one flat ramp per atom, so one
+quantile routine serves both.
 """
 
 from __future__ import annotations
@@ -183,11 +184,10 @@ class CDF1D:
         positions, masses = positions[order], masses[order]
         if np.any(masses < 0):
             raise ValueError("atom masses must be nonnegative")
-        total = masses.sum()
-        if total <= 0:
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        if cum[-1] <= 0:
             raise ValueError("atoms carry no mass")
-        cum = np.concatenate([[0.0], np.cumsum(masses) / total])
-        cum[-1] = 1.0
+        cum /= cum[-1]  # by the cumsum's own total: no entry exceeds the last, which is 1
         span = positions[-1] - positions[0] if positions.size > 1 else 1.0
         sentinel = positions[0] - max(span, 1.0)
         nodes = np.concatenate([[sentinel], positions])
@@ -199,31 +199,20 @@ class CDF1D:
 def build_cdf(d: DiscreteDensity1D) -> CDF1D:
     """Prefix-sum CDF of a cell-centered density, exact at the nodes."""
     cum = np.concatenate([[0.0], np.cumsum(d.cell_masses)])
-    cum /= cum[-1]  # kill roundoff so cum[-1] == 1 exactly
-    cum[-1] = 1.0
+    cum /= cum[-1]  # kill roundoff: x / x == 1 exactly
     return CDF1D(d.grid, cum, kind="linear")
 
 
 def quantile(c: CDF1D, t: np.ndarray | float) -> np.ndarray | float:
     """Left-continuous inverse inf{x : F(x) >= t}, vectorized over t.
 
-    Linear CDFs are inverted ramp by ramp through `QuantileTable` (exact for
-    piecewise-linear F); step CDFs return the atom position, left-continuous
-    at the jump levels. Raises for t outside (0, 1].
+    Evaluated through `QuantileTable.from_cdf(c)`: exact for piecewise-linear
+    F, and the atom position, left-continuous at the jump levels, for step F.
+    Raises for t outside (0, 1].
     """
     t_arr = np.asarray(t, dtype=float)
-    if c.kind == "linear":
-        out = QuantileTable.from_cdf(c)(t_arr)
-    else:
-        _check_levels(t_arr)
-        # first index with cum >= t; in [1, n_nodes-1] because cum[0]=0 < t <= 1
-        out = c.grid.nodes[np.searchsorted(c.cum, t_arr, side="left")]
+    out = QuantileTable.from_cdf(c)(t_arr)
     return float(out) if t_arr.ndim == 0 else out
-
-
-def _check_levels(t: np.ndarray) -> None:
-    if not np.all((t > 0.0) & (t <= 1.0)):  # also rejects NaN
-        raise ValueError("quantile level must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -266,7 +255,8 @@ class QuantileTable:
         convention. Raises for levels outside (0, 1].
         """
         t_arr = np.asarray(t, dtype=float)
-        _check_levels(t_arr)
+        if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
+            raise ValueError("quantile level must lie in (0, 1]")
         n_rows = self.probs.shape[0]
         if n_rows > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != n_rows):
             raise ValueError("levels need one row per table row")
@@ -294,23 +284,39 @@ class QuantileTable:
 
     @staticmethod
     def from_cdf(c: CDF1D) -> "QuantileTable":
-        if c.kind != "linear":
-            raise ValueError("tables are built from density-based CDFs")
-        return QuantileTable(c.cum, c.grid.nodes)
+        """One-row table of F's inverse; a step CDF gets one flat ramp per atom.
+
+        The atom at node i spans the levels cum[i-1] to cum[i]; the sentinel
+        node 0 is never a value.
+        """
+        if c.kind == "linear":
+            return QuantileTable(c.cum, c.grid.nodes)
+        return QuantileTable(np.repeat(c.cum, 2)[1:-1], np.repeat(c.grid.nodes[1:], 2))
 
 
-def w2_squared_1d(F: CDF1D, G: CDF1D, n_quad: int) -> float:
-    """Midpoint-rule value of the squared quantile distance between F and G.
+def w2_squared_1d(F: CDF1D, G: CDF1D) -> float:
+    """Exact squared quantile distance: the integral of (F^{-1} - G^{-1})^2 over (0, 1).
 
-    Integrates (F^{-1}(t) - G^{-1}(t))^2 over t in (0,1) at n_quad midpoint
-    levels. Exact (to roundoff) when both inverses are piecewise constant
-    with breakpoints on the quadrature lattice.
+    Both inverses are linear between their table levels (flat for atoms), so
+    on each piece of the merged levels, of width du, their difference is
+    d + s*(u - m) with d and s the difference of values and of slopes at the
+    piece midpoint m. The piece contributes du*(d^2 + s^2*du^2/12) exactly.
+    The inverses are read at the piece's upper level, where each
+    left-continuous lookup returns the ramp that covers the piece, and d is
+    carried back to m along the slopes; so a quantile jump at a merged level
+    costs nothing, and repeated levels make no piece.
     """
-    if n_quad < 2:
-        raise ValueError("n_quad must be at least 2")
-    t = (np.arange(n_quad) + 0.5) / n_quad
-    diff = np.asarray(quantile(F, t)) - np.asarray(quantile(G, t))
-    return float(np.sum(diff * diff) / n_quad)
+    qf, qg = QuantileTable.from_cdf(F), QuantileTable.from_cdf(G)
+    # a sort, not np.unique: numpy 2.4 imports numpy.ma on its first use (about 1 MB RSS)
+    knots = np.sort(np.concatenate([qf.probs[0], qg.probs[0]]))
+    piece = np.diff(knots) > 0
+    hi = knots[1:][piece]  # every hi > 0, while the midpoint of (0, 5e-324] rounds to level 0
+    du = hi - knots[:-1][piece]
+    fv, fs = qf.value_and_slope(hi)
+    gv, gs = qg.value_and_slope(hi)
+    s = fs - gs
+    d = fv - gv - 0.5 * s * du
+    return float(np.sum(du * (d * d + s * s * du * du / 12.0)))
 
 
 def marginals_2d(d: DiscreteDensity2D) -> tuple[DiscreteDensity1D, DiscreteDensity1D]:
@@ -323,3 +329,10 @@ def marginals_2d(d: DiscreteDensity2D) -> tuple[DiscreteDensity1D, DiscreteDensi
     fx = fx / np.sum(fx * wx)
     fy = fy / np.sum(fy * wy)
     return DiscreteDensity1D(d.grid_x, fx), DiscreteDensity1D(d.grid_y, fy)
+
+
+def per_axis_w2_sum(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> float:
+    """Sum over both axes of the exact squared quantile distance between the marginals."""
+    f1, f2 = marginals_2d(f)
+    g1, g2 = marginals_2d(f_tilde)
+    return w2_squared_1d(build_cdf(f1), build_cdf(g1)) + w2_squared_1d(build_cdf(f2), build_cdf(g2))

@@ -40,6 +40,8 @@ class IPFPConvergenceError(RuntimeError):
     pass
 
 
+_STEP_INIT = 1.0     # the first iteration's opening step
+_MIN_STEP = 1e-14    # the line search gives up below this step
 _ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 _BACKTRACK = 0.5     # step shrink factor per rejected trial
 _NOISE_SCALE = 0.5   # multistart log-perturbation amplitude
@@ -59,8 +61,6 @@ class SolverConfig:
     max_iters: int = 10_000
     multistart: int = 1
     seed: int = 0
-    step_init: float = 1.0              # the first iteration's opening step
-    min_step: float = 1e-14
     stall_tol: float = 1e-12            # stop when the L decrease falls below
 
     def __post_init__(self):
@@ -70,8 +70,6 @@ class SolverConfig:
             "max_iters must be an integer >= 0": _is_int(self.max_iters) and self.max_iters >= 0,
             "multistart must be an integer >= 1": _is_int(self.multistart) and self.multistart >= 1,
             "seed must be an integer": _is_int(self.seed),
-            "step_init must be a finite number > 0": _is_finite(self.step_init) and self.step_init > 0,
-            "min_step must be a finite number > 0": _is_finite(self.min_step) and self.min_step > 0,
             "stall_tol must be a finite number >= 0": _is_finite(self.stall_tol) and self.stall_tol >= 0,
         }
         for rule, ok in rules.items():
@@ -256,7 +254,7 @@ def _run_mirror_descent(
     pg = project_zero_marginals(grad, wx, wy)
     marg_err = _marginal_residual(values * areas, row_target, col_target)[0]
     traces = _StartResult(values, [L_cur], [], 0, "max_iters", marg_err)
-    step = config.step_init
+    step = _STEP_INIT
 
     for it in range(config.max_iters):
         # row/col sums of the direction must vanish (descent stays in the polytope)
@@ -276,7 +274,7 @@ def _run_mirror_descent(
         # the realized displacement; the accepted trial's pass carries on.
         s = step
         accepted = None
-        while s > config.min_step:
+        while s > _MIN_STEP:
             z = -s * pg
             cand = _ipfp_values(values * np.exp(z - z.max()), f1, f2)
             predicted = float(np.sum(grad * (cand - values) * areas))

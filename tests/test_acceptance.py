@@ -64,25 +64,24 @@ def shift_instance(seed: int, sx: int, sy: int, n: int = 4):
 
 def test_criterion_1_one_dimensional_optimality():
     t0 = time.perf_counter()
-    n_quad = 10_000
     worst_lp = 0.0
-    worst_quad = 0.0
+    worst_w2 = 0.0
     for trial in range(100):
         n_atoms = 2 + (trial % 31)
-        x, a, y, b = aligned_atomic_instance(seed=1000 + trial, n_atoms=n_atoms, n_quad=n_quad)
+        x, a, y, b = aligned_atomic_instance(seed=1000 + trial, n_atoms=n_atoms, resolution=10_000)
         cost = (x[:, None] - y[None, :]) ** 2
         lp = solve_lp(TransportInstance(a, b, cost))
         como = comonotone_plan_1d(x, a, y, b)
         worst_lp = max(worst_lp, abs(lp.objective - como.objective))
-        quad = w2_squared_1d(CDF1D.from_atoms(x, a), CDF1D.from_atoms(y, b), n_quad)
-        worst_quad = max(worst_quad, abs(quad - lp.objective))
+        w2 = w2_squared_1d(CDF1D.from_atoms(x, a), CDF1D.from_atoms(y, b))
+        worst_w2 = max(worst_w2, abs(w2 - lp.objective))
     elapsed = time.perf_counter() - t0
-    ok = worst_lp <= 1e-9 and worst_quad <= 1e-6 and elapsed < 10.0
+    ok = worst_lp <= 1e-9 and worst_w2 <= 1e-6 and elapsed < 10.0
     _verdict(
         "criterion 1 (1-D optimality)",
         ok,
         f"max |comonotone-LP|={worst_lp:.2e} (<=1e-9), "
-        f"max |quadrature-LP|={worst_quad:.2e} (<=1e-6), {elapsed:.1f}s (<10s)",
+        f"max |W2^2-LP|={worst_w2:.2e} (<=1e-6), {elapsed:.1f}s (<10s)",
     )
 
 
@@ -167,9 +166,7 @@ def test_criterion_4_reduction_equivalence():
     f_prod = product_density_2d(u1, u2)
     ft_prod = product_density_2d(v1, v2)
     report16 = solve(f_prod, ft_prod, SolverConfig(max_iters=3000))
-    w2sum = w2_squared_1d(build_cdf(u1), build_cdf(v1), 10_000) + w2_squared_1d(
-        build_cdf(u2), build_cdf(v2), 10_000
-    )
+    w2sum = w2_squared_1d(build_cdf(u1), build_cdf(v1)) + w2_squared_1d(build_cdf(u2), build_cdf(v2))
     rel = abs(report16.L_final - w2sum) / w2sum
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-3 and rel <= 0.02 and elapsed < 300.0

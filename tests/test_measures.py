@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from planar_mk.measures import (
@@ -14,12 +14,32 @@ from planar_mk.measures import (
     quantile,
     w2_squared_1d,
 )
-from planar_mk.oracle import TransportInstance, solve_lp
+from planar_mk.oracle import TransportInstance, comonotone_plan_1d, solve_lp
 
 
 def uniform_density(n, lo=0.0, hi=1.0):
     g = Grid1D.uniform(lo, hi, n)
     return DiscreteDensity1D(g, np.full(n, 1.0 / (hi - lo)))
+
+
+# hypothesis's explain phase varies every drawn atom of a failing atoms()
+# example and took minutes on top of shrinking, so those tests skip it
+_NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+
+
+@st.composite
+def atoms(draw):
+    """1-40 distinct positions with nonnegative masses, zero and tiny ones included."""
+    n = draw(st.integers(1, 40))
+    x = draw(st.lists(st.integers(-2_000_000, 2_000_000), min_size=n, max_size=n, unique=True))
+    mass = st.sampled_from([0.0, 1e-16]) | st.floats(0.0, 1.0)
+    m = draw(st.lists(mass, min_size=n, max_size=n).filter(lambda v: sum(v) > 0))
+    return 1e-6 * np.array(x, dtype=float), np.array(m)
+
+
+def _searchsorted_step_quantile(c, t):
+    """Reference for step CDFs: the first node whose cumulative mass reaches t."""
+    return c.grid.nodes[np.searchsorted(c.cum, t, side="left")]
 
 
 class TestGrid:
@@ -76,6 +96,22 @@ class TestQuantile:
         assert quantile(c, 0.5) == 0.0
         assert quantile(c, 0.500001) == 1.0
         assert quantile(c, 1.0) == 1.0
+
+    @given(atoms(), st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=50))
+    @settings(max_examples=100, deadline=None, phases=_NO_EXPLAIN)
+    def test_step_quantile_matches_searchsorted_bit_for_bit(self, case, levels):
+        c = CDF1D.from_atoms(*case)
+        for t in (np.array(levels), c.cum[c.cum > 0]):
+            assert np.array_equal(quantile(c, t), _searchsorted_step_quantile(c, t))
+
+    def test_from_atoms_normalizes_by_its_own_cumulative_total(self):
+        # the pairwise total of these masses rounds below their cumulative
+        # sum, so dividing the cumsum by it would push cum[-2] above 1
+        x = np.arange(9.0)
+        head = [0.36, 0.76, 0.03, 0.45, 0.37, 0.48, 0.13, 0.22]
+        for last in (0.0, 1e-16):
+            c = CDF1D.from_atoms(x, np.array(head + [last]))
+            assert np.all(np.diff(c.cum) >= 0) and c.cum[-1] == 1.0
 
     def test_identity_on_uniform(self):
         c = build_cdf(uniform_density(8))
@@ -190,12 +226,20 @@ class TestStackedQuantileTable:
 class TestW2:
     def test_identical_marginals(self):
         c = build_cdf(uniform_density(5))
-        assert w2_squared_1d(c, c, 100) == 0.0
+        assert w2_squared_1d(c, c) == 0.0
+
+    def test_uniforms_on_unaligned_grids(self):
+        # U(0,1) on 3 cells vs U(-1,3) on 5: the quantile difference is
+        # 1 - 3u, whose square integrates to exactly 1; the pieces' value
+        # differences alone would give less
+        a = uniform_density(3)
+        b = uniform_density(5, -1.0, 3.0)
+        assert abs(w2_squared_1d(build_cdf(a), build_cdf(b)) - 1.0) <= 1e-14
 
     def test_point_masses(self):
         c0 = CDF1D.from_atoms(np.array([0.0]), np.array([1.0]))
         c1 = CDF1D.from_atoms(np.array([1.0]), np.array([1.0]))
-        assert w2_squared_1d(c0, c1, 64) == pytest.approx(1.0, abs=1e-14)
+        assert w2_squared_1d(c0, c1) == pytest.approx(1.0, abs=1e-14)
 
     def test_uniform_atom_shift_against_lp(self):
         # uniform atoms {0,1,2} vs {1,2,3}: LP oracle gives cost 1
@@ -204,7 +248,7 @@ class TestW2:
         m = np.full(3, 1 / 3)
         lp = solve_lp(TransportInstance(m, m, (x[:, None] - y[None, :]) ** 2))
         assert lp.objective == pytest.approx(1.0, abs=1e-12)
-        w2 = w2_squared_1d(CDF1D.from_atoms(x, m), CDF1D.from_atoms(y, m), 9999)
+        w2 = w2_squared_1d(CDF1D.from_atoms(x, m), CDF1D.from_atoms(y, m))
         assert w2 == pytest.approx(lp.objective, abs=1e-9)
 
     @given(st.integers(0, 2**31 - 1))
@@ -215,8 +259,8 @@ class TestW2:
         a = DiscreteDensity1D.from_values(g, rng.uniform(0.05, 1.0, 6))
         b = DiscreteDensity1D.from_values(g, rng.uniform(0.05, 1.0, 6))
         ca, cb = build_cdf(a), build_cdf(b)
-        w_ab = w2_squared_1d(ca, cb, 500)
-        w_ba = w2_squared_1d(cb, ca, 500)
+        w_ab = w2_squared_1d(ca, cb)
+        w_ba = w2_squared_1d(cb, ca)
         assert w_ab >= 0.0
         assert w_ab == pytest.approx(w_ba, rel=1e-12, abs=1e-15)
 
@@ -225,12 +269,12 @@ class TestW2:
         rng = np.random.default_rng(3)
         a = DiscreteDensity1D.from_values(g, rng.uniform(0.1, 1.0, 6))
         b = DiscreteDensity1D.from_values(g, a.values + 0.2 * rng.uniform(0.1, 1.0, 6))
-        assert w2_squared_1d(build_cdf(a), build_cdf(a), 200) == 0.0
-        assert w2_squared_1d(build_cdf(a), build_cdf(b), 200) > 1e-8
+        assert w2_squared_1d(build_cdf(a), build_cdf(a)) == 0.0
+        assert w2_squared_1d(build_cdf(a), build_cdf(b)) > 1e-8
 
     def test_unaligned_atoms_converge_like_inverse_quadrature(self):
         # atoms {0,1} w (1/3,2/3) vs {0.5,2} w (0.6,0.4): exact value 0.55,
-        # with one integrand jump (height 0.75) off the quadrature lattice
+        # with one quantile jump at a level no lattice k/n hits
         F = CDF1D.from_atoms(np.array([0.0, 1.0]), np.array([1 / 3, 2 / 3]))
         G = CDF1D.from_atoms(np.array([0.5, 2.0]), np.array([0.6, 0.4]))
         lp = solve_lp(
@@ -241,14 +285,18 @@ class TestW2:
             )
         )
         assert lp.objective == pytest.approx(0.55, abs=1e-12)
-        for n_quad in (500, 5000):
-            err = abs(w2_squared_1d(F, G, n_quad) - lp.objective)
-            assert err <= 2.0 / n_quad
+        assert abs(w2_squared_1d(F, G) - 0.55) <= 1e-14
 
-    def test_rejects_tiny_quadrature(self):
-        c = build_cdf(uniform_density(3))
-        with pytest.raises(ValueError):
-            w2_squared_1d(c, c, 1)
+    @given(atoms(), atoms())
+    @example((np.array([0.0, 1.0]), np.array([5e-324, 0.8])), (np.array([0.5]), np.array([1.0])))
+    @settings(max_examples=100, deadline=None, phases=_NO_EXPLAIN)
+    def test_exact_on_unaligned_atoms(self, xa, yb):
+        (x, a), (y, b) = xa, yb
+        F, G = CDF1D.from_atoms(x, a), CDF1D.from_atoms(y, b)
+        w2 = w2_squared_1d(F, G)
+        assert w2 == w2_squared_1d(G, F)
+        como = comonotone_plan_1d(x, a / a.sum(), y, b / b.sum())
+        assert abs(w2 - como.objective) <= 1e-12
 
 
 class TestMarginals:

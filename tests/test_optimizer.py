@@ -218,7 +218,7 @@ class TestSolve:
         assert report.termination_reason in ("grad_tol", "stalled")
 
     def test_product_instance_matches_axis_sum(self):
-        from planar_mk.measures import build_cdf, w2_squared_1d
+        from planar_mk.measures import per_axis_w2_sum
 
         grid = Grid1D.uniform(0.0, 1.0, 8)
         u1 = density_1d_from_function(grid, lambda x: np.exp(-((x - 0.4) ** 2) / 0.09))
@@ -228,10 +228,7 @@ class TestSolve:
         f = product_density_2d(u1, u2)
         ft = product_density_2d(v1, v2)
         report = solve(f, ft, SolverConfig(max_iters=2000))
-        w2sum = w2_squared_1d(build_cdf(u1), build_cdf(v1), 4096) + w2_squared_1d(
-            build_cdf(u2), build_cdf(v2), 4096
-        )
-        assert report.L_final == pytest.approx(w2sum, rel=0.02)
+        assert report.L_final == pytest.approx(per_axis_w2_sum(f, ft), rel=0.02)
 
     def test_trace_monotone_and_iterates_feasible(self):
         g = Grid1D.uniform(0.0, 1.0, 6)
@@ -261,14 +258,16 @@ class TestSolve:
         assert report.multistart_within_tol >= 0.8
         assert not report.nonconvexity_flag
 
-    def test_no_descent_when_line_search_cannot_probe(self):
+    def test_no_descent_when_line_search_cannot_probe(self, monkeypatch):
+        from planar_mk import optimizer
+
         g = Grid1D.uniform(0.0, 1.0, 4)
         f = smooth_random_density_2d(g, g, seed=91)
         ft = smooth_random_density_2d(g, g, seed=92)
-        # min_step above the largest trial step exhausts the search immediately
-        cfg = SolverConfig(step_init=0.1, min_step=1.0, max_iters=10)
+        # a minimum step above the opening step exhausts the search immediately
+        monkeypatch.setattr(optimizer, "_MIN_STEP", 2.0 * optimizer._STEP_INIT)
         with pytest.raises(NoDescentError):
-            solve(f, ft, cfg)
+            solve(f, ft, SolverConfig(max_iters=10))
 
     def test_first_order_condition_and_alternating_sums_at_optimum(self):
         # deep convergence: at the optimum the variation kernel pairs to ~0
@@ -397,7 +396,7 @@ class TestSolve:
 
 class TestSolverConfig:
     def test_round_trips_through_json(self, tmp_path):
-        cfg = SolverConfig(grad_tol=1e-7, multistart=2, seed=5, step_init=0.25)
+        cfg = SolverConfig(grad_tol=1e-7, multistart=2, seed=5, stall_tol=1e-10)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
         loaded = SolverConfig.from_json(str(path))
@@ -407,7 +406,8 @@ class TestSolverConfig:
         # names of removed fields are rejected like any other unknown key
         path = tmp_path / "config.json"
         for key, value in (
-            ("momentum", 0.9), ("armijo", 1e-4), ("rectangle_passes", 50), ("scheme", "projected_gradient")
+            ("momentum", 0.9), ("armijo", 1e-4), ("rectangle_passes", 50), ("scheme", "projected_gradient"),
+            ("step_init", 1.0), ("min_step", 1e-14),
         ):
             path.write_text(json.dumps({"max_iters": 10, key: value}))
             with pytest.raises(ValueError, match="unknown config keys"):
@@ -425,8 +425,6 @@ class TestSolverConfig:
             {"grad_tol": -1e-7},
             {"multistart": 0},
             {"seed": 1.5},
-            {"step_init": 0.0},
-            {"min_step": float("inf")},
             {"stall_tol": -1.0},
             [],
             [["max_iters", 10]],

@@ -248,7 +248,7 @@ class TestCouplingCost:
         assert cost.total == pytest.approx(0.0, abs=1e-20)
 
     def test_product_marginals_sum_of_axis_w2(self):
-        from planar_mk.measures import w2_squared_1d
+        from planar_mk.measures import per_axis_w2_sum
 
         grid = Grid1D.uniform(0.0, 1.0, 16)
         u1 = density_1d_from_function(grid, lambda x: np.exp(-((x - 0.35) ** 2) / 0.06))
@@ -259,10 +259,7 @@ class TestCouplingCost:
         ft = product_density_2d(v1, v2)
         p = product_density_2d(u1, v2)
         cost = coupling_cost(f, ft, p, build_g_map(f, p), build_h_map(ft, p))
-        w2sum = w2_squared_1d(build_cdf(u1), build_cdf(v1), 4096) + w2_squared_1d(
-            build_cdf(u2), build_cdf(v2), 4096
-        )
-        assert cost.total == pytest.approx(w2sum, rel=0.02)
+        assert cost.total == pytest.approx(per_axis_w2_sum(f, ft), rel=0.02)
 
     def test_concentrated_cells_squared_distance(self):
         g = Grid1D.uniform(-0.5, 1.5, 2)  # centers 0 and 1

@@ -51,7 +51,7 @@ class TestEvaluateL:
         assert evaluate_L(f, f, p) == pytest.approx(0.0, abs=1e-20)
 
     def test_product_case_matches_axis_sum(self):
-        from planar_mk.measures import w2_squared_1d
+        from planar_mk.measures import per_axis_w2_sum
 
         grid = Grid1D.uniform(0.0, 1.0, 16)
         u1 = density_1d_from_function(grid, lambda x: np.exp(-((x - 0.4) ** 2) / 0.08))
@@ -61,10 +61,7 @@ class TestEvaluateL:
         f = product_density_2d(u1, u2)
         ft = product_density_2d(v1, v2)
         p = product_density_2d(u1, v2)
-        w2sum = w2_squared_1d(build_cdf(u1), build_cdf(v1), 4096) + w2_squared_1d(
-            build_cdf(u2), build_cdf(v2), 4096
-        )
-        assert evaluate_L(f, ft, p) == pytest.approx(w2sum, rel=0.02)
+        assert evaluate_L(f, ft, p) == pytest.approx(per_axis_w2_sum(f, ft), rel=0.02)
 
     def test_equals_coupling_cost_composition(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8

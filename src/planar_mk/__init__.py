@@ -10,16 +10,13 @@ __version__ = "0.1.0"
 
 from .coupling import CouplingDensity, FeasibilityError
 from .measures import (
-    CDF1D,
     EPS_FLOOR,
     DiscreteDensity1D,
     DiscreteDensity2D,
     Grid1D,
     QuantileTable,
-    build_cdf,
     marginals_2d,
     per_axis_w2_sum,
-    quantile,
     w2_squared_1d,
 )
 from .optimizer import SolveReport, SolverConfig, feasible_direction, ipfp_project, solve
@@ -33,7 +30,6 @@ from .oracle import (
 from .reduction import (
     build_g_map,
     build_h_map,
-    conditional_cdf,
     coupling_cost,
     pushforward_check,
     pushforward_check_h,
@@ -48,7 +44,6 @@ from .variational import (
 )
 
 __all__ = [
-    "CDF1D",
     "CouplingDensity",
     "DiscreteDensity1D",
     "DiscreteDensity2D",
@@ -60,11 +55,9 @@ __all__ = [
     "SolverConfig",
     "TransportInstance",
     "TransportPlan",
-    "build_cdf",
     "build_g_map",
     "build_h_map",
     "comonotone_plan_1d",
-    "conditional_cdf",
     "coupling_cost",
     "evaluate_L",
     "euler_lagrange_residual",
@@ -77,7 +70,6 @@ __all__ = [
     "per_axis_w2_sum",
     "pushforward_check",
     "pushforward_check_h",
-    "quantile",
     "simplified_cross_derivatives",
     "solve",
     "solve_full_2d",

@@ -88,8 +88,7 @@ def cmd_solve(args) -> int:
     write_grid_csv(out_dir / "g.csv", p.density.grid_x, p.density.grid_y, report.at_p_star.g)
     write_grid_csv(out_dir / "h.csv", p.density.grid_x, p.density.grid_y, report.at_p_star.h)
 
-    f1, _ = marginals_2d(f)
-    _, f2 = marginals_2d(f_tilde)
+    f1, f2 = p.target_row_marginal, p.target_col_marginal
     independent = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
     el_independent = euler_lagrange_residual(f, f_tilde, independent, report.fields).interior_l2
     body = {

@@ -1,11 +1,11 @@
-"""Discrete probability densities on rectangular grids.
+"""Discrete probability densities on rectangular grids, and 1-D laws as quantile tables.
 
 Densities are cell-centered and piecewise constant: a grid of strictly
 increasing node coordinates (cell edges) and one nonnegative value per cell.
-CDFs built from them are piecewise linear in the nodes; their left-continuous
-inverses (quantile functions) are evaluated exactly by inverting each linear
-ramp. Atomic distributions are supported through step-interpolated CDFs,
-whose inverses are the same kind of table with one flat ramp per atom, so one
+Every 1-D law is held as a `QuantileTable`, the left-continuous inverse of
+its CDF sampled at the CDF's own levels. A density's CDF is piecewise linear
+in the nodes, so `QuantileTable.from_density` inverts it exactly ramp by
+ramp; `QuantileTable.from_atoms` gives each atom one flat ramp, so one
 quantile routine serves both.
 """
 
@@ -144,85 +144,13 @@ class DiscreteDensity2D:
 
 
 @dataclass(frozen=True)
-class CDF1D:
-    """Cumulative distribution sampled at the grid nodes.
-
-    kind='linear': piecewise-linear CDF of a cell-centered density.
-    kind='step':   atomic distribution; the mass between node i-1 and node i
-                   sits as an atom at node i, so the first node is a sentinel
-                   below the support and cum[0] = 0 still holds.
-    """
-
-    grid: Grid1D
-    cum: np.ndarray
-    kind: str = "linear"
-
-    def __post_init__(self):
-        cum = np.asarray(self.cum, dtype=float)
-        object.__setattr__(self, "cum", cum)
-        if self.kind not in ("linear", "step"):
-            raise ValueError(f"unknown CDF kind {self.kind!r}")
-        if cum.shape != self.grid.nodes.shape:
-            raise ValueError("cum must have one entry per node")
-        if np.any(np.diff(cum) < 0):
-            raise ValueError("cum must be nondecreasing")
-        if cum[0] != 0.0 or cum[-1] != 1.0:
-            raise ValueError("cum must run exactly from 0 to 1")
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        if self.kind == "step":
-            idx = np.searchsorted(self.grid.nodes, x, side="right") - 1
-            return self.cum[np.clip(idx, 0, self.cum.size - 1)]
-        return np.interp(x, self.grid.nodes, self.cum)
-
-    @staticmethod
-    def from_atoms(positions: np.ndarray, masses: np.ndarray) -> "CDF1D":
-        """Step CDF of an atomic distribution (sentinel node prepended)."""
-        positions = np.asarray(positions, dtype=float)
-        masses = np.asarray(masses, dtype=float)
-        order = np.argsort(positions, kind="stable")
-        positions, masses = positions[order], masses[order]
-        if np.any(masses < 0):
-            raise ValueError("atom masses must be nonnegative")
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        if cum[-1] <= 0:
-            raise ValueError("atoms carry no mass")
-        cum /= cum[-1]  # by the cumsum's own total: no entry exceeds the last, which is 1
-        span = positions[-1] - positions[0] if positions.size > 1 else 1.0
-        sentinel = positions[0] - max(span, 1.0)
-        nodes = np.concatenate([[sentinel], positions])
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("atom positions must be distinct")
-        return CDF1D(Grid1D(nodes), cum, kind="step")
-
-
-def build_cdf(d: DiscreteDensity1D) -> CDF1D:
-    """Prefix-sum CDF of a cell-centered density, exact at the nodes."""
-    cum = np.concatenate([[0.0], np.cumsum(d.cell_masses)])
-    cum /= cum[-1]  # kill roundoff: x / x == 1 exactly
-    return CDF1D(d.grid, cum, kind="linear")
-
-
-def quantile(c: CDF1D, t: np.ndarray | float) -> np.ndarray | float:
-    """Left-continuous inverse inf{x : F(x) >= t}, vectorized over t.
-
-    Evaluated through `QuantileTable.from_cdf(c)`: exact for piecewise-linear
-    F, and the atom position, left-continuous at the jump levels, for step F.
-    Raises for t outside (0, 1].
-    """
-    t_arr = np.asarray(t, dtype=float)
-    out = QuantileTable.from_cdf(c)(t_arr)
-    return float(out) if t_arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
 class QuantileTable:
     """Left-continuous inverse CDFs as one stacked lookup table.
 
     Row s of probs runs 0 to 1 and row s of values holds the matching
     positions; 1-D probs and values make a one-row table. Evaluation inverts
-    each row ramp by ramp and therefore reproduces `quantile` exactly when a
-    row is built from a CDF's own levels.
+    each row ramp by ramp, exactly for a CDF that is linear between the
+    row's levels.
     """
 
     probs: np.ndarray   # (S, K)
@@ -283,18 +211,40 @@ class QuantileTable:
         return val.reshape(t_arr.shape), slope.reshape(t_arr.shape)
 
     @staticmethod
-    def from_cdf(c: CDF1D) -> "QuantileTable":
-        """One-row table of F's inverse; a step CDF gets one flat ramp per atom.
+    def from_density(d: DiscreteDensity1D) -> "QuantileTable":
+        """One-row table of the inverse of d's piecewise-linear CDF, exact at the nodes."""
+        cum = np.concatenate([[0.0], np.cumsum(d.cell_masses)])
+        cum /= cum[-1]  # kill roundoff: x / x == 1 exactly
+        return QuantileTable(cum, d.grid.nodes)
 
-        The atom at node i spans the levels cum[i-1] to cum[i]; the sentinel
-        node 0 is never a value.
+    @staticmethod
+    def from_atoms(positions: np.ndarray, masses: np.ndarray) -> "QuantileTable":
+        """One-row table of an atomic law's inverse CDF: one flat ramp per atom.
+
+        The k-th atom in position order spans the levels from the mass below
+        it to the mass up to and including it, so a level hit exactly returns
+        the lower atom (left continuity).
         """
-        if c.kind == "linear":
-            return QuantileTable(c.cum, c.grid.nodes)
-        return QuantileTable(np.repeat(c.cum, 2)[1:-1], np.repeat(c.grid.nodes[1:], 2))
+        positions = np.asarray(positions, dtype=float)
+        masses = np.asarray(masses, dtype=float)
+        if positions.ndim != 1 or masses.shape != positions.shape:
+            raise ValueError("atom positions and masses must be 1-D arrays of one length")
+        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(masses))):
+            raise ValueError("atom positions and masses must be finite")
+        order = np.argsort(positions, kind="stable")
+        positions, masses = positions[order], masses[order]
+        if np.any(masses < 0):
+            raise ValueError("atom masses must be nonnegative")
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        if cum[-1] <= 0:
+            raise ValueError("atoms carry no mass")
+        cum /= cum[-1]  # by the cumsum's own total: no entry exceeds the last, which is 1
+        if np.any(np.diff(positions) <= 0):
+            raise ValueError("atom positions must be distinct")
+        return QuantileTable(np.repeat(cum, 2)[1:-1], np.repeat(positions, 2))
 
 
-def w2_squared_1d(F: CDF1D, G: CDF1D) -> float:
+def w2_squared_1d(qf: QuantileTable, qg: QuantileTable) -> float:
     """Exact squared quantile distance: the integral of (F^{-1} - G^{-1})^2 over (0, 1).
 
     Both inverses are linear between their table levels (flat for atoms), so
@@ -304,9 +254,11 @@ def w2_squared_1d(F: CDF1D, G: CDF1D) -> float:
     The inverses are read at the piece's upper level, where each
     left-continuous lookup returns the ramp that covers the piece, and d is
     carried back to m along the slopes; so a quantile jump at a merged level
-    costs nothing, and repeated levels make no piece.
+    costs nothing, and repeated levels make no piece. Both tables must have
+    one row.
     """
-    qf, qg = QuantileTable.from_cdf(F), QuantileTable.from_cdf(G)
+    if qf.probs.shape[0] != 1 or qg.probs.shape[0] != 1:
+        raise ValueError("w2_squared_1d needs one-row tables")
     # a sort, not np.unique: numpy 2.4 imports numpy.ma on its first use (about 1 MB RSS)
     knots = np.sort(np.concatenate([qf.probs[0], qg.probs[0]]))
     piece = np.diff(knots) > 0
@@ -335,4 +287,5 @@ def per_axis_w2_sum(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> float:
     """Sum over both axes of the exact squared quantile distance between the marginals."""
     f1, f2 = marginals_2d(f)
     g1, g2 = marginals_2d(f_tilde)
-    return w2_squared_1d(build_cdf(f1), build_cdf(g1)) + w2_squared_1d(build_cdf(f2), build_cdf(g2))
+    q = QuantileTable.from_density
+    return w2_squared_1d(q(f1), q(g1)) + w2_squared_1d(q(f2), q(g2))

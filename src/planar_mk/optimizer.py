@@ -195,10 +195,13 @@ def feasible_direction(
 
     Row and column sums vanish identically. With cell_areas given, the
     pattern is divided by the areas so the zero sums hold in mass terms on
-    nonuniform grids as well (identical on unit-cell grids).
+    nonuniform grids as well (identical on unit-cell grids). Raises for a
+    degenerate rectangle and for an index outside the grid.
     """
     if a == a1 or b == b1:
         raise ValueError("degenerate rectangle: need a != a1 and b != b1")
+    if not (0 <= a < shape[0] and 0 <= a1 < shape[0] and 0 <= b < shape[1] and 0 <= b1 < shape[1]):
+        raise ValueError(f"bump indices ({a}, {a1}, {b}, {b1}) lie outside the {shape} grid")
     d = np.zeros(shape)
     d[a, b] = 1.0
     d[a1, b1] = 1.0

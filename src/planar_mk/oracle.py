@@ -235,6 +235,8 @@ def comonotone_plan_1d(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarra
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if x.ndim != 1 or a.shape != x.shape or y.ndim != 1 or b.shape != y.shape:
+        raise ValueError("atom positions and masses must be 1-D arrays of one length per side")
     if abs(a.sum() - 1.0) > _BALANCE_TOL or abs(b.sum() - 1.0) > _BALANCE_TOL:
         raise UnbalancedInstanceError("atom masses must each sum to 1")
     ox = np.argsort(x, kind="stable")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingDensity, as_density, check_coupling_side
-from .measures import CDF1D, DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
+from .measures import DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
 
 
 class DegenerateSliceError(ValueError):
@@ -47,19 +47,6 @@ def _conditional_cums(d: DiscreteDensity2D, condition_axis: str) -> tuple[Grid1D
     cums[:, 1:] /= totals[:, None]
     cums[:, -1] = 1.0
     return grid, cums
-
-
-def conditional_cdf(d: DiscreteDensity2D, condition_axis: str, cell_index: int) -> CDF1D:
-    """CDF of one variable given that the other lies in a fixed cell.
-
-    condition_axis='x' conditions on an x-cell and returns the CDF along y;
-    'y' the transpose. The slice is normalized by its own mass. This is one
-    row of the table that `conditional_quantile_field` inverts.
-    """
-    grid, cums = _conditional_cums(d, condition_axis)
-    if not 0 <= cell_index < cums.shape[0]:
-        raise IndexError(f"{condition_axis}-cell {cell_index} out of range")
-    return CDF1D(grid, cums[cell_index], kind="linear")
 
 
 @dataclass(frozen=True)

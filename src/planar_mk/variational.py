@@ -226,19 +226,24 @@ def euler_lagrange_residual(
 
 Scalar2D = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# Gauss-Legendre nodes per axis of each square mean
+_SQUARE_NODES = 12
+# half-step of lemma 2's central cross difference
+_FD_DELTA = 1e-4
+
 
 @lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_SQUARE_NODES)
 
 
-def _mean_over_square(beta: Scalar2D, x0: float, y0: float, eps: float, n_nodes: int) -> float:
+def _mean_over_square(beta: Scalar2D, x0: float, y0: float, eps: float) -> float:
     """(1/eps^2) * integral of beta over [x0, x0+eps] x [y0, y0+eps]."""
-    t, w = _leggauss(n_nodes)
+    t, w = _leggauss()
     xs = x0 + 0.5 * eps * (t + 1.0)
     ys = y0 + 0.5 * eps * (t + 1.0)
     B = np.asarray(beta(xs[:, None], ys[None, :]), dtype=float)
-    B = np.broadcast_to(B, (n_nodes, n_nodes))
+    B = np.broadcast_to(B, (_SQUARE_NODES, _SQUARE_NODES))
     return float(0.25 * (w @ B @ w))
 
 
@@ -276,7 +281,6 @@ def lemma1_checker(
     a: float,
     b: float,
     eps_sequence: Sequence[float] | None = None,
-    n_nodes: int = 12,
 ) -> LimitReport:
     """Shrinking-square means of beta about (a, b); the limit is beta(a, b)."""
     if eps_sequence is None:
@@ -284,7 +288,7 @@ def lemma1_checker(
     eps = np.asarray(list(eps_sequence), dtype=float)
     if eps.size < 2 or np.any(np.diff(eps) >= 0):
         raise ValueError("eps_sequence must be decreasing with at least two entries")
-    values = np.array([_mean_over_square(beta, a, b, e, n_nodes) for e in eps])
+    values = np.array([_mean_over_square(beta, a, b, e) for e in eps])
     limit = _extrapolate_to_zero(eps, values)
     return LimitReport(eps, values, limit, _observed_order(eps, values, limit))
 
@@ -304,8 +308,6 @@ def lemma2_checker(
     a: float,
     b: float,
     schedule: Lemma2Schedule | None = None,
-    n_nodes: int = 12,
-    fd_delta: float = 1e-4,
 ) -> LimitReport:
     """Four-corner rectangle quotient converging to the mixed derivative.
 
@@ -321,15 +323,15 @@ def lemma2_checker(
         b1 = b + d
         eps = sched.theta**2 * d
         alt = (
-            _mean_over_square(beta, a, b, eps, n_nodes)
-            + _mean_over_square(beta, a1, b1, eps, n_nodes)
-            - _mean_over_square(beta, a1, b, eps, n_nodes)
-            - _mean_over_square(beta, a, b1, eps, n_nodes)
+            _mean_over_square(beta, a, b, eps)
+            + _mean_over_square(beta, a1, b1, eps)
+            - _mean_over_square(beta, a1, b, eps)
+            - _mean_over_square(beta, a, b1, eps)
         )
         values.append(alt / ((a1 - a) * (b1 - b)))
     values = np.asarray(values)
     limit = _extrapolate_to_zero(ds, values)
-    d = fd_delta
+    d = _FD_DELTA
     fd = (
         float(beta(np.array(a + d), np.array(b + d)))
         - float(beta(np.array(a + d), np.array(b - d)))

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from planar_mk.instances import gaussian_2d, shifted_density_2d, smooth_random_density_2d
-from planar_mk.measures import DiscreteDensity2D, Grid1D, marginals_2d
+from planar_mk.measures import DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
 from planar_mk.optimizer import ipfp_project
+
+
+def density_cdf(d, x):
+    """Forward piecewise-linear CDF of a 1-D density at x, read off its quantile table."""
+    table = QuantileTable.from_density(d)
+    return np.interp(x, table.values[0], table.probs[0])
 
 
 @pytest.fixture

@@ -23,10 +23,9 @@ from planar_mk.instances import (
     smooth_random_density_2d,
 )
 from planar_mk.measures import (
-    CDF1D,
     DiscreteDensity2D,
     Grid1D,
-    build_cdf,
+    QuantileTable,
     marginals_2d,
     w2_squared_1d,
 )
@@ -73,7 +72,7 @@ def test_criterion_1_one_dimensional_optimality():
         lp = solve_lp(TransportInstance(a, b, cost))
         como = comonotone_plan_1d(x, a, y, b)
         worst_lp = max(worst_lp, abs(lp.objective - como.objective))
-        w2 = w2_squared_1d(CDF1D.from_atoms(x, a), CDF1D.from_atoms(y, b))
+        w2 = w2_squared_1d(QuantileTable.from_atoms(x, a), QuantileTable.from_atoms(y, b))
         worst_w2 = max(worst_w2, abs(w2 - lp.objective))
     elapsed = time.perf_counter() - t0
     ok = worst_lp <= 1e-9 and worst_w2 <= 1e-6 and elapsed < 10.0
@@ -166,7 +165,8 @@ def test_criterion_4_reduction_equivalence():
     f_prod = product_density_2d(u1, u2)
     ft_prod = product_density_2d(v1, v2)
     report16 = solve(f_prod, ft_prod, SolverConfig(max_iters=3000))
-    w2sum = w2_squared_1d(build_cdf(u1), build_cdf(v1)) + w2_squared_1d(build_cdf(u2), build_cdf(v2))
+    q = QuantileTable.from_density
+    w2sum = w2_squared_1d(q(u1), q(v1)) + w2_squared_1d(q(u2), q(v2))
     rel = abs(report16.L_final - w2sum) / w2sum
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-3 and rel <= 0.02 and elapsed < 300.0

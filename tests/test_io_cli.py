@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import planar_mk
 from conftest import shift_pair
-from planar_mk import cli, reduction
+from planar_mk import cli, measures, reduction
 from planar_mk.cli import main
 from planar_mk.density_io import (
     DensityFormatError,
@@ -225,23 +225,36 @@ class TestCliSolve:
         # check-el evaluates once at p; compare and solve build the descent's
         # fields, and the residual's pass at p* (which gives L_p_star) and
         # solve's independent-coupling baseline reuse them. g.csv and h.csv
-        # come from the pass at p*.
+        # come from the pass at p*. solve takes each density's marginals four
+        # times, not five: its baseline reads the ones solve() stored on p*.
         fa, fb = write_pair(tmp_path, seed=3)
-        builds = []
+        builds, marginal_calls = [], []
         original = reduction.conditional_quantile_field
+        original_marginals = measures.marginals_2d
 
         def spy(d, condition_axis):
             builds.append(condition_axis)
             return original(d, condition_axis)
 
+        def marginals_spy(d):
+            marginal_calls.append(id(d))
+            return original_marginals(d)
+
         for name, module in list(sys.modules.items()):
-            if name.startswith("planar_mk") and getattr(module, "conditional_quantile_field", None) is original:
+            if not name.startswith("planar_mk"):
+                continue
+            if getattr(module, "conditional_quantile_field", None) is original:
                 monkeypatch.setattr(module, "conditional_quantile_field", spy)
+            if getattr(module, "marginals_2d", None) is original_marginals:
+                monkeypatch.setattr(module, "marginals_2d", marginals_spy)
         out = tmp_path / "out"
-        for command, expected in (("check-el", 2), ("compare", 2), ("solve", 2)):
+        for command, marginals_per_density in (("check-el", 2), ("compare", 2), ("solve", 4)):
             builds.clear()
+            marginal_calls.clear()
             assert main([command, "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
-            assert len(builds) == expected and builds.count("x") == builds.count("y"), (command, builds)
+            assert len(builds) == 2 and builds.count("x") == builds.count("y"), (command, builds)
+            per_density = sorted(marginal_calls.count(key) for key in set(marginal_calls))
+            assert per_density == [marginals_per_density] * 2, (command, per_density)
         monkeypatch.undo()
         f, f_tilde = read_density(fa), read_density(fb)
         p = solve(f, f_tilde, SolverConfig()).p_star

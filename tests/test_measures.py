@@ -3,18 +3,19 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import density_cdf
 from planar_mk.measures import (
-    CDF1D,
     DiscreteDensity1D,
     DiscreteDensity2D,
     Grid1D,
     QuantileTable,
-    build_cdf,
     marginals_2d,
-    quantile,
     w2_squared_1d,
 )
 from planar_mk.oracle import TransportInstance, comonotone_plan_1d, solve_lp
+
+density_table = QuantileTable.from_density
+atom_table = QuantileTable.from_atoms
 
 
 def uniform_density(n, lo=0.0, hi=1.0):
@@ -37,9 +38,36 @@ def atoms(draw):
     return 1e-6 * np.array(x, dtype=float), np.array(m)
 
 
-def _searchsorted_step_quantile(c, t):
-    """Reference for step CDFs: the first node whose cumulative mass reaches t."""
-    return c.grid.nodes[np.searchsorted(c.cum, t, side="left")]
+def _atom_levels(x, m):
+    """Atoms in position order and their cumulative masses, normalized by the last."""
+    order = np.argsort(x, kind="stable")
+    cum = np.concatenate([[0.0], np.cumsum(m[order])])
+    return x[order], cum / cum[-1]
+
+
+def _searchsorted_step_quantile(x, m, t):
+    """Reference for atoms: the first atom whose cumulative mass reaches t."""
+    xs, cum = _atom_levels(x, m)
+    return xs[np.searchsorted(cum, t, side="left") - 1]
+
+
+def _legacy_density_table(d):
+    """The table the former prefix-sum CDF of d inverted to: its levels over the nodes."""
+    cum = np.concatenate([[0.0], np.cumsum(d.cell_masses)])
+    cum /= cum[-1]
+    return QuantileTable(cum, d.grid.nodes)
+
+
+def _legacy_atom_table(x, m):
+    """The table the former step CDF inverted to: a sentinel node below the
+    atoms carried level 0, and the atom at node i spanned levels cum[i-1] to cum[i]."""
+    order = np.argsort(x, kind="stable")
+    x, m = x[order], m[order]
+    cum = np.concatenate([[0.0], np.cumsum(m)])
+    cum /= cum[-1]
+    span = x[-1] - x[0] if x.size > 1 else 1.0
+    nodes = np.concatenate([[x[0] - max(span, 1.0)], x])
+    return QuantileTable(np.repeat(cum, 2)[1:-1], np.repeat(nodes[1:], 2))
 
 
 class TestGrid:
@@ -60,17 +88,19 @@ class TestGrid:
 class TestBuildCdf:
     def test_two_equal_cells(self):
         d = uniform_density(2)
-        assert np.allclose(build_cdf(d).cum, [0.0, 0.5, 1.0])
+        assert np.allclose(density_table(d).probs, [0.0, 0.5, 1.0])
 
     def test_single_cell(self):
         d = uniform_density(1)
-        assert np.allclose(build_cdf(d).cum, [0.0, 1.0])
+        assert np.allclose(density_table(d).probs, [0.0, 1.0])
 
     def test_linear_density_prefix_sums(self):
         # f(x) = 2x on [0,1], 4 cells, midpoint masses 1/16, 3/16, 5/16, 7/16
         g = Grid1D.uniform(0.0, 1.0, 4)
         d = DiscreteDensity1D.from_values(g, 2.0 * g.centers)
-        assert np.allclose(build_cdf(d).cum, [0.0, 1 / 16, 4 / 16, 9 / 16, 1.0], atol=1e-12)
+        table = density_table(d)
+        assert np.allclose(table.probs, [0.0, 1 / 16, 4 / 16, 9 / 16, 1.0], atol=1e-12)
+        assert np.array_equal(table.values[0], g.nodes)
 
     def test_density_mass_validation(self):
         g = Grid1D.uniform(0.0, 1.0, 2)
@@ -89,20 +119,57 @@ class TestBuildCdf:
         with pytest.raises(ValueError, match="finite"):
             DiscreteDensity2D.from_values(g, g, np.array([[bad, 1.0], [1.0, 1.0]]))
 
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_from_density_matches_the_prefix_sum_table(self, seed, n):
+        rng = np.random.default_rng(seed)
+        g = Grid1D(np.cumsum(np.r_[rng.uniform(-1.0, 1.0), rng.uniform(0.01, 1.0, n)]))
+        d = DiscreteDensity1D.from_values(g, rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7))
+        table, legacy = density_table(d), _legacy_density_table(d)
+        assert np.array_equal(table.probs, legacy.probs) and np.array_equal(table.values, legacy.values)
+
 
 class TestQuantile:
     def test_left_continuity_at_atom(self):
-        c = CDF1D.from_atoms(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        assert quantile(c, 0.5) == 0.0
-        assert quantile(c, 0.500001) == 1.0
-        assert quantile(c, 1.0) == 1.0
+        table = atom_table(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        assert table(0.5) == 0.0
+        assert table(0.500001) == 1.0
+        assert table(1.0) == 1.0
 
     @given(atoms(), st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=50))
     @settings(max_examples=100, deadline=None, phases=_NO_EXPLAIN)
     def test_step_quantile_matches_searchsorted_bit_for_bit(self, case, levels):
-        c = CDF1D.from_atoms(*case)
-        for t in (np.array(levels), c.cum[c.cum > 0]):
-            assert np.array_equal(quantile(c, t), _searchsorted_step_quantile(c, t))
+        table = atom_table(*case)
+        cum = _atom_levels(*case)[1]
+        for t in (np.array(levels), cum[cum > 0]):
+            assert np.array_equal(table(t), _searchsorted_step_quantile(*case, t))
+
+    @given(atoms())
+    @example((np.array([3.0, -1.0, 2.0]), np.array([0.0, 1e-16, 0.5])))
+    @settings(max_examples=100, deadline=None, phases=_NO_EXPLAIN)
+    def test_from_atoms_matches_the_sentinel_step_table(self, case):
+        table, legacy = atom_table(*case), _legacy_atom_table(*case)
+        assert np.array_equal(table.probs, legacy.probs) and np.array_equal(table.values, legacy.values)
+
+    @pytest.mark.parametrize(
+        "x, m",
+        [
+            ([0.0, 1.0], [0.2, 0.3, 0.5]),
+            ([0.0, 1.0, 2.0], [0.5, 0.5]),
+            ([[0.0, 1.0]], [[0.5, 0.5]]),
+            (0.0, 1.0),
+        ],
+    )
+    def test_from_atoms_rejects_mismatched_shapes(self, x, m):
+        with pytest.raises(ValueError, match="one length"):
+            atom_table(np.array(x), np.array(m))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_from_atoms_rejects_non_finite_atoms(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            atom_table(np.array([0.0, bad]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            atom_table(np.array([0.0, 1.0]), np.array([0.5, bad]))
 
     def test_from_atoms_normalizes_by_its_own_cumulative_total(self):
         # the pairwise total of these masses rounds below their cumulative
@@ -110,26 +177,26 @@ class TestQuantile:
         x = np.arange(9.0)
         head = [0.36, 0.76, 0.03, 0.45, 0.37, 0.48, 0.13, 0.22]
         for last in (0.0, 1e-16):
-            c = CDF1D.from_atoms(x, np.array(head + [last]))
-            assert np.all(np.diff(c.cum) >= 0) and c.cum[-1] == 1.0
+            probs = atom_table(x, np.array(head + [last])).probs[0]
+            assert np.all(np.diff(probs) >= 0) and probs[-1] == 1.0
 
     def test_identity_on_uniform(self):
-        c = build_cdf(uniform_density(8))
-        assert quantile(c, 0.25) == pytest.approx(0.25, abs=1e-14)
+        table = density_table(uniform_density(8))
+        assert table(0.25) == pytest.approx(0.25, abs=1e-14)
 
     def test_sqrt_inverse_of_linear_density(self):
         # F(x) = x^2 in the continuum, so F^{-1}(1/4) = 1/2; exact on this grid
         g = Grid1D.uniform(0.0, 1.0, 4)
         d = DiscreteDensity1D.from_values(g, 2.0 * g.centers)
-        c = build_cdf(d)
-        assert quantile(c, 0.25) == pytest.approx(0.5, abs=0.05)
-        assert quantile(c, 0.5625) == pytest.approx(0.75, abs=0.05)
+        table = density_table(d)
+        assert table(0.25) == pytest.approx(0.5, abs=0.05)
+        assert table(0.5625) == pytest.approx(0.75, abs=0.05)
 
     @pytest.mark.parametrize("t", [0.0, -0.5, 1.0000001, np.nan])
     def test_domain_errors(self, t):
-        c = build_cdf(uniform_density(4))
+        table = density_table(uniform_density(4))
         with pytest.raises(ValueError):
-            quantile(c, t)
+            table(t)
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=40))
     @settings(max_examples=50, deadline=None)
@@ -137,34 +204,24 @@ class TestQuantile:
         g = Grid1D.uniform(0.0, 1.0, 6)
         rng = np.random.default_rng(0)
         d = DiscreteDensity1D.from_values(g, rng.uniform(0.1, 1.0, 6))
-        c = build_cdf(d)
         t = np.sort(np.asarray(levels))
-        q = quantile(c, t)
+        q = density_table(d)(t)
         assert np.all(np.diff(q) >= -1e-14)
 
     def test_round_trip_within_two_cells(self):
         rng = np.random.default_rng(1)
         g = Grid1D.uniform(-1.0, 2.0, 16)
         d = DiscreteDensity1D.from_values(g, rng.uniform(0.05, 1.0, 16))
-        c = build_cdf(d)
+        table = density_table(d)
         xs = np.linspace(-0.9, 1.9, 37)
-        ts = np.clip(c(xs), 1e-12, 1.0)
-        back = quantile(c, ts)
+        ts = np.clip(density_cdf(d, xs), 1e-12, 1.0)
+        back = table(ts)
         assert np.max(np.abs(back - xs)) <= 2 * g.cell_widths.max() + 1e-12
-
-    def test_quantile_table_matches_quantile(self):
-        rng = np.random.default_rng(2)
-        g = Grid1D.uniform(0.0, 1.0, 9)
-        d = DiscreteDensity1D.from_values(g, rng.uniform(0.05, 1.0, 9))
-        c = build_cdf(d)
-        table = QuantileTable.from_cdf(c)
-        t = rng.uniform(0.01, 1.0, 100)
-        assert np.allclose(table(t), quantile(c, t), atol=0)
 
     def test_quantile_table_slope_is_inverse_density(self):
         g = Grid1D.uniform(0.0, 1.0, 4)
         d = DiscreteDensity1D.from_values(g, np.array([0.5, 1.5, 1.0, 1.0]))
-        table = QuantileTable.from_cdf(build_cdf(d))
+        table = density_table(d)
         # inside the first ramp the slope is 1/f = 1/0.5
         _, slope = table.value_and_slope(np.array([0.05]))
         assert slope[0] == pytest.approx(2.0)
@@ -225,8 +282,8 @@ class TestStackedQuantileTable:
 
 class TestW2:
     def test_identical_marginals(self):
-        c = build_cdf(uniform_density(5))
-        assert w2_squared_1d(c, c) == 0.0
+        table = density_table(uniform_density(5))
+        assert w2_squared_1d(table, table) == 0.0
 
     def test_uniforms_on_unaligned_grids(self):
         # U(0,1) on 3 cells vs U(-1,3) on 5: the quantile difference is
@@ -234,12 +291,12 @@ class TestW2:
         # differences alone would give less
         a = uniform_density(3)
         b = uniform_density(5, -1.0, 3.0)
-        assert abs(w2_squared_1d(build_cdf(a), build_cdf(b)) - 1.0) <= 1e-14
+        assert abs(w2_squared_1d(density_table(a), density_table(b)) - 1.0) <= 1e-14
 
     def test_point_masses(self):
-        c0 = CDF1D.from_atoms(np.array([0.0]), np.array([1.0]))
-        c1 = CDF1D.from_atoms(np.array([1.0]), np.array([1.0]))
-        assert w2_squared_1d(c0, c1) == pytest.approx(1.0, abs=1e-14)
+        q0 = atom_table(np.array([0.0]), np.array([1.0]))
+        q1 = atom_table(np.array([1.0]), np.array([1.0]))
+        assert w2_squared_1d(q0, q1) == pytest.approx(1.0, abs=1e-14)
 
     def test_uniform_atom_shift_against_lp(self):
         # uniform atoms {0,1,2} vs {1,2,3}: LP oracle gives cost 1
@@ -248,7 +305,7 @@ class TestW2:
         m = np.full(3, 1 / 3)
         lp = solve_lp(TransportInstance(m, m, (x[:, None] - y[None, :]) ** 2))
         assert lp.objective == pytest.approx(1.0, abs=1e-12)
-        w2 = w2_squared_1d(CDF1D.from_atoms(x, m), CDF1D.from_atoms(y, m))
+        w2 = w2_squared_1d(atom_table(x, m), atom_table(y, m))
         assert w2 == pytest.approx(lp.objective, abs=1e-9)
 
     @given(st.integers(0, 2**31 - 1))
@@ -258,9 +315,9 @@ class TestW2:
         g = Grid1D.uniform(0.0, 1.0, 6)
         a = DiscreteDensity1D.from_values(g, rng.uniform(0.05, 1.0, 6))
         b = DiscreteDensity1D.from_values(g, rng.uniform(0.05, 1.0, 6))
-        ca, cb = build_cdf(a), build_cdf(b)
-        w_ab = w2_squared_1d(ca, cb)
-        w_ba = w2_squared_1d(cb, ca)
+        qa, qb = density_table(a), density_table(b)
+        w_ab = w2_squared_1d(qa, qb)
+        w_ba = w2_squared_1d(qb, qa)
         assert w_ab >= 0.0
         assert w_ab == pytest.approx(w_ba, rel=1e-12, abs=1e-15)
 
@@ -269,14 +326,14 @@ class TestW2:
         rng = np.random.default_rng(3)
         a = DiscreteDensity1D.from_values(g, rng.uniform(0.1, 1.0, 6))
         b = DiscreteDensity1D.from_values(g, a.values + 0.2 * rng.uniform(0.1, 1.0, 6))
-        assert w2_squared_1d(build_cdf(a), build_cdf(a)) == 0.0
-        assert w2_squared_1d(build_cdf(a), build_cdf(b)) > 1e-8
+        assert w2_squared_1d(density_table(a), density_table(a)) == 0.0
+        assert w2_squared_1d(density_table(a), density_table(b)) > 1e-8
 
     def test_unaligned_atoms_converge_like_inverse_quadrature(self):
         # atoms {0,1} w (1/3,2/3) vs {0.5,2} w (0.6,0.4): exact value 0.55,
         # with one quantile jump at a level no lattice k/n hits
-        F = CDF1D.from_atoms(np.array([0.0, 1.0]), np.array([1 / 3, 2 / 3]))
-        G = CDF1D.from_atoms(np.array([0.5, 2.0]), np.array([0.6, 0.4]))
+        F = atom_table(np.array([0.0, 1.0]), np.array([1 / 3, 2 / 3]))
+        G = atom_table(np.array([0.5, 2.0]), np.array([0.6, 0.4]))
         lp = solve_lp(
             TransportInstance(
                 np.array([1 / 3, 2 / 3]),
@@ -292,11 +349,18 @@ class TestW2:
     @settings(max_examples=100, deadline=None, phases=_NO_EXPLAIN)
     def test_exact_on_unaligned_atoms(self, xa, yb):
         (x, a), (y, b) = xa, yb
-        F, G = CDF1D.from_atoms(x, a), CDF1D.from_atoms(y, b)
+        F, G = atom_table(x, a), atom_table(y, b)
         w2 = w2_squared_1d(F, G)
         assert w2 == w2_squared_1d(G, F)
         como = comonotone_plan_1d(x, a / a.sum(), y, b / b.sum())
         assert abs(w2 - como.objective) <= 1e-12
+
+    def test_needs_one_row_tables(self):
+        one = density_table(uniform_density(2))
+        two = QuantileTable(np.array([[0.0, 0.5, 1.0]] * 2), np.array([[0.0, 0.5, 1.0]] * 2))
+        for qf, qg in ((one, two), (two, one)):
+            with pytest.raises(ValueError, match="one-row"):
+                w2_squared_1d(qf, qg)
 
 
 class TestMarginals:

@@ -167,6 +167,12 @@ class TestFeasibleDirection:
         with pytest.raises(ValueError):
             feasible_direction((3, 3), 1, 1, 0, 2)
 
+    @pytest.mark.parametrize("a, a1, b, b1", [(2, -1, 0, 1), (0, 1, -3, 2), (0, 3, 0, 1), (0, 1, 1, 3)])
+    def test_indices_outside_the_grid_rejected(self, a, a1, b, b1):
+        # -1 would wrap to row 2 and stack both rows of the bump there
+        with pytest.raises(ValueError, match="outside"):
+            feasible_direction((3, 3), a, a1, b, b1)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_row_and_column_sums(self, seed):
         rng = np.random.default_rng(seed)

@@ -210,6 +210,14 @@ class TestComonotone:
         plan = comonotone_plan_1d(x, m, y, m)
         assert plan.objective == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_mismatched_lengths_rejected(self, side):
+        # a surplus mass used to be dropped, leaving a plan of total mass 0.5
+        short, full = (np.array([0.0, 1.0]), np.array([0.2, 0.3, 0.5])), (np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        x, a, y, b = (*short, *full) if side == "source" else (*full, *short)
+        with pytest.raises(ValueError, match="one length"):
+            comonotone_plan_1d(x, a, y, b)
+
 
 class TestFull2D:
     def test_identical_densities(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_smooth_feasible_coupling
+from conftest import density_cdf, make_smooth_feasible_coupling
 from planar_mk.coupling import FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
@@ -14,9 +14,8 @@ from planar_mk.measures import (
     DiscreteDensity1D,
     DiscreteDensity2D,
     Grid1D,
-    build_cdf,
+    QuantileTable,
     marginals_2d,
-    quantile,
 )
 from planar_mk.optimizer import ipfp_project
 from planar_mk.oracle import solve_full_2d
@@ -24,7 +23,6 @@ from planar_mk.reduction import (
     _slice_costs,
     build_g_map,
     build_h_map,
-    conditional_cdf,
     conditional_quantile_field,
     coupling_cost,
     pushforward_check,
@@ -44,29 +42,22 @@ class TestConditionalCdf:
         u = DiscreteDensity1D.from_values(g, rng.uniform(0.1, 1.0, 4))
         v = DiscreteDensity1D.from_values(g, rng.uniform(0.1, 1.0, 4))
         d = product_density_2d(u, v)
+        probs = conditional_quantile_field(d, "x").table.probs
         for i in range(4):
-            c = conditional_cdf(d, "x", i)
-            assert np.allclose(c.cum, build_cdf(v).cum, atol=1e-12)
+            assert np.allclose(probs[i], QuantileTable.from_density(v).probs[0], atol=1e-12)
 
     def test_hand_computed_2x2_slice(self):
         g = unit_cell_grid(2)
         d = DiscreteDensity2D(g, g, np.array([[0.4, 0.1], [0.2, 0.3]]))
-        c = conditional_cdf(d, "x", 0)
-        assert np.allclose(c.cum, [0.0, 0.8, 1.0])
-        c1 = conditional_cdf(d, "y", 1)
-        assert np.allclose(c1.cum, [0.0, 0.25, 1.0])
+        assert np.allclose(conditional_quantile_field(d, "x").table.probs[0], [0.0, 0.8, 1.0])
+        assert np.allclose(conditional_quantile_field(d, "y").table.probs[1], [0.0, 0.25, 1.0])
 
     def test_uniform_every_slice(self):
         g = Grid1D.uniform(0.0, 1.0, 5)
         d = DiscreteDensity2D(g, g, np.ones((5, 5)))
+        probs = conditional_quantile_field(d, "x").table.probs
         for i in range(5):
-            assert np.allclose(conditional_cdf(d, "x", i).cum, np.linspace(0, 1, 6))
-
-    def test_index_out_of_range(self):
-        g = Grid1D.uniform(0.0, 1.0, 3)
-        d = DiscreteDensity2D(g, g, np.ones((3, 3)))
-        with pytest.raises(IndexError):
-            conditional_cdf(d, "x", 3)
+            assert np.allclose(probs[i], np.linspace(0, 1, 6))
 
 
 class TestGMap:
@@ -86,10 +77,8 @@ class TestGMap:
         g = build_g_map(f, p)
         # g(x, y) = M^{-1}(N(y)) independent of x; the linear CDF evaluated at
         # a cell center is exactly the center mass level
-        cn = build_cdf(n)
-        cm = build_cdf(m)
-        levels = np.clip(np.asarray(cn(grid.centers)), 1e-15, 1)
-        expected = quantile(cm, levels)
+        levels = np.clip(density_cdf(n, grid.centers), 1e-15, 1)
+        expected = QuantileTable.from_density(m)(levels)
         for i in range(8):
             assert np.allclose(g[i, :], expected, atol=1e-12)
 
@@ -134,9 +123,8 @@ class TestHMap:
         p = product_density_2d(r, f2)
         h = build_h_map(f_tilde, p)
         # h(x, y) = Q^{-1}(R(x)) independent of y
-        cq, cr = build_cdf(q), build_cdf(r)
-        levels = np.clip(np.asarray(cr(grid.centers)), 1e-15, 1)
-        expected = quantile(cq, levels)
+        levels = np.clip(density_cdf(r, grid.centers), 1e-15, 1)
+        expected = QuantileTable.from_density(q)(levels)
         for j in range(8):
             assert np.allclose(h[:, j], expected, atol=1e-12)
 
@@ -202,9 +190,10 @@ class TestPushforward:
             binned = pushforward_check(f, p, build_g_map(f, p)).binned_masses
             axis, edges = "x", gy.nodes
         expected = np.zeros_like(binned)
+        table = conditional_quantile_field(f, axis).table
         for s in range(masses.shape[0]):
             levels = np.clip(np.cumsum(masses[s]) / masses[s].sum(), 1e-15, 1.0)
-            hi = quantile(conditional_cdf(f, axis, s), levels)
+            hi = QuantileTable(table.probs[s], table.values[s])(levels)
             lo = np.r_[edges[0], hi[:-1]]
             for a, b, m in zip(lo, hi, masses[s]):
                 for k in range(edges.size - 1):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_smooth_feasible_coupling, shift_pair
+from conftest import density_cdf, make_smooth_feasible_coupling, shift_pair
 from planar_mk.coupling import FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
@@ -9,13 +9,7 @@ from planar_mk.instances import (
     product_density_2d,
     smooth_random_density_2d,
 )
-from planar_mk.measures import (
-    DiscreteDensity2D,
-    Grid1D,
-    build_cdf,
-    marginals_2d,
-    quantile,
-)
+from planar_mk.measures import DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
 from planar_mk.optimizer import ipfp_project, project_zero_marginals, solve
 from planar_mk.reduction import build_g_map, build_h_map, conditional_quantile_field, coupling_cost
 from planar_mk.variational import (
@@ -150,9 +144,8 @@ class TestSimplifiedDerivatives:
         ft = product_density_2d(f1, n)
         p = product_density_2d(f1, n)
         phi_y, _ = simplified_cross_derivatives(f, ft, p)
-        cn, cm = build_cdf(n), build_cdf(m)
-        levels = np.clip(np.asarray(cn(grid.centers)), 1e-15, 1)
-        expected = 2.0 * (grid.centers - np.asarray(quantile(cm, levels)))
+        levels = np.clip(density_cdf(n, grid.centers), 1e-15, 1)
+        expected = 2.0 * (grid.centers - QuantileTable.from_density(m)(levels))
         for i in range(8):
             assert np.allclose(phi_y[i, :], expected, atol=1e-12)
 

@@ -56,13 +56,6 @@ def _write_report(out_dir: Path, body: dict, seconds: float) -> Path:
     return path
 
 
-def _load_density_2d(path: str) -> DiscreteDensity2D:
-    d = read_density(path)
-    if not isinstance(d, DiscreteDensity2D):
-        raise DensityFormatError(f"{path}: expected a 2-D density")
-    return d
-
-
 def _grid_spec(d: DiscreteDensity2D) -> dict:
     return {"x": grid_spec(d.grid_x), "y": grid_spec(d.grid_y)}
 
@@ -77,8 +70,8 @@ def _solve_pair(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, args) -> tuple
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    f = _load_density_2d(args.input_f)
-    f_tilde = _load_density_2d(args.input_g)
+    f = read_density(args.input_f)
+    f_tilde = read_density(args.input_g)
     config, report = _solve_pair(f, f_tilde, args)
 
     out_dir = Path(args.out_dir)
@@ -135,8 +128,8 @@ def cmd_oracle(args) -> int:
         plan = solve_lp(instance)
         body = {"command": "oracle", "mode": "lp"}
     else:
-        f = _load_density_2d(args.input_f)
-        f_tilde = _load_density_2d(args.input_g)
+        f = read_density(args.input_f)
+        f_tilde = read_density(args.input_g)
         result = solve_full_2d(f, f_tilde)
         plan, instance = result.plan, result.instance
         body = {"command": "oracle", "mode": "full_2d", "grid": _grid_spec(f)}
@@ -151,8 +144,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_check_el(args) -> int:
     t0 = time.perf_counter()
-    f = _load_density_2d(args.input_f)
-    f_tilde = _load_density_2d(args.input_g)
+    f = read_density(args.input_f)
+    f_tilde = read_density(args.input_g)
     f1, _ = marginals_2d(f)
     _, f2 = marginals_2d(f_tilde)
     if args.input_p:
@@ -224,8 +217,8 @@ def cmd_compare(args) -> int:
     tolerance = args.tolerance
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"--tolerance must be a finite number >= 0 (got {tolerance})")
-    f = _load_density_2d(args.input_f)
-    f_tilde = _load_density_2d(args.input_g)
+    f = read_density(args.input_f)
+    f_tilde = read_density(args.input_g)
     oracle_result = solve_full_2d(f, f_tilde)  # size check runs before the solve
     config, report = _solve_pair(f, f_tilde, args)
     L_p_star = report.at_p_star.L_value  # L at p_star itself; L_final is the iterate's before re-projection

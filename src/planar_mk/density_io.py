@@ -2,7 +2,7 @@
 
 JSON densities:
     {"grid_x": {"min": 0.0, "max": 1.0, "n": 16},
-     "grid_y": {"min": 0.0, "max": 1.0, "n": 16},   # omitted for 1-D
+     "grid_y": {"min": 0.0, "max": 1.0, "n": 16},
      "values": [...]}                                # row-major (x outer)
 
 CSV grids: the header row carries the y-cell edges (first field is a label),
@@ -10,7 +10,8 @@ each data row carries its left x-edge followed by the row of values, and a
 final short row carries the last x-edge. The format is self-contained. The
 writers' bytes are fixed (JSON in the `indent=1` layout with each float as
 its `repr`, CSV with every number as `%.17g`), and both round-trip every
-float64 exactly. Density ingestion floors and renormalizes.
+float64 exactly. Densities are 2-D in both formats, and ingestion (one step
+for both) rejects a negative value, then floors and renormalizes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
+from .measures import DiscreteDensity2D, Grid1D
 
 
 class DensityFormatError(ValueError):
@@ -65,17 +66,22 @@ def grid_spec(grid: Grid1D) -> dict:
     return {"min": float(grid.nodes[0]), "max": float(grid.nodes[-1]), "n": grid.n_cells}
 
 
-def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D:
+def _ingest(path: str | Path, grid_x: Grid1D, grid_y: Grid1D, values: np.ndarray) -> DiscreteDensity2D:
+    """The one ingestion step of both formats: nonnegative values, floored and renormalized."""
+    if np.any(values < 0):
+        raise DensityFormatError(f"{path}: density values must be nonnegative")
+    return DiscreteDensity2D.from_values(grid_x, grid_y, values)
+
+
+def read_density_json(path: str | Path) -> DiscreteDensity2D:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DensityFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "grid_x" not in doc or "values" not in doc:
-        raise DensityFormatError(f"{path}: expected an object with grid_x and values")
-    specs = [_grid_fields(doc["grid_x"], "grid_x")]
-    if doc.get("grid_y") is not None:
-        specs.append(_grid_fields(doc["grid_y"], "grid_y"))
+    if not isinstance(doc, dict) or not all(key in doc for key in ("grid_x", "grid_y", "values")):
+        raise DensityFormatError(f"{path}: expected an object with grid_x, grid_y and values")
+    specs = [_grid_fields(doc["grid_x"], "grid_x"), _grid_fields(doc["grid_y"], "grid_y")]
     values = json_numbers(doc["values"], f"{path}: values")
     # the shape is compared before any grid is built, so that an absurd n is
     # rejected instead of allocated
@@ -84,25 +90,16 @@ def read_density_json(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D
         values = values.reshape(shape)
     if values.shape != shape:
         raise DensityFormatError(f"{path}: values shape {values.shape} does not match the grids {shape}")
-    grids = [Grid1D.uniform(*spec) for spec in specs]
-    if len(grids) == 2:
-        return DiscreteDensity2D.from_values(*grids, values)
-    return DiscreteDensity1D.from_values(grids[0], values)
+    return _ingest(path, *(Grid1D.uniform(*spec) for spec in specs), values)
 
 
-def write_density_json(path: str | Path, d: DiscreteDensity1D | DiscreteDensity2D) -> None:
+def write_density_json(path: str | Path, d: DiscreteDensity2D) -> None:
     """Write the bytes of `json.dump(doc, fh, indent=1)` plus a newline, the floats encoded in C."""
-    values = d.values.tolist()
-    if isinstance(d, DiscreteDensity2D):
-        doc = {"grid_x": grid_spec(d.grid_x), "grid_y": grid_spec(d.grid_y)}
-        # one float per line; the separator also joins the rows, and "],\n   [" occurs only there
-        rows = json.dumps(values, separators=(",\n   ", ":"))[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
-        body = f"[\n  [\n   {rows}\n  ]\n ]"
-    else:
-        doc = {"grid_x": grid_spec(d.grid)}
-        body = "[\n  " + json.dumps(values, separators=(",\n  ", ":"))[1:-1] + "\n ]"
+    doc = {"grid_x": grid_spec(d.grid_x), "grid_y": grid_spec(d.grid_y)}
+    # one float per line; the separator also joins the rows, and "],\n   [" occurs only there
+    rows = json.dumps(d.values.tolist(), separators=(",\n   ", ":"))[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1)[:-2] + f',\n "values": {body}\n}}\n')
+        fh.write(json.dumps(doc, indent=1)[:-2] + f',\n "values": [\n  [\n   {rows}\n  ]\n ]\n}}\n')
 
 
 def write_grid_csv(path: str | Path, grid_x: Grid1D, grid_y: Grid1D, values: np.ndarray) -> None:
@@ -140,13 +137,10 @@ def read_grid_csv(path: str | Path) -> tuple[Grid1D, Grid1D, np.ndarray]:
 
 
 def read_density_csv(path: str | Path) -> DiscreteDensity2D:
-    grid_x, grid_y, values = read_grid_csv(path)
-    if np.any(values < 0):
-        raise DensityFormatError(f"{path}: density values must be nonnegative")
-    return DiscreteDensity2D.from_values(grid_x, grid_y, values)
+    return _ingest(path, *read_grid_csv(path))
 
 
-def read_density(path: str | Path) -> DiscreteDensity1D | DiscreteDensity2D:
+def read_density(path: str | Path) -> DiscreteDensity2D:
     """Dispatch on extension: .json or .csv."""
     suffix = Path(path).suffix.lower()
     if suffix == ".json":

@@ -61,26 +61,21 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("density values must be finite")
 
 
-def floor_and_normalize(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clamp values to EPS_FLOOR and rescale to unit total mass.
-
-    Returns the corrected values and the absolute mass correction applied
-    (|total before final rescale - 1|), recorded in ingestion diagnostics.
-    """
+def floor_and_normalize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Values clamped to EPS_FLOOR and rescaled to unit total mass under the cell weights."""
     v = np.asarray(values, dtype=float)
     _check_finite(v)
     v = np.maximum(v, EPS_FLOOR)
     total = float(np.sum(v * weights))
     if total <= 0:
         raise ValueError("density has no mass")
-    return v / total, abs(total - 1.0)
+    return v / total
 
 
 @dataclass(frozen=True)
 class DiscreteDensity1D:
     grid: Grid1D
     values: np.ndarray
-    renorm_correction: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -102,9 +97,8 @@ class DiscreteDensity1D:
 
     @staticmethod
     def from_values(grid: Grid1D, raw_values: np.ndarray) -> "DiscreteDensity1D":
-        """Ingestion path: floor, renormalize, record the correction."""
-        v, corr = floor_and_normalize(raw_values, grid.cell_widths)
-        return DiscreteDensity1D(grid, v, renorm_correction=corr)
+        """Ingestion path: floor and renormalize."""
+        return DiscreteDensity1D(grid, floor_and_normalize(raw_values, grid.cell_widths))
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,6 @@ class DiscreteDensity2D:
     grid_x: Grid1D
     grid_y: Grid1D
     values: np.ndarray  # (n_x, n_y), row = x cell
-    renorm_correction: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -139,8 +132,7 @@ class DiscreteDensity2D:
     @staticmethod
     def from_values(grid_x: Grid1D, grid_y: Grid1D, raw_values: np.ndarray) -> "DiscreteDensity2D":
         areas = np.outer(grid_x.cell_widths, grid_y.cell_widths)
-        v, corr = floor_and_normalize(raw_values, areas)
-        return DiscreteDensity2D(grid_x, grid_y, v, renorm_correction=corr)
+        return DiscreteDensity2D(grid_x, grid_y, floor_and_normalize(raw_values, areas))
 
 
 @dataclass(frozen=True)

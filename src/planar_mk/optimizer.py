@@ -45,6 +45,8 @@ _MIN_STEP = 1e-14    # the line search gives up below this step
 _ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 _BACKTRACK = 0.5     # step shrink factor per rejected trial
 _NOISE_SCALE = 0.5   # multistart log-perturbation amplitude
+_IPFP_SWEEPS = 10_000  # IPFP raises after this many sweeps of one alternation
+_IPFP_TOL = 1e-13    # IPFP stops when the L1 marginal error falls below
 
 
 def _is_int(v) -> bool:
@@ -122,16 +124,10 @@ def _marginal_residual(
     return err, row_sums
 
 
-def _ipfp_values(
-    raw: np.ndarray,
-    f1: DiscreteDensity1D,
-    f2: DiscreteDensity1D,
-    max_iters: int = 10_000,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """IPFP on plain value arrays; raises after max_iters with the residual.
+def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
+    """IPFP on plain value arrays; raises after _IPFP_SWEEPS sweeps with the residual.
 
-    The input is floored first; below tol it is returned as floored.
+    The input is floored first; below _IPFP_TOL it is returned as floored.
     """
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     values = np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR)
@@ -142,9 +138,9 @@ def _ipfp_values(
         # the row step scales by the row sums that the residual check read
         err, row_sums = _marginal_residual(v * areas, row_target, col_target)
         sweeps = 0
-        while not err < tol:
-            if sweeps == max_iters:
-                raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {max_iters} iterations")
+        while not err < _IPFP_TOL:
+            if sweeps == _IPFP_SWEEPS:
+                raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {_IPFP_SWEEPS} iterations")
             v = v * (row_target / row_sums)[:, None]
             v = v * (col_target / (v * areas).sum(axis=0))[None, :]
             err, row_sums = _marginal_residual(v * areas, row_target, col_target)
@@ -166,20 +162,14 @@ def _ipfp_values(
     return values
 
 
-def ipfp_project(
-    raw: np.ndarray,
-    f1: DiscreteDensity1D,
-    f2: DiscreteDensity1D,
-    max_iters: int = 10_000,
-    tol: float = 1e-13,
-) -> CouplingDensity:
+def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
     """Alternating row/column rescaling onto the marginal targets.
 
     raw holds density values on (f1.grid, f2.grid); values are floored before
     scaling so every slice keeps positive mass. Already-feasible input is
-    returned unchanged. Raises after max_iters with the residual.
+    returned unchanged. Raises after _IPFP_SWEEPS sweeps with the residual.
     """
-    values = _ipfp_values(raw, f1, f2, max_iters, tol)
+    values = _ipfp_values(raw, f1, f2)
     return CouplingDensity(DiscreteDensity2D(f1.grid, f2.grid, values), f1, f2)
 
 

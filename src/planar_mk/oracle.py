@@ -269,8 +269,6 @@ def atoms_from_density_2d(d: DiscreteDensity2D) -> tuple[np.ndarray, np.ndarray]
 @dataclass(frozen=True)
 class Planar2DPlan:
     plan: TransportPlan
-    source_points: np.ndarray
-    target_points: np.ndarray
     instance: TransportInstance
 
     @property
@@ -296,4 +294,4 @@ def solve_full_2d(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> Planar2DP
     cost = np.sum((ps[:, None, :] - pt[None, :, :]) ** 2, axis=2)
     # renormalize away float drift so the instance passes balance validation
     instance = TransportInstance(ms / ms.sum(), mt / mt.sum(), cost)
-    return Planar2DPlan(solve_lp(instance), ps, pt, instance)
+    return Planar2DPlan(solve_lp(instance), instance)

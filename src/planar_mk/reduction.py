@@ -53,11 +53,10 @@ def _conditional_cums(d: DiscreteDensity2D, condition_axis: str) -> tuple[Grid1D
 class ConditionalQuantileField:
     """Every conditional quantile function of a density as one stacked table.
 
-    axis='x': table row i inverts the conditional CDF along y given x-cell i;
-    axis='y': table row j inverts the conditional CDF along x given y-cell j.
+    Conditioned on x, table row i inverts the conditional CDF along y given
+    x-cell i; conditioned on y, row j inverts the one along x given y-cell j.
     """
 
-    axis: str
     table: QuantileTable
 
     def at_centers(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,7 +78,7 @@ class ConditionalQuantileField:
 def conditional_quantile_field(d: DiscreteDensity2D, condition_axis: str) -> ConditionalQuantileField:
     grid, cums = _conditional_cums(d, condition_axis)
     table = QuantileTable(cums, np.broadcast_to(grid.nodes, cums.shape))
-    return ConditionalQuantileField(condition_axis, table)
+    return ConditionalQuantileField(table)
 
 
 def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -85,12 +85,6 @@ class Xoshiro256StarStar:
             raise ValueError("n must be positive")
         return int(self.random() * n) % n
 
-    def shuffle(self, items: list) -> None:
-        # Fisher-Yates, in place
-        for i in range(len(items) - 1, 0, -1):
-            j = self.integers(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def spawn(self, k: int) -> "Xoshiro256StarStar":
         state = self.seed
         z = self.seed

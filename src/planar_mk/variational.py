@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -147,27 +147,12 @@ def simplified_cross_derivatives(
     return 2.0 * (f_tilde.grid_y.centers - out.g), 2.0 * (f.grid_x.centers[:, None] - out.h)
 
 
-@dataclass(frozen=True)
-class CumulativeH:
-    """H(x, y) = cumulative coupling mass up to (x, y), on the grid nodes."""
-
-    grid_x: Grid1D
-    grid_y: Grid1D
-    values: np.ndarray  # (n_x + 1, n_y + 1)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid_x.nodes.size, self.grid_y.nodes.size):
-            raise ValueError("H must be sampled on the grid nodes")
-
-
-def cumulative_h(p: CouplingDensity | DiscreteDensity2D) -> CumulativeH:
-    pd = as_density(p)
-    masses = pd.cell_masses
+def cumulative_h(p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
+    """H(x, y) = cumulative coupling mass up to (x, y), on the grid nodes: (n_x + 1, n_y + 1)."""
+    masses = as_density(p).cell_masses
     H = np.zeros((masses.shape[0] + 1, masses.shape[1] + 1))
     H[1:, 1:] = np.cumsum(np.cumsum(masses, axis=0), axis=1)
-    return CumulativeH(pd.grid_x, pd.grid_y, H)
+    return H
 
 
 @dataclass(frozen=True)
@@ -200,7 +185,8 @@ def euler_lagrange_residual(
     the maps g and h of the objective pass at p, which is checked against f
     and f~ first; the residual differences them. The reported norm covers
     the interior only; the boundary content of the stationarity condition is
-    exactly the marginal constraints, tested through `cumulative_h`.
+    exactly the marginal constraints, which H carries on its last row and
+    column (`cumulative_h`).
     fields, if given, must be f's "x" and f~'s "y" conditional-quantile
     fields, built once by a caller that evaluates several couplings of the
     same pair.
@@ -230,6 +216,12 @@ Scalar2D = Callable[[np.ndarray, np.ndarray], np.ndarray]
 _SQUARE_NODES = 12
 # half-step of lemma 2's central cross difference
 _FD_DELTA = 1e-4
+# lemma 1's decreasing square sides eps; lemma 2's nested-limit scales d, with
+# eps = theta^2 d, a1 - a = theta d and b1 - b = d. Read-only: reports share them.
+_LEMMA1_EPS = np.geomspace(1e-2, 1e-4, 7)
+_LEMMA2_DS = 0.05 * 0.5 ** np.arange(7)
+_LEMMA2_THETA = 0.1
+_LEMMA1_EPS.flags.writeable = _LEMMA2_DS.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -276,52 +268,27 @@ class LimitReport:
     reference: float | None = None
 
 
-def lemma1_checker(
-    beta: Scalar2D,
-    a: float,
-    b: float,
-    eps_sequence: Sequence[float] | None = None,
-) -> LimitReport:
+def lemma1_checker(beta: Scalar2D, a: float, b: float) -> LimitReport:
     """Shrinking-square means of beta about (a, b); the limit is beta(a, b)."""
-    if eps_sequence is None:
-        eps_sequence = np.geomspace(1e-2, 1e-4, 7)
-    eps = np.asarray(list(eps_sequence), dtype=float)
-    if eps.size < 2 or np.any(np.diff(eps) >= 0):
-        raise ValueError("eps_sequence must be decreasing with at least two entries")
+    eps = _LEMMA1_EPS
     values = np.array([_mean_over_square(beta, a, b, e) for e in eps])
     limit = _extrapolate_to_zero(eps, values)
     return LimitReport(eps, values, limit, _observed_order(eps, values, limit))
 
 
-@dataclass(frozen=True)
-class Lemma2Schedule:
-    """Nested-limit schedule: eps = theta^2 d, a1 - a = theta d, b1 - b = d."""
-
-    d0: float = 0.05
-    ratio: float = 0.5
-    count: int = 7
-    theta: float = 0.1
-
-
-def lemma2_checker(
-    beta: Scalar2D,
-    a: float,
-    b: float,
-    schedule: Lemma2Schedule | None = None,
-) -> LimitReport:
+def lemma2_checker(beta: Scalar2D, a: float, b: float) -> LimitReport:
     """Four-corner rectangle quotient converging to the mixed derivative.
 
     For each scale d the quotient averages beta over the four squares of the
     bump perturbation and divides by the rectangle area (a1-a)(b1-b); the
     extrapolated limit is compared against a central cross difference.
     """
-    sched = schedule or Lemma2Schedule()
-    ds = sched.d0 * sched.ratio ** np.arange(sched.count)
+    ds = _LEMMA2_DS
     values = []
     for d in ds:
-        a1 = a + sched.theta * d
+        a1 = a + _LEMMA2_THETA * d
         b1 = b + d
-        eps = sched.theta**2 * d
+        eps = _LEMMA2_THETA**2 * d
         alt = (
             _mean_over_square(beta, a, b, eps)
             + _mean_over_square(beta, a1, b1, eps)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -25,7 +25,7 @@ from planar_mk.density_io import (
     write_grid_csv,
 )
 from planar_mk.instances import gaussian_2d, shifted_density_2d, smooth_random_density_2d
-from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D, marginals_2d
+from planar_mk.measures import DiscreteDensity2D, Grid1D, marginals_2d
 from planar_mk.optimizer import SolverConfig, ipfp_project, solve
 from planar_mk.variational import evaluate_L, first_variation
 
@@ -50,14 +50,11 @@ def write_pair(tmp_path, n=4, shift=(1, 0), seed=1):
 
 def reference_density_json(d) -> bytes:
     """The writer's layout as `json.dump(doc, fh, indent=1)` over boxed floats produces it."""
-    if isinstance(d, DiscreteDensity2D):
-        doc = {
-            "grid_x": grid_spec(d.grid_x),
-            "grid_y": grid_spec(d.grid_y),
-            "values": [[float(v) for v in row] for row in d.values],
-        }
-    else:
-        doc = {"grid_x": grid_spec(d.grid), "values": [float(v) for v in d.values]}
+    doc = {
+        "grid_x": grid_spec(d.grid_x),
+        "grid_y": grid_spec(d.grid_y),
+        "values": [[float(v) for v in row] for row in d.values],
+    }
     return (json.dumps(doc, indent=1) + "\n").encode()
 
 
@@ -70,11 +67,10 @@ def reference_grid_csv(grid_x, grid_y, values) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def unchecked_density(values, grid_x, grid_y=None):
+def unchecked_density(values, grid_x, grid_y):
     """A density holding arbitrary floats, bypassing the mass and sign checks, to feed the writer."""
-    d = object.__new__(DiscreteDensity1D if grid_y is None else DiscreteDensity2D)
-    fields = {"grid": grid_x} if grid_y is None else {"grid_x": grid_x, "grid_y": grid_y}
-    for name, value in {**fields, "values": values}.items():
+    d = object.__new__(DiscreteDensity2D)
+    for name, value in {"grid_x": grid_x, "grid_y": grid_y, "values": values}.items():
         object.__setattr__(d, name, value)
     return d
 
@@ -96,15 +92,6 @@ class TestDensityIO:
         assert isinstance(back, DiscreteDensity2D)
         assert np.allclose(back.values, d.values, rtol=1e-12)
         assert np.allclose(back.grid_x.nodes, d.grid_x.nodes)
-
-    def test_json_1d(self, tmp_path):
-        g = Grid1D.uniform(0.0, 1.0, 5)
-        d = DiscreteDensity1D.from_values(g, np.linspace(1.0, 2.0, 5))
-        path = tmp_path / "d1.json"
-        write_density_json(path, d)
-        back = read_density(path)
-        assert isinstance(back, DiscreteDensity1D)
-        assert np.allclose(back.values, d.values, rtol=1e-12)
 
     def test_grid_csv_round_trip(self, tmp_path):
         gx = Grid1D.uniform(0.0, 1.0, 3)
@@ -130,13 +117,12 @@ class TestDensityIO:
         with pytest.raises(DensityFormatError):
             read_density(path)
 
-    @pytest.mark.parametrize("case", ["2d", "1d", "1x1", "nonuniform_y"])
+    @pytest.mark.parametrize("case", ["2d", "1x1", "nonuniform_y"])
     def test_json_writer_bytes_match_indent_1_dump(self, tmp_path, case):
         g = Grid1D.uniform(-1.0, 1.0, 6)
         gy = Grid1D(np.array([0.0, 0.1, 0.35, 0.4, 1.0, 2.5]))
         d = {
             "2d": gaussian_2d(g, g, mean=(0.0, 0.2), rho=0.3),
-            "1d": DiscreteDensity1D.from_values(g, np.linspace(1.0, 2.0, 6)),
             "1x1": DiscreteDensity2D.from_values(Grid1D.uniform(0.0, 1.0, 1), Grid1D.uniform(0.0, 1.0, 1), [[1.0]]),
             "nonuniform_y": smooth_random_density_2d(g, gy, seed=4),
         }[case]
@@ -168,8 +154,10 @@ class TestDensityIO:
         assert bx.nodes.tobytes() == grid_x.nodes.tobytes() and by.nodes.tobytes() == grid_y.nodes.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(values=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=6),
+    @given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
                          elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(values=np.array([[-0.0, 5e-324, 1e300, -np.pi]]))
+    @example(values=np.array([[-0.0], [5e-324], [1e300], [-np.pi]]))
     def test_density_json_round_trips_every_float(self, tmp_path_factory, values):
         grids = [Grid1D.uniform(0.0, 1.0, n) for n in values.shape]
         path = tmp_path_factory.mktemp("json") / "d.json"
@@ -183,14 +171,15 @@ class TestDensityIO:
         path = tmp_path / "bad.json"
         # an absurd n must be rejected by the shape check, not allocated first
         huge = {"min": 0, "max": 1, "n": 10**15}
+        one = {"min": 0, "max": 1, "n": 1}
         docs = [
-            {"grid_x": {"min": 0, "max": 1, "n": 3}, "values": [1, 2]},
-            {"grid_x": huge, "values": [1, 2]},
+            {"grid_x": {"min": 0, "max": 1, "n": 3}, "grid_y": one, "values": [1, 2]},
+            {"grid_x": huge, "grid_y": one, "values": [1, 2]},
             {"grid_x": {"min": 0, "max": 1, "n": 2}, "grid_y": huge, "values": [[1, 2], [3, 4]]},
         ]
         for doc in docs:
             path.write_text(json.dumps(doc))
-            with pytest.raises(DensityFormatError):
+            with pytest.raises(DensityFormatError, match="does not match the grids"):
                 read_density(path)
 
 
@@ -283,6 +272,29 @@ class TestCliSolve:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_negative_cell_exits_1(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"bad{suffix}"
+        grid = Grid1D.uniform(0.0, 1.0, 2)
+        values = np.array([[1.0, -5.0], [2.0, 3.0]])
+        if suffix == ".json":
+            write_density_json(path, unchecked_density(values, grid, grid))
+        else:
+            write_grid_csv(path, grid, grid, values)
+        code = main(["solve", "--input-f", str(path), "--input-g", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: density values must be nonnegative\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_json_without_grid_y_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "one_axis.json"
+        path.write_text(json.dumps({"grid_x": {"min": 0, "max": 1, "n": 2}, "values": [1, 2]}))
+        code = main(["solve", "--input-f", str(path), "--input-g", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "grid_y" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         code = main([

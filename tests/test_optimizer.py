@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from planar_mk import optimizer
 from planar_mk.coupling import FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
@@ -98,19 +102,21 @@ class TestIpfpBitForBit:
             assert refloors > 0, seed
             assert np.array_equal(_ipfp_values(raw, f1, f2), expected), seed
 
-    def test_raises_at_the_same_sweep_budget(self):
+    def test_raises_at_the_same_sweep_budget(self, monkeypatch):
         rng = np.random.default_rng(43)
         f1, f2 = random_marginals(rng, 7)
         raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
         _, needed, _ = reference_ipfp_values(raw, f1, f2)
         for budget in (0, 1, needed - 1):
+            monkeypatch.setattr(optimizer, "_IPFP_SWEEPS", budget)
             with pytest.raises(IPFPConvergenceError) as ref_exc:
                 reference_ipfp_values(raw, f1, f2, max_iters=budget)
             with pytest.raises(IPFPConvergenceError) as exc:
-                _ipfp_values(raw, f1, f2, max_iters=budget)
+                _ipfp_values(raw, f1, f2)
             assert str(exc.value) == str(ref_exc.value)
+        monkeypatch.setattr(optimizer, "_IPFP_SWEEPS", needed)
         expected, _, _ = reference_ipfp_values(raw, f1, f2, max_iters=needed)
-        assert np.array_equal(_ipfp_values(raw, f1, f2, max_iters=needed), expected)
+        assert np.array_equal(_ipfp_values(raw, f1, f2), expected)
 
 
 class TestIpfp:
@@ -138,12 +144,14 @@ class TestIpfp:
         assert np.allclose(p.cell_masses.sum(axis=1), [0.5, 0.5], atol=1e-15)
         assert np.allclose(p.cell_masses.sum(axis=0), [0.5, 0.5], atol=1e-15)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         t1 = unit_marginal([0.9, 0.1])
         t2 = unit_marginal([0.1, 0.9])
         skewed = np.array([[1e3, 1e-6], [1e-6, 1e3]])
+        monkeypatch.setattr(optimizer, "_IPFP_SWEEPS", 1)
+        monkeypatch.setattr(optimizer, "_IPFP_TOL", 1e-15)
         with pytest.raises(IPFPConvergenceError):
-            ipfp_project(skewed, t1, t2, max_iters=1, tol=1e-15)
+            ipfp_project(skewed, t1, t2)
 
     def test_respects_floor_on_sparse_input(self):
         g4 = Grid1D.uniform(0.0, 1.0, 4)
@@ -416,6 +424,24 @@ class TestSolverConfig:
             ("step_init", 1.0), ("min_step", 1e-14),
         ):
             path.write_text(json.dumps({"max_iters": 10, key: value}))
+            with pytest.raises(ValueError, match="unknown config keys"):
+                SolverConfig.from_json(str(path))
+
+    def test_readme_lists_exactly_the_fields(self, tmp_path):
+        # the README's "Solver config" table is the user-facing record of the settings
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Solver config\n", 1)[1].split("\n#", 1)[0]
+        table = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                name, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+                table[name.strip("`")] = json.loads(default.split()[0].strip("`"))
+        assert table == {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        removed = re.findall(r"`(\w+)`", section.split("The removed keys", 1)[1].split("\n\n", 1)[0])
+        assert removed
+        path = tmp_path / "config.json"
+        for key in removed:
+            path.write_text(json.dumps({key: 0}))
             with pytest.raises(ValueError, match="unknown config keys"):
                 SolverConfig.from_json(str(path))
 

@@ -50,11 +50,3 @@ def test_spawned_streams_differ_and_are_stable():
     c1_again = Xoshiro256StarStar(10).spawn(1)
     assert c1.next_uint64() != c2.next_uint64()
     assert Xoshiro256StarStar(10).spawn(1).next_uint64() == c1_again.next_uint64()
-
-
-def test_shuffle_is_permutation():
-    r = Xoshiro256StarStar(3)
-    items = list(range(20))
-    shuffled = items.copy()
-    r.shuffle(shuffled)
-    assert sorted(shuffled) == items

@@ -28,7 +28,7 @@ class FeasibilityError(ValueError):
 
 def _sums_l1_error(sums: np.ndarray, target: np.ndarray) -> float:
     """L1 distance of precomputed marginal sums of cell masses from their target."""
-    return float(np.sum(np.abs(sums - target)))
+    return float(np.abs(sums - target).sum())
 
 
 def marginal_l1_error(masses: np.ndarray, target: np.ndarray, axis: int) -> float:

@@ -3,7 +3,7 @@
 JSON densities:
     {"grid_x": {"min": 0.0, "max": 1.0, "n": 16},
      "grid_y": {"min": 0.0, "max": 1.0, "n": 16},
-     "values": [...]}                                # row-major (x outer)
+     "values": [[...], ...]}                         # one row per x cell
 
 CSV grids: the header row carries the y-cell edges (first field is a label),
 each data row carries its left x-edge followed by the row of values, and a
@@ -17,7 +17,6 @@ for both) rejects a negative value, then floors and renormalizes.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -86,8 +85,6 @@ def read_density_json(path: str | Path) -> DiscreteDensity2D:
     # the shape is compared before any grid is built, so that an absurd n is
     # rejected instead of allocated
     shape = tuple(n for _, _, n in specs)
-    if values.ndim == 1 and values.size == math.prod(shape):
-        values = values.reshape(shape)
     if values.shape != shape:
         raise DensityFormatError(f"{path}: values shape {values.shape} does not match the grids {shape}")
     return _ingest(path, *(Grid1D.uniform(*spec) for spec in specs), values)

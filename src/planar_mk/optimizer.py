@@ -9,6 +9,12 @@ brings it back to both marginals. Positivity therefore holds by construction
 rather than by clipping. Each iteration opens its backtracking line search
 at a Barzilai-Borwein step (Barzilai & Borwein 1988) in the mass-weighted
 log metric. IPFP also projects arbitrary positive starts into the polytope.
+
+IPFP runs in Sinkhorn's scaling form (Peyre & Cuturi 2019, sec. 4.2): the
+masses stay fixed while a row and a column scaling vector alternate, two
+matrix-vector products per sweep, and the coupling is built once per
+alternation. It is accepted when the built array's own marginal residual,
+both sides, is below the tolerance.
 """
 
 from __future__ import annotations
@@ -124,27 +130,38 @@ def _marginal_residual(
     return err, row_sums
 
 
-def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
+def _ipfp_core(
+    raw: np.ndarray, areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
+) -> np.ndarray:
     """IPFP on plain value arrays; raises after _IPFP_SWEEPS sweeps with the residual.
 
     The input is floored first; below _IPFP_TOL it is returned as floored.
+    Each alternation holds the masses v * areas fixed and iterates the
+    Sinkhorn scaling vectors u (rows) and w (columns), two matrix-vector
+    products per sweep, until their row error falls below _IPFP_TOL. Then it
+    builds v * u * w once and keeps it if that array's own residual, both
+    sides, is below _IPFP_TOL too; else the vectors start over from the built
+    array, and the sweep count runs on.
     """
-    areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     values = np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR)
-    row_target = f1.cell_masses
-    col_target = f2.cell_masses
 
     def alternate(v: np.ndarray) -> np.ndarray:
-        # the row step scales by the row sums that the residual check read
-        err, row_sums = _marginal_residual(v * areas, row_target, col_target)
+        # kw is masses @ w; w starts at 1, so the residual check's row sums serve
+        masses = v * areas
+        err, kw = _marginal_residual(masses, row_target, col_target)
         sweeps = 0
         while not err < _IPFP_TOL:
-            if sweeps == _IPFP_SWEEPS:
-                raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {_IPFP_SWEEPS} iterations")
-            v = v * (row_target / row_sums)[:, None]
-            v = v * (col_target / (v * areas).sum(axis=0))[None, :]
-            err, row_sums = _marginal_residual(v * areas, row_target, col_target)
-            sweeps += 1
+            while not err < _IPFP_TOL:
+                if sweeps == _IPFP_SWEEPS:
+                    raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {_IPFP_SWEEPS} iterations")
+                u = row_target / kw
+                w = col_target / (u @ masses)
+                kw = masses @ w
+                err = _sums_l1_error(u * kw, row_target)
+                sweeps += 1
+            v = v * u[:, None] * w
+            masses = v * areas
+            err, kw = _marginal_residual(masses, row_target, col_target)
         return v
 
     values = alternate(values)
@@ -160,6 +177,12 @@ def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) 
         values = np.maximum(values, EPS_FLOOR)
         values = values / float(np.sum(values * areas))
     return values
+
+
+def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
+    """`_ipfp_core` on the cell areas and cell masses of the marginals f1 and f2."""
+    areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+    return _ipfp_core(raw, areas, f1.cell_masses, f2.cell_masses)
 
 
 def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
@@ -269,7 +292,7 @@ def _run_mirror_descent(
         accepted = None
         while s > _MIN_STEP:
             z = -s * pg
-            cand = _ipfp_values(values * np.exp(z - z.max()), f1, f2)
+            cand = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target)
             predicted = float(np.sum(grad * (cand - values) * areas))
             if predicted < 0.0:
                 trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y)

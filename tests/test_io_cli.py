@@ -296,6 +296,16 @@ class TestCliSolve:
         assert err.startswith("error:") and "grid_y" in err
         assert not (tmp_path / "o").exists()
 
+    def test_flat_values_list_exits_1(self, tmp_path, capsys):
+        # n_x * n_y numbers in one flat list are not a row per x cell
+        path = tmp_path / "flat.json"
+        two = {"min": 0, "max": 1, "n": 2}
+        path.write_text(json.dumps({"grid_x": two, "grid_y": two, "values": [1, 2, 3, 4]}))
+        code = main(["solve", "--input-f", str(path), "--input-g", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: values shape (4,) does not match the grids (2, 2)\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main([
             "solve",

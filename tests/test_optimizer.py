@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from planar_mk import optimizer
 from planar_mk.coupling import FeasibilityError
@@ -81,7 +84,26 @@ def random_marginals(rng, seed):
     )
 
 
-class TestIpfpBitForBit:
+def assert_matches_matrix_form(got, expected, f1, f2):
+    """Equal to the matrix form to 1e-13 relative, through the gate and above the floor."""
+    assert np.max(np.abs(got - expected) / expected) <= 1e-13
+    assert_gate_and_floor(got, f1, f2)
+
+
+def assert_gate_and_floor(values, f1, f2):
+    areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+    err, _ = optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses)
+    assert err < optimizer._IPFP_TOL
+    assert np.min(values) >= EPS_FLOOR * (1 - 1e-9)
+
+
+class TestIpfpMatchesMatrixForm:
+    """The scaling-vector IPFP against the matrix-form sweep it replaced.
+
+    The summation order differs, so agreement is to 1e-13 relative per cell
+    (about 7e-15 observed), not bit for bit; the sweep counts are the same.
+    """
+
     def test_random_positive_inputs_on_nonuniform_grids(self):
         rng = np.random.default_rng(41)
         for seed in range(30):
@@ -89,7 +111,7 @@ class TestIpfpBitForBit:
             raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
             expected, sweeps, _ = reference_ipfp_values(raw, f1, f2)
             assert sweeps > 0
-            assert np.array_equal(_ipfp_values(raw, f1, f2), expected), seed
+            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2)
 
     def test_sparse_inputs_through_the_refloor_loop(self):
         # zeros are floored, and scaling a row down shaves its floored cells
@@ -100,7 +122,7 @@ class TestIpfpBitForBit:
             raw[rng.random(raw.shape) < 0.5] = 0.0
             expected, _, refloors = reference_ipfp_values(raw, f1, f2)
             assert refloors > 0, seed
-            assert np.array_equal(_ipfp_values(raw, f1, f2), expected), seed
+            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2)
 
     def test_raises_at_the_same_sweep_budget(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -116,7 +138,52 @@ class TestIpfpBitForBit:
             assert str(exc.value) == str(ref_exc.value)
         monkeypatch.setattr(optimizer, "_IPFP_SWEEPS", needed)
         expected, _, _ = reference_ipfp_values(raw, f1, f2, max_iters=needed)
-        assert np.array_equal(_ipfp_values(raw, f1, f2), expected)
+        assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2)
+
+
+@st.composite
+def ipfp_problem(draw, zeros):
+    """A raw array on two random nonuniform grids, and marginals it can be scaled onto.
+
+    With zeros, a drawn mask zeroes cells of the raw array outside its first
+    row and column, so the support links every row to every column. The
+    marginals are those of a second array with the same zero pattern, so a
+    coupling on that support exists. Where none exists ([[1, 0], [0, 0]]
+    against uniform marginals), or the support splits into blocks
+    ([[1, 0], [0, 1]]), only the floored cells can move mass and IPFP crawls.
+    """
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    grids = [
+        Grid1D(np.cumsum(np.r_[draw(st.floats(-1.0, 1.0)), draw(arrays(np.float64, n, elements=st.floats(0.2, 2.0)))]))
+        for n in shape
+    ]
+    raw, plan = (np.exp(draw(arrays(np.float64, shape, elements=st.floats(-3.0, 3.0)))) for _ in range(2))
+    if zeros:
+        zero = draw(arrays(np.bool_, shape))
+        zero[0, :] = zero[:, 0] = False
+        raw[zero] = plan[zero] = 0.0
+    masses = plan * np.outer(grids[0].cell_widths, grids[1].cell_widths)
+    f1, f2 = (
+        DiscreteDensity1D.from_values(g, masses.sum(axis=1 - axis) / g.cell_widths)
+        for axis, g in enumerate(grids)
+    )
+    return raw, f1, f2
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "half_zero"])
+class TestIpfpProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_output_passes_the_gate_above_the_floor(self, zeros, data):
+        raw, f1, f2 = data.draw(ipfp_problem(zeros))
+        assert_gate_and_floor(_ipfp_values(raw, f1, f2), f1, f2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_feasible_input_is_returned_bit_for_bit(self, zeros, data):
+        raw, f1, f2 = data.draw(ipfp_problem(zeros))
+        p = ipfp_project(raw, f1, f2)
+        assert np.array_equal(ipfp_project(p.values, f1, f2).values, p.values)
 
 
 class TestIpfp:

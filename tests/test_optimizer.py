@@ -84,17 +84,17 @@ def random_marginals(rng, seed):
     )
 
 
-def assert_matches_matrix_form(got, expected, f1, f2):
+def assert_matches_matrix_form(got, expected, f1, f2, label=None):
     """Equal to the matrix form to 1e-13 relative, through the gate and above the floor."""
-    assert np.max(np.abs(got - expected) / expected) <= 1e-13
-    assert_gate_and_floor(got, f1, f2)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-13, label
+    assert_gate_and_floor(got, f1, f2, label)
 
 
-def assert_gate_and_floor(values, f1, f2):
+def assert_gate_and_floor(values, f1, f2, label=None):
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     err, _ = optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses)
-    assert err < optimizer._IPFP_TOL
-    assert np.min(values) >= EPS_FLOOR * (1 - 1e-9)
+    assert err < optimizer._IPFP_TOL, label
+    assert np.min(values) >= EPS_FLOOR * (1 - 1e-9), label
 
 
 class TestIpfpMatchesMatrixForm:
@@ -111,7 +111,7 @@ class TestIpfpMatchesMatrixForm:
             raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
             expected, sweeps, _ = reference_ipfp_values(raw, f1, f2)
             assert sweeps > 0
-            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2)
+            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2, seed)
 
     def test_sparse_inputs_through_the_refloor_loop(self):
         # zeros are floored, and scaling a row down shaves its floored cells
@@ -122,7 +122,7 @@ class TestIpfpMatchesMatrixForm:
             raw[rng.random(raw.shape) < 0.5] = 0.0
             expected, _, refloors = reference_ipfp_values(raw, f1, f2)
             assert refloors > 0, seed
-            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2)
+            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2, seed)
 
     def test_raises_at_the_same_sweep_budget(self, monkeypatch):
         rng = np.random.default_rng(43)

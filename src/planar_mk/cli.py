@@ -32,7 +32,7 @@ from .density_io import (
     write_grid_csv,
 )
 from .measures import DiscreteDensity2D, marginals_2d, per_axis_w2_sum
-from .optimizer import NoDescentError, SolverConfig, ipfp_project, solve
+from .optimizer import IPFPConvergenceError, NoDescentError, SolverConfig, ipfp_project, solve
 from .oracle import (
     SizeLimitError,
     TransportInstance,
@@ -301,6 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         UnbalancedInstanceError,
         FeasibilityError,
         NoDescentError,
+        IPFPConvergenceError,
         OSError,
         ValueError,
     ) as exc:

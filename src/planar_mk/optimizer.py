@@ -142,6 +142,12 @@ def _ipfp_core(
     builds v * u * w once and keeps it if that array's own residual, both
     sides, is below _IPFP_TOL too; else the vectors start over from the built
     array, and the sweep count runs on.
+
+    What every returned array keeps: an L1 marginal residual, both sides, of
+    at most FEAS_TOL, and a minimum of at least EPS_FLOOR * (1 - 1e-9). The
+    _IPFP_TOL gate holds as well unless up to three re-floor passes still
+    leave a cell below the floor; the final bump then floors and rescales to
+    unit mass, which moves the marginals by up to the bumped mass.
     """
     values = np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR)
 
@@ -190,7 +196,10 @@ def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) 
 
     raw holds density values on (f1.grid, f2.grid); values are floored before
     scaling so every slice keeps positive mass. Already-feasible input is
-    returned unchanged. Raises after _IPFP_SWEEPS sweeps with the residual.
+    returned unchanged. The result's L1 marginal residual is at most FEAS_TOL
+    and its minimum at least EPS_FLOOR * (1 - 1e-9); it is below _IPFP_TOL
+    unless the final bump ran (see `_ipfp_core`). Raises after _IPFP_SWEEPS
+    sweeps with the residual.
     """
     values = _ipfp_values(raw, f1, f2)
     return CouplingDensity(DiscreteDensity2D(f1.grid, f2.grid, values), f1, f2)

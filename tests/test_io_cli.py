@@ -540,6 +540,25 @@ class TestCliOracleAndChecks:
         assert err.startswith("error:") and "finite and nonnegative" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "coupling, marginal",
+        [([[1.0, 0.0], [0.0, 0.0]], [0.5, 0.5]), ([[1.0, 0.0], [0.0, 1.0]], [1 / 3, 2 / 3])],
+        ids=["no_coupling_on_support", "split_support"],
+    )
+    def test_check_el_exits_in_words_when_ipfp_crawls(self, tmp_path, capsys, coupling, marginal):
+        # only the floored cells can move mass, so IPFP runs out of sweeps
+        g = Grid1D.uniform(0.0, 1.0, 2)
+        fa = tmp_path / "f.json"
+        write_density_json(fa, DiscreteDensity2D.from_values(g, g, np.outer(marginal, marginal)))
+        p_csv = tmp_path / "p.csv"
+        write_grid_csv(p_csv, g, g, np.array(coupling))
+        code = main(["check-el", "--input-f", str(fa), "--input-g", str(fa), "--input-p", str(p_csv),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IPFP residual") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_check_lemmas_hits_analytic_values(self, tmp_path):
         out = tmp_path / "out"
         assert main(["check-lemmas", "--out-dir", str(out)]) == 0

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import shift_pair
 from planar_mk import optimizer
-from planar_mk.coupling import FeasibilityError
+from planar_mk.coupling import FEAS_TOL, FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
     gaussian_2d,
@@ -231,6 +232,28 @@ class TestIpfp:
         _, f2 = marginals_2d(ft)
         p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
         assert np.min(p.values) >= 1e-10 * (1 - 1e-9)
+
+    def test_final_bump_keeps_the_polytope_invariant(self, monkeypatch):
+        # compare8's shift3_11: the re-floor passes leave cells below the floor,
+        # so the descent's projections end on the final bump and rescale. That
+        # path keeps residual <= FEAS_TOL and min >= EPS_FLOOR * (1 - 1e-9),
+        # not the _IPFP_TOL gate.
+        returned = []
+        core = optimizer._ipfp_core
+
+        def spy(raw, areas, row_target, col_target):
+            values = core(raw, areas, row_target, col_target)
+            returned.append((values, areas, row_target, col_target))
+            return values
+
+        monkeypatch.setattr(optimizer, "_ipfp_core", spy)
+        solve(*shift_pair(3, 1, 1, 8), SolverConfig())
+        # only the bump path returns cells below the floor: it divides by a total mass above 1
+        assert any(np.min(values) < EPS_FLOOR for values, *_ in returned)
+        for values, areas, row_target, col_target in returned:
+            err, _ = optimizer._marginal_residual(values * areas, row_target, col_target)
+            assert err <= FEAS_TOL
+            assert np.min(values) >= EPS_FLOOR * (1 - 1e-9)
 
 
 class TestFeasibleDirection:

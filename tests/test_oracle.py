@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import shift_pair
 from planar_mk import oracle
@@ -57,28 +60,144 @@ def assert_certified(plan, instance):
     assert plan.duality_gap(instance.supply, instance.demand) <= 1e-10
 
 
-def spy_walks(monkeypatch):
-    """Record every pivot's theta, read off the basis each `_walk` call gets.
+def assert_same_plan(plan, ref):
+    """Equal bits in the flows, the objective and both potentials."""
+    assert np.array_equal(plan.flows, ref.flows)
+    assert plan.objective == ref.objective
+    assert np.array_equal(plan.u, ref.u) and np.array_equal(plan.v, ref.v)
 
-    A solve walks its northwest-corner basis first (a list of arcs), then the
-    flow dict after each pivot; the one arc new to that dict is the entering
-    arc, and its flow is the pivot's theta.
-    """
+
+def spy_pivots(monkeypatch):
+    """Record every pivot's theta: the flow `_pivot` puts on the entering arc."""
     thetas = []
-    basis = set()
-    walk = oracle._walk
+    pivot = oracle._pivot
 
-    def spy(arcs, m, k):
-        nonlocal basis
-        keys = set(arcs)
-        if isinstance(arcs, dict):
-            (entering,) = keys - basis
-            thetas.append(arcs[entering])
-        basis = keys
-        return walk(arcs, m, k)
+    def spy(flows, cycle_arcs):
+        leave = pivot(flows, cycle_arcs)
+        thetas.append(flows[cycle_arcs[0]])
+        return leave
 
-    monkeypatch.setattr(oracle, "_walk", spy)
+    monkeypatch.setattr(oracle, "_pivot", spy)
     return thetas
+
+
+def reference_solve_lp(instance):
+    """The transportation simplex with a whole-tree walk after every pivot.
+
+    A self-contained copy with the start, perturbation, pricing, cycle, ratio
+    test and final recompute of `solve_lp`, but which walks the whole basis
+    tree and recomputes every potential at each pivot: the reference that the
+    re-hung subtrees must match bit for bit.
+    """
+    a0, b0, cost = instance.supply, instance.demand, instance.cost
+    m, k = cost.shape
+    a = a0 + oracle._PERTURB * (np.arange(m) + 1)
+    b = b0.copy()
+    b[-1] += oracle._PERTURB * (m * (m + 1)) / 2
+
+    def arc(node, par):
+        return (node, par - m) if node < m else (par, node - m)
+
+    def walk(arcs):
+        adj = [[] for _ in range(m + k)]
+        for i, j in arcs:
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+        order, parent, depth = [0], [0] * (m + k), [0] + [-1] * (m + k - 1)
+        for node in order:
+            for nb in adj[node]:
+                if depth[nb] < 0:
+                    parent[nb], depth[nb] = node, depth[node] + 1
+                    order.append(nb)
+        assert len(order) == m + k
+        return order, parent, depth
+
+    def tree_flows(order, parent, supply, demand):
+        bal = supply.tolist() + (-demand).tolist()
+        flows = {}
+        for node in reversed(order[1:]):
+            par = parent[node]
+            flows[arc(node, par)] = bal[node] if node < m else -bal[node]
+            bal[par] += bal[node]
+        return flows
+
+    ra, rb = a.copy(), b.copy()
+    i = j = 0
+    arcs = [(0, 0)]
+    while not (i == m - 1 and j == k - 1):  # northwest corner
+        step = min(ra[i], rb[j])
+        ra[i] -= step
+        rb[j] -= step
+        if ra[i] <= rb[j] and i < m - 1:
+            i += 1
+        elif j < k - 1:
+            j += 1
+        else:
+            i += 1
+        arcs.append((i, j))
+    order, parent, depth = walk(arcs)
+    flows = tree_flows(order, parent, a, b)
+    cost_rows = cost.tolist()
+    for _ in range(200 * (m + k) * max(m, k)):
+        pot = [0.0] * (m + k)
+        for node in order[1:]:
+            i, j = arc(node, parent[node])
+            pot[node] = cost_rows[i][j] - pot[parent[node]]
+        rc = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
+        enter = int(np.argmin(rc))
+        if rc.flat[enter] >= -oracle._RC_TOL:
+            break
+        ei, ej = divmod(enter, k)
+        up, down = [], []
+        x, y = m + ej, ei
+        while x != y:
+            if depth[x] >= depth[y]:
+                up.append(arc(x, parent[x]))
+                x = parent[x]
+            else:
+                down.append(arc(y, parent[y]))
+                y = parent[y]
+        cycle_arcs = [(ei, ej), *up, *reversed(down)]
+        minus_arcs = cycle_arcs[1::2]
+        theta = min(flows[c] for c in minus_arcs)
+        leave = next(c for c in minus_arcs if flows[c] == theta)
+        flows[(ei, ej)] = theta
+        for c in minus_arcs:
+            flows[c] -= theta
+        for c in cycle_arcs[2::2]:
+            flows[c] += theta
+        del flows[leave]
+        order, parent, depth = walk(flows)
+    else:
+        raise AssertionError("reference simplex hit its iteration cap")
+    flow_mat = np.zeros((m, k))
+    for (i, j), f in tree_flows(order, parent, a0, b0).items():
+        flow_mat[i, j] = max(f, 0.0)
+    return TransportPlan(flow_mat, float(np.sum(flow_mat * cost)), np.array(pot[:m]), np.array(pot[m:]))
+
+
+def random_instances(seed, count, max_side):
+    """Random instances, tied and untied in turn, with 1 to max_side atoms per side."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m, k = int(rng.integers(1, max_side + 1)), int(rng.integers(1, max_side + 1))
+        x, a, y, b = random_instance(rng, m, k, tied=trial % 2 == 1)
+        yield TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2)
+
+
+@st.composite
+def lp_instances(draw):
+    """1 to 12 atoms per side on a line; tied draws put them on integers 0..3."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        x, y = (np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float) for n in (m, k))
+    else:
+        x, y = (draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0))) for n in (m, k))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    a, b = (draw(arrays(np.float64, n, elements=mass)) for n in (m, k))
+    a[0] = max(a[0], 1e-3)
+    b[0] = max(b[0], 1e-3)
+    return TransportInstance(a / a.sum(), b / b.sum(), (x[:, None] - y[None, :]) ** 2)
 
 
 class TestSolveLp:
@@ -153,7 +272,7 @@ class TestSolveLp:
     def test_every_pivot_moves_flow(self, monkeypatch):
         # the supply perturbation keeps every basis flow >= _PERTURB (up to
         # roundoff), so no pivot is degenerate and the simplex cannot cycle
-        thetas = spy_walks(monkeypatch)
+        thetas = spy_pivots(monkeypatch)
         for instance in tied_instances(seed=16, count=300, max_side=12):
             solve_lp(instance)
         assert len(thetas) > 1000
@@ -161,11 +280,36 @@ class TestSolveLp:
 
     def test_pivot_budget_on_compare8(self, monkeypatch):
         # Dantzig pricing takes 114-181 pivots per case; Bland's rule took 908-2952
-        thetas = spy_walks(monkeypatch)
+        thetas = spy_pivots(monkeypatch)
+        pivots = []
         for f, f_tilde in compare8_pairs():
             before = len(thetas)
             solve_full_2d(f, f_tilde)
-            assert len(thetas) - before + 1 <= 300  # pivots plus the first walk
+            pivots.append(len(thetas) - before)
+        assert pivots == [132, 148, 147, 181, 114, 137]
+        assert max(pivots) < 300
+
+    @pytest.mark.parametrize(
+        "instances",
+        [
+            lambda: tied_instances(seed=16, count=300, max_side=12),
+            lambda: random_instances(seed=17, count=200, max_side=29),
+        ],
+        ids=["tied", "random"],
+    )
+    def test_bit_identical_to_whole_tree_walks(self, instances):
+        for instance in instances():
+            assert_same_plan(solve_lp(instance), reference_solve_lp(instance))
+
+    def test_bit_identical_to_whole_tree_walks_on_compare8(self):
+        for f, f_tilde in compare8_pairs():
+            result = solve_full_2d(f, f_tilde)
+            assert_same_plan(result.plan, reference_solve_lp(result.instance))
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=lp_instances())
+    def test_certificate_on_random_instances(self, instance):
+        assert_certified(solve_lp(instance), instance)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)

@@ -31,7 +31,7 @@ from .density_io import (
     read_grid_csv,
     write_grid_csv,
 )
-from .measures import DiscreteDensity2D, marginals_2d, per_axis_w2_sum
+from .measures import DiscreteDensity2D, per_axis_w2_sum
 from .optimizer import IPFPConvergenceError, NoDescentError, SolverConfig, ipfp_project, solve
 from .oracle import (
     SizeLimitError,
@@ -146,8 +146,7 @@ def cmd_check_el(args) -> int:
     t0 = time.perf_counter()
     f = read_density(args.input_f)
     f_tilde = read_density(args.input_g)
-    f1, _ = marginals_2d(f)
-    _, f2 = marginals_2d(f_tilde)
+    f1, f2 = f.marginals[0], f_tilde.marginals[1]
     if args.input_p:
         grid_x, grid_y, values = read_grid_csv(args.input_p)
         check_coupling_grid(grid_x, f1, 0)

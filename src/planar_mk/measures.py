@@ -12,6 +12,7 @@ quantile routine serves both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,10 +130,29 @@ class DiscreteDensity2D:
     def total_mass(self) -> float:
         return float(np.sum(self.cell_masses))
 
+    @cached_property
+    def marginals(self) -> tuple["DiscreteDensity1D", "DiscreteDensity1D"]:
+        """`marginals_2d` of this density, taken on first use and kept: its values do not change."""
+        return marginals_2d(self)
+
     @staticmethod
     def from_values(grid_x: Grid1D, grid_y: Grid1D, raw_values: np.ndarray) -> "DiscreteDensity2D":
         areas = np.outer(grid_x.cell_widths, grid_y.cell_widths)
         return DiscreteDensity2D(grid_x, grid_y, floor_and_normalize(raw_values, areas))
+
+
+class RampCache:
+    """The ramps a caller's last levels fell on in one table, for `value_and_slope` to reuse.
+
+    Bound to one table and one level shape by the first call that gets it;
+    a call on another table or with levels of another shape binds it anew.
+    Per level it keeps the bracketing knots lo < t <= hi and the ramp's left
+    value v0 and rise dv, in the layout of the levels.
+    """
+
+    def __init__(self):
+        self.table: QuantileTable | None = None
+        self.lo = self.hi = self.v0 = self.dv = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -142,7 +162,7 @@ class QuantileTable:
     Row s of probs runs 0 to 1 and row s of values holds the matching
     positions; 1-D probs and values make a one-row table. Evaluation inverts
     each row ramp by ramp, exactly for a CDF that is linear between the
-    row's levels.
+    row's levels. Both arrays must be finite and nondecreasing along rows.
     """
 
     probs: np.ndarray   # (S, K)
@@ -156,6 +176,9 @@ class QuantileTable:
         object.__setattr__(self, "values", values)
         if probs.shape != values.shape or probs.ndim != 2 or probs.shape[1] < 2:
             raise ValueError("probs and values must be matching 1-D or 2-D arrays")
+        # NaN compares false, so it would pass the order checks below
+        if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
+            raise ValueError("probs and values must be finite")
         if np.any(probs[:, 0] != 0.0) or np.any(probs[:, -1] != 1.0) or np.any(np.diff(probs, axis=1) < 0):
             raise ValueError("probs must be nondecreasing from 0 to 1")
         if np.any(np.diff(values, axis=1) < 0):
@@ -165,7 +188,9 @@ class QuantileTable:
         """Quantiles alone: the first output of `value_and_slope`."""
         return self.value_and_slope(t)[0]
 
-    def value_and_slope(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(
+        self, t: np.ndarray | float, cache: RampCache | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Quantiles and the exact slopes of the active ramps (dvalue/dprob).
 
         Row s of the levels t is evaluated in table row s; a one-row table
@@ -173,6 +198,14 @@ class QuantileTable:
         derivative 1/F' evaluated at the quantile point; at a level hit
         exactly it is the left ramp's slope, matching the left-continuous
         convention. Raises for levels outside (0, 1].
+
+        A caller that evaluates nearby levels again and again on one table
+        may pass the same `RampCache` each time. A row whose levels all keep
+        their cached brackets lo < t <= hi then skips its search and its
+        gathers: the probs are nondecreasing, so the knot at hi is still the
+        first with probs >= t. Only the other rows are searched again.
+        Values and slopes are the same bits with or without a cache; without
+        one every row counts as moved.
         """
         t_arr = np.asarray(t, dtype=float)
         if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
@@ -181,25 +214,49 @@ class QuantileTable:
         if n_rows > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != n_rows):
             raise ValueError("levels need one row per table row")
         levels = t_arr.reshape(n_rows, -1)
-        # first index with probs >= t, so probs[idx-1] < t <= probs[idx]; the
-        # method skips np.searchsorted's wrapper, and no batched search was faster
-        idx = np.empty(levels.shape, dtype=np.intp)
-        for s in range(n_rows):
-            idx[s] = self.probs[s].searchsorted(levels[s], side="left")
-        # gathers from the raveled tables, where row s starts at s * K; the
-        # in-place steps keep few (S, M) temporaries alive on large grids
-        idx += np.arange(0, self.probs.size, self.probs.shape[1])[:, None]
-        probs, values = self.probs.ravel(), self.values.ravel()
-        hi, v1 = probs.take(idx), values.take(idx)
-        idx -= 1
-        lo, v0 = probs.take(idx), values.take(idx)
-        del idx
-        width = np.subtract(hi, lo, out=hi)
-        dv = np.subtract(v1, v0, out=v1)
+        own = cache is None  # then the ramp arrays are this call's own
+        if own:
+            cache = RampCache()
+        bound = cache.table is self and cache.lo.shape == levels.shape
+        if bound:
+            kept = cache.lo < levels
+            kept &= levels <= cache.hi
+            moved = np.flatnonzero(~kept.all(axis=1))
+        else:
+            moved = range(n_rows)
+        if len(moved):
+            # first index with probs >= t, so probs[idx-1] < t <= probs[idx]. The
+            # method skips np.searchsorted's wrapper. Batched searches were exact
+            # but no faster: a stable-argsort merge of levels and knots, and one
+            # global searchsorted on row-offset keys. A per-row bucket index with
+            # bisection was slower end to end (solve16 +12%, solve64 +9%),
+            # because Gaussian tails put 6-21 knots in one bucket. An index kept
+            # across calls without the cached gathers gave solve64 only 0.913x
+            # and compare8 +2.5%; the cache below keeps the gathers too.
+            idx = np.empty((len(moved), levels.shape[1]), dtype=np.intp)
+            for k, s in enumerate(moved):
+                idx[k] = self.probs[s].searchsorted(levels[s], side="left")
+            # gathers from the raveled tables, where row s starts at s * K
+            idx += np.multiply(moved, self.probs.shape[1])[:, None]
+            probs, values = self.probs.ravel(), self.values.ravel()
+            hi, v1 = probs.take(idx), values.take(idx)
+            idx -= 1
+            lo, v0 = probs.take(idx), values.take(idx)
+            del idx
+            dv = np.subtract(v1, v0, out=v1)
+            if bound:
+                cache.lo[moved], cache.hi[moved], cache.v0[moved], cache.dv[moved] = lo, hi, v0, dv
+            else:
+                cache.table, cache.lo, cache.hi, cache.v0, cache.dv = self, lo, hi, v0, dv
+        lo, hi, v0, dv = cache.lo, cache.hi, cache.v0, cache.dv
+        # steps on arrays this call owns run in place, so few (S, M)
+        # temporaries are alive at once on large grids
+        width = np.subtract(hi, lo, out=hi if own else None)
         slope = dv / width
-        frac = np.subtract(levels, lo, out=lo)
+        frac = np.subtract(levels, lo, out=lo if own else None)
         frac /= width
-        val = np.add(v0, np.multiply(frac, dv, out=frac), out=v0)
+        frac *= dv
+        val = np.add(v0, frac, out=frac)
         return val.reshape(t_arr.shape), slope.reshape(t_arr.shape)
 
     @staticmethod
@@ -277,7 +334,7 @@ def marginals_2d(d: DiscreteDensity2D) -> tuple[DiscreteDensity1D, DiscreteDensi
 
 def per_axis_w2_sum(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> float:
     """Sum over both axes of the exact squared quantile distance between the marginals."""
-    f1, f2 = marginals_2d(f)
-    g1, g2 = marginals_2d(f_tilde)
+    f1, f2 = f.marginals
+    g1, g2 = f_tilde.marginals
     q = QuantileTable.from_density
     return w2_squared_1d(q(f1), q(g1)) + w2_squared_1d(q(f2), q(g2))

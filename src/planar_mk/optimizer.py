@@ -31,7 +31,7 @@ from .measures import (
     EPS_FLOOR,
     DiscreteDensity1D,
     DiscreteDensity2D,
-    marginals_2d,
+    RampCache,
 )
 from .reduction import conditional_quantile_field
 from .rng import Xoshiro256StarStar
@@ -274,7 +274,9 @@ def _run_mirror_descent(
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
     values = values0.copy()
-    out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y)
+    # successive passes move few center levels to another ramp
+    caches = RampCache(), RampCache()
+    out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y, caches)
     L_cur, grad = out.L_value, out.phi + out.psi
     pg = project_zero_marginals(grad, wx, wy)
     marg_err = _marginal_residual(values * areas, row_target, col_target)[0]
@@ -304,7 +306,7 @@ def _run_mirror_descent(
             cand = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target)
             predicted = float(np.sum(grad * (cand - values) * areas))
             if predicted < 0.0:
-                trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y)
+                trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y, caches)
                 if trial.L_value <= L_cur + _ARMIJO * predicted:
                     accepted = trial
                     break
@@ -358,8 +360,7 @@ def solve(
     scheduling. Starts run one after another.
     """
     config = config or SolverConfig()
-    f1, _ = marginals_2d(f)
-    _, f2 = marginals_2d(f_tilde)
+    f1, f2 = f.marginals[0], f_tilde.marginals[1]
     field_f = conditional_quantile_field(f, "x")
     field_ft = conditional_quantile_field(f_tilde, "y")
     rng = Xoshiro256StarStar(config.seed)

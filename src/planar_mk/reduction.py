@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingDensity, as_density, check_coupling_side
-from .measures import DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
+from .measures import DiscreteDensity2D, Grid1D, QuantileTable, RampCache
 
 
 class DegenerateSliceError(ValueError):
@@ -59,19 +59,22 @@ class ConditionalQuantileField:
 
     table: QuantileTable
 
-    def at_centers(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def at_centers(
+        self, rows: np.ndarray, cache: RampCache | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Quantiles and ramp slopes at the cell-center levels of coupling masses.
 
         rows holds one row of coupling masses along the free axis per table
         row. A center's level counts half of its own cell; each row is
         normalized by its mass, summed as in `_conditional_cums`. Returns the
-        quantiles, the slopes and the row masses.
+        quantiles, the slopes and the row masses. cache goes to the table's
+        `value_and_slope`.
         """
         totals = np.ascontiguousarray(rows).sum(axis=1)
         levels = np.cumsum(rows, axis=1)
         levels -= 0.5 * rows
         levels /= totals[:, None]
-        val, slope = self.table.value_and_slope(np.clip(levels, 1e-15, 1.0, out=levels))
+        val, slope = self.table.value_and_slope(np.clip(levels, 1e-15, 1.0, out=levels), cache)
         return val, slope, totals
 
 
@@ -101,7 +104,7 @@ def build_g_map(f: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) ->
     p must couple f's x-marginal (`check_coupling_side`, axis 0).
     """
     pd = as_density(p)
-    check_coupling_side(pd, marginals_2d(f)[0], 0)
+    check_coupling_side(pd, f.marginals[0], 0)
     return conditional_quantile_field(f, "x").at_centers(pd.cell_masses)[0]
 
 
@@ -111,7 +114,7 @@ def build_h_map(f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity
     p must couple f~'s y-marginal (`check_coupling_side`, axis 1).
     """
     pd = as_density(p)
-    check_coupling_side(pd, marginals_2d(f_tilde)[1], 1)
+    check_coupling_side(pd, f_tilde.marginals[1], 1)
     field = conditional_quantile_field(f_tilde, "y")
     # C order like g, so that sums over h run in the same order as over g
     return np.ascontiguousarray(field.at_centers(pd.cell_masses.T)[0].T)

@@ -35,20 +35,21 @@ from typing import Callable
 import numpy as np
 
 from .coupling import CouplingDensity, as_density, check_coupling_side
-from .measures import DiscreteDensity2D, Grid1D, marginals_2d
+from .measures import DiscreteDensity2D, Grid1D, RampCache
 from .reduction import ConditionalQuantileField, _slice_costs, conditional_quantile_field
 
 
 def _term_pass(
-    field: ConditionalQuantileField, rows: np.ndarray, centers: np.ndarray
+    field: ConditionalQuantileField, rows: np.ndarray, centers: np.ndarray, cache: RampCache | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-slice cost, map values and variation kernel for one L term.
 
     rows is (n_slices, n_along): row s holds the coupling masses along the
     integration axis for conditioning slice s; table row s of the field
-    inverts the matching conditional CDF of the fixed density.
+    inverts the matching conditional CDF of the fixed density. cache goes to
+    `at_centers`.
     """
-    val, slope, totals = field.at_centers(rows)
+    val, slope, totals = field.at_centers(rows, cache)
     resid = centers - val
     # tail integrand x cell mass: 2 (t - G)(-G_y) p w / f1, built in place
     # so that few (S, K) temporaries are alive at once on large grids
@@ -81,10 +82,16 @@ def objective_pass(
     masses: np.ndarray,
     grid_x: Grid1D,
     grid_y: Grid1D,
+    caches: tuple[RampCache | None, RampCache | None] = (None, None),
 ) -> ObjectivePass:
-    """The one evaluation of L, at raw coupling masses on fixed quantile fields."""
-    costs_y, g, phi = _term_pass(field_f, masses, grid_y.centers)
-    costs_x, h_t, psi_t = _term_pass(field_ft, masses.T, grid_x.centers)
+    """The one evaluation of L, at raw coupling masses on fixed quantile fields.
+
+    caches holds one `RampCache` per field, in the fields' order, or None; a
+    caller that evaluates a sequence of nearby couplings passes the same pair
+    each time. L, the maps and the kernels are the same bits without.
+    """
+    costs_y, g, phi = _term_pass(field_f, masses, grid_y.centers, caches[0])
+    costs_x, h_t, psi_t = _term_pass(field_ft, masses.T, grid_x.centers, caches[1])
     return ObjectivePass(
         L_value=float(costs_y.sum() + costs_x.sum()),
         g=g,
@@ -106,8 +113,8 @@ def _checked_pass(
 ) -> ObjectivePass:
     """The coupling check, then one pass on fields, built from f and f~ if not given."""
     pd = as_density(p)
-    check_coupling_side(pd, marginals_2d(f)[0], 0)
-    check_coupling_side(pd, marginals_2d(f_tilde)[1], 1)
+    check_coupling_side(pd, f.marginals[0], 0)
+    check_coupling_side(pd, f_tilde.marginals[1], 1)
     if fields is None:
         fields = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
     field_f, field_ft = fields

@@ -30,6 +30,14 @@ from planar_mk.optimizer import SolverConfig, ipfp_project, solve
 from planar_mk.variational import evaluate_L, first_variation
 
 
+def _patch_planar_mk(monkeypatch, original, spy):
+    """Replace the function original with spy in every planar_mk module that holds it."""
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("planar_mk") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+
+
 def write_pair(tmp_path, n=4, shift=(1, 0), seed=1):
     g = Grid1D.uniform(0.0, 1.0, n)
     f = smooth_random_density_2d(g, g, seed=seed)
@@ -214,36 +222,21 @@ class TestCliSolve:
         # check-el evaluates once at p; compare and solve build the descent's
         # fields, and the residual's pass at p* (which gives L_p_star) and
         # solve's independent-coupling baseline reuse them. g.csv and h.csv
-        # come from the pass at p*. solve takes each density's marginals four
-        # times, not five: its baseline reads the ones solve() stored on p*.
+        # come from the pass at p*.
         fa, fb = write_pair(tmp_path, seed=3)
-        builds, marginal_calls = [], []
+        builds = []
         original = reduction.conditional_quantile_field
-        original_marginals = measures.marginals_2d
 
         def spy(d, condition_axis):
             builds.append(condition_axis)
             return original(d, condition_axis)
 
-        def marginals_spy(d):
-            marginal_calls.append(id(d))
-            return original_marginals(d)
-
-        for name, module in list(sys.modules.items()):
-            if not name.startswith("planar_mk"):
-                continue
-            if getattr(module, "conditional_quantile_field", None) is original:
-                monkeypatch.setattr(module, "conditional_quantile_field", spy)
-            if getattr(module, "marginals_2d", None) is original_marginals:
-                monkeypatch.setattr(module, "marginals_2d", marginals_spy)
+        _patch_planar_mk(monkeypatch, original, spy)
         out = tmp_path / "out"
-        for command, marginals_per_density in (("check-el", 2), ("compare", 2), ("solve", 4)):
+        for command in ("check-el", "compare", "solve"):
             builds.clear()
-            marginal_calls.clear()
             assert main([command, "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
             assert len(builds) == 2 and builds.count("x") == builds.count("y"), (command, builds)
-            per_density = sorted(marginal_calls.count(key) for key in set(marginal_calls))
-            assert per_density == [marginals_per_density] * 2, (command, per_density)
         monkeypatch.undo()
         f, f_tilde = read_density(fa), read_density(fb)
         p = solve(f, f_tilde, SolverConfig()).p_star
@@ -252,6 +245,22 @@ class TestCliSolve:
         write_grid_csv(tmp_path / "h_ref.csv", grid_x, grid_y, reduction.build_h_map(f_tilde, p))
         assert (out / "g.csv").read_bytes() == (tmp_path / "g_ref.csv").read_bytes()
         assert (out / "h.csv").read_bytes() == (tmp_path / "h_ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["check-el", "compare", "solve"])
+    def test_each_density_marginals_taken_once(self, tmp_path, monkeypatch, command):
+        # the solve, the residual at p*, solve's independent baseline,
+        # per_axis_w2_sum and check-el's IPFP all read the density's kept marginals
+        fa, fb = write_pair(tmp_path, seed=3)
+        calls = []
+        original = measures.marginals_2d
+
+        def spy(d):
+            calls.append(id(d))
+            return original(d)
+
+        _patch_planar_mk(monkeypatch, original, spy)
+        assert main([command, "--input-f", fa, "--input-g", fb, "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2 and len(set(calls)) == 2, calls
 
     def test_malformed_input_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import density_cdf
 from planar_mk.measures import (
+    EPS_FLOOR,
     DiscreteDensity1D,
     DiscreteDensity2D,
     Grid1D,
     QuantileTable,
+    RampCache,
     marginals_2d,
     w2_squared_1d,
 )
@@ -278,6 +280,98 @@ class TestStackedQuantileTable:
         table = QuantileTable(probs, np.array([[0.0, 1.0, 2.0]] * 3))
         with pytest.raises(ValueError):
             table(np.array([0.5, 0.5]))  # one level for a three-row table
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tables_rejected(self, bad):
+        # NaN compares false, so it would slip past the order checks
+        with pytest.raises(ValueError, match="finite"):
+            QuantileTable([0.0, bad, 1.0], [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            QuantileTable([0.0, 0.5, 1.0], [0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            QuantileTable([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], [[0.0, 0.5, 1.0], [0.0, abs(bad), abs(bad)]])
+
+
+@st.composite
+def ramp_table(draw, n_rows, n_knots):
+    """Rows as the program makes them: floored densities, whose tails crowd
+    knots near 0 and 1, with empty cells (repeated probs) and flat steps in
+    values; and, on an even knot count, `from_atoms` rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs, values = [], []
+    for _ in range(n_rows):
+        if n_knots % 2 == 0 and draw(st.booleans()):
+            masses = rng.random(n_knots // 2) * (rng.random(n_knots // 2) < 0.8)
+            masses[0] += 1e-3
+            row = QuantileTable.from_atoms(np.cumsum(rng.random(n_knots // 2) + 0.1), masses)
+            probs.append(row.probs[0])
+            values.append(row.values[0])
+            continue
+        masses = rng.random(n_knots - 1) * (rng.random(n_knots - 1) < draw(st.sampled_from([0.5, 1.0])))
+        tail = draw(st.integers(0, (n_knots - 1) // 2))
+        masses[:tail] = masses[masses.size - tail:] = EPS_FLOOR
+        masses[masses.size // 2] += 1.0
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        probs.append(cum / cum[-1])
+        steps = rng.random(n_knots - 1) * (rng.random(n_knots - 1) < draw(st.sampled_from([0.7, 1.0])))
+        values.append(rng.normal() + np.concatenate([[0.0], np.cumsum(steps)]))
+    return QuantileTable(np.array(probs), np.array(values))
+
+
+def _knot_levels(table, rng, size):
+    """Levels that sit on a knot of their row, or one ulp to either side of it."""
+    rows = np.arange(table.probs.shape[0])[:, None]
+    knots = table.probs[rows, rng.integers(1, table.probs.shape[1], size=size)]
+    side = rng.integers(-1, 2, size=size)
+    t = np.where(side < 0, np.nextafter(knots, 0.0), np.where(side > 0, np.nextafter(knots, 2.0), knots))
+    return np.clip(t, 5e-324, 1.0)
+
+
+class TestRampCache:
+    @given(st.data(), st.integers(1, 4), st.integers(2, 300), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_calls_equal_fresh_calls_bit_for_bit(self, data, n_rows, n_knots, n_levels):
+        tables = [data.draw(ramp_table(n_rows, n_knots)), data.draw(ramp_table(n_rows, n_knots))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table, cache = tables[0], RampCache()
+        t = 1.0 - rng.random((n_rows, n_levels))
+        steps = st.sampled_from(["same", "nudge", "redraw", "knots", "one", "tiny", "other_shape", "other_table"])
+        for step in data.draw(st.lists(steps, min_size=1, max_size=12)):
+            some = rng.random(t.shape) < 0.3
+            if step == "nudge":  # onto an end of the level's own ramp, or one ulp to either side
+                idx = np.stack([table.probs[s].searchsorted(t[s]) for s in range(n_rows)])
+                idx -= rng.integers(0, 2, size=idx.shape) * (idx > 1)
+                knots = np.take_along_axis(table.probs, idx, axis=1)
+                toward = rng.choice([0.0, 2.0, np.nan], size=t.shape)
+                nudged = np.where(np.isnan(toward), knots, np.nextafter(knots, toward))
+                t = np.where(some, np.clip(nudged, 5e-324, 1.0), t)
+            elif step == "redraw":
+                t = 1.0 - rng.random(t.shape)
+            elif step == "knots":
+                t = np.where(some, _knot_levels(table, rng, t.shape), t)
+            elif step in ("one", "tiny"):
+                t = np.where(some, 1.0 if step == "one" else 1e-15, t)
+            elif step == "other_shape":
+                t = 1.0 - rng.random((n_rows, int(rng.integers(1, 41))))
+            elif step == "other_table":
+                table = tables[1] if table is tables[0] else tables[0]
+            levels = t[0] if n_rows == 1 and t.shape[1] % 2 else t  # a one-row table takes any shape
+            val, slope = table.value_and_slope(levels, cache)
+            fresh_val, fresh_slope = table.value_and_slope(levels)
+            assert val.tobytes() == fresh_val.tobytes() and slope.tobytes() == fresh_slope.tobytes(), step
+            assert val.shape == fresh_val.shape == slope.shape == np.shape(levels)
+
+    def test_kept_rows_read_the_cache(self):
+        # a row whose levels keep their brackets is neither searched nor
+        # gathered again; a row with a moved level is
+        table = QuantileTable([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        cache = RampCache()
+        table.value_and_slope(np.array([[0.2, 0.7], [0.2, 0.7]]), cache)
+        cache.v0 += 10.0
+        val, _ = table.value_and_slope(np.array([[0.3, 0.6], [0.3, 0.4]]), cache)
+        assert np.array_equal(val, [[10.6, 11.2], [0.6, 0.8]])
+        assert np.array_equal(cache.v0, [[10.0, 11.0], [0.0, 0.0]])
 
 
 class TestW2:

@@ -467,9 +467,9 @@ class TestSolve:
         seen = []
         original = optimizer.objective_pass
 
-        def recording(field_f, field_ft, masses, grid_x, grid_y):
+        def recording(field_f, field_ft, masses, grid_x, grid_y, caches=(None, None)):
             seen.append(masses.tobytes())
-            return original(field_f, field_ft, masses, grid_x, grid_y)
+            return original(field_f, field_ft, masses, grid_x, grid_y, caches)
 
         monkeypatch.setattr(optimizer, "objective_pass", recording)
         g6 = Grid1D.uniform(0.0, 1.0, 6)

@@ -5,8 +5,8 @@ density files (JSON or CSV) or LP instance files; outputs are plot-ready CSV
 grids plus a versioned report.json whose timing fields are isolated so that
 reports from a fixed seed are byte-identical apart from timing.
 
-Exit codes: 0 success / converged, 1 I/O or validation failure, 2 solver hit
-max_iters, 3 oracle size limit, 4 compare gap above tolerance.
+Exit codes: 0 success / converged, 1 usage, I/O or validation failure, 2
+solver hit max_iters, 3 oracle size limit, 4 compare gap above tolerance.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = report.p_star
-    write_grid_csv(out_dir / "p_star.csv", p.density.grid_x, p.density.grid_y, p.values)
-    write_grid_csv(out_dir / "g.csv", p.density.grid_x, p.density.grid_y, report.at_p_star.g)
-    write_grid_csv(out_dir / "h.csv", p.density.grid_x, p.density.grid_y, report.at_p_star.h)
+    write_grid_csv(out_dir / "p_star.csv", p.grid_x, p.grid_y, p.values)
+    write_grid_csv(out_dir / "g.csv", p.grid_x, p.grid_y, report.at_p_star.g)
+    write_grid_csv(out_dir / "h.csv", p.grid_x, p.grid_y, report.at_p_star.h)
 
     f1, f2 = p.target_row_marginal, p.target_col_marginal
     independent = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
@@ -160,8 +160,8 @@ def cmd_check_el(args) -> int:
     el = euler_lagrange_residual(f, f_tilde, p)  # residual.csv and grad.csv come from its one pass
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(out_dir / "residual.csv", p.density.grid_x, p.density.grid_y, el.residual)
-    write_grid_csv(out_dir / "grad.csv", p.density.grid_x, p.density.grid_y, el.at_p.phi + el.at_p.psi)
+    write_grid_csv(out_dir / "residual.csv", p.grid_x, p.grid_y, el.residual)
+    write_grid_csv(out_dir / "grad.csv", p.grid_x, p.grid_y, el.at_p.phi + el.at_p.psi)
     body = {
         "command": "check-el",
         "grid": _grid_spec(f),
@@ -239,8 +239,15 @@ def cmd_compare(args) -> int:
     return 0 if gap <= tolerance else 4
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises ValueError, so that it exits 1 in one `error:` line, not argparse's 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="planar-mk",
         description="Optimal planar couplings by conditional-quantile reduction.",
     )
@@ -250,11 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input-f", required=True, help="source density file (.json or .csv)")
         p.add_argument("--input-g", required=True, help="target density file (.json or .csv)")
         p.add_argument("--out-dir", default="out", help="output directory")
+
+    def add_solver(p):
+        add_io(p)
         p.add_argument("--seed", type=int, default=None, help="seed override (default 0 via config)")
         p.add_argument("--config", default=None, help="solver config JSON")
 
     p_solve = sub.add_parser("solve", help="minimize the reduced objective and export maps")
-    add_io(p_solve)
+    add_solver(p_solve)
 
     p_oracle = sub.add_parser("oracle", help="exact LP optimum (instance file or density pair)")
     p_oracle.add_argument("--instance", default=None, help="JSON with supply/demand/cost")
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--out-dir", default="out")
 
     p_cmp = sub.add_parser("compare", help="solver optimum against the exact LP")
-    add_io(p_cmp)
+    add_solver(p_cmp)
     p_cmp.add_argument("--tolerance", type=float, default=1e-3)
 
     return parser
@@ -283,14 +293,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "oracle" and not args.instance and not (args.input_f and args.input_g):
-        parser.error("oracle needs --instance or both --input-f and --input-g")
     # looked up per call, not kept in the cached parser, so that a patched module attribute runs
     commands = {"solve": cmd_solve, "oracle": cmd_oracle, "check-el": cmd_check_el,
                 "check-lemmas": cmd_check_lemmas, "compare": cmd_compare}
     try:
+        args = _parser().parse_args(argv)
+        if args.command == "oracle" and not args.instance and not (args.input_f and args.input_g):
+            raise ValueError("oracle needs --instance or both --input-f and --input-g")
         return commands[args.command](args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

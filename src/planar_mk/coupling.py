@@ -1,10 +1,10 @@
 """Couplings: 2-D densities constrained to the transportation polytope.
 
-A coupling density fixes its first marginal to the source's x-marginal and
-its second marginal to the target's y-marginal. This module owns the rule
-for "p is a coupling of f and f~", checked one side at a time: along each
-axis p lies on the target marginal's grid, node for node, and its marginal
-matches the target's cell masses within FEAS_TOL in L1.
+A coupling density is a 2-D density whose first marginal is the source's
+x-marginal and whose second is the target's y-marginal. This module owns
+the rule for "p is a coupling of f and f~", checked one side at a time:
+along each axis p lies on the target marginal's grid, node for node, and
+its marginal matches the target's cell masses within FEAS_TOL in L1.
 """
 
 from __future__ import annotations
@@ -60,26 +60,19 @@ def check_coupling_side(p: DiscreteDensity2D, target: DiscreteDensity1D, axis: i
 
 
 @dataclass(frozen=True)
-class CouplingDensity:
-    density: DiscreteDensity2D
+class CouplingDensity(DiscreteDensity2D):
     target_row_marginal: DiscreteDensity1D  # x-marginal of the source density
     target_col_marginal: DiscreteDensity1D  # y-marginal of the target density
 
     def __post_init__(self):
-        check_coupling_side(self.density, self.target_row_marginal, 0)
-        check_coupling_side(self.density, self.target_col_marginal, 1)
+        super().__post_init__()
+        check_coupling_side(self, self.target_row_marginal, 0)
+        check_coupling_side(self, self.target_col_marginal, 1)
         # unit-mass rescaling after the floor bump can shave a relative sliver
-        if np.min(self.density.values) < EPS_FLOOR * (1.0 - 1e-9):
+        if np.min(self.values) < EPS_FLOOR * (1.0 - 1e-9):
             raise ValueError("coupling density dips below the positivity floor")
 
     @property
-    def values(self) -> np.ndarray:
-        return self.density.values
-
-    @property
-    def cell_masses(self) -> np.ndarray:
-        return self.density.cell_masses
-
-
-def as_density(p: "CouplingDensity | DiscreteDensity2D") -> DiscreteDensity2D:
-    return p.density if isinstance(p, CouplingDensity) else p
+    def density(self) -> "CouplingDensity":
+        """The coupling itself, kept for perfbench/workloads.py, which reads `p.density`."""
+        return self

@@ -17,6 +17,7 @@ for both) rejects a negative value, then floors and renormalizes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,11 @@ def _grid_fields(spec: dict, label: str) -> tuple[float, float, int]:
         fields = [spec["min"], spec["max"], spec["n"]]
     except (KeyError, TypeError) as exc:
         raise DensityFormatError(f"{label} must provide min, max and n") from exc
-    lo, hi, n = json_numbers(fields, f"{label} min, max and n")
-    if not hi > lo or not (n >= 1 and float(n).is_integer()):
-        raise DensityFormatError(f"{label} needs max > min and an integer n >= 1")
-    return float(lo), float(hi), int(n)
+    lo, hi, n = json_numbers(fields, f"{label} min, max and n").tolist()
+    # a finite width also keeps the grid's nodes finite
+    if not (hi > lo and math.isfinite(hi - lo)) or not (n >= 1 and float(n).is_integer()):
+        raise DensityFormatError(f"{label} needs finite max > min and an integer n >= 1")
+    return lo, hi, int(n)
 
 
 def grid_spec(grid: Grid1D) -> dict:
@@ -130,7 +132,10 @@ def read_grid_csv(path: str | Path) -> tuple[Grid1D, Grid1D, np.ndarray]:
         raise DensityFormatError(f"{path}: final row must carry only the last x-edge")
     if values.shape != (x_nodes.size - 1, y_nodes.size - 1):
         raise DensityFormatError(f"{path}: value block does not match the edge counts")
-    return Grid1D(x_nodes), Grid1D(y_nodes), values
+    try:
+        return Grid1D(x_nodes), Grid1D(y_nodes), values
+    except ValueError as exc:
+        raise DensityFormatError(f"{path}: {exc}") from exc
 
 
 def read_density_csv(path: str | Path) -> DiscreteDensity2D:

@@ -7,6 +7,11 @@ import numpy as np
 from .measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
 from .rng import Xoshiro256StarStar
 
+# cosine modes per axis of `smooth_random_density_2d`
+_N_MODES = 3
+# log-scale of the multiplicative noise in `random_feasible_coupling_values`
+_ROUGHNESS = 0.5
+
 
 def density_1d_from_function(grid: Grid1D, fn) -> DiscreteDensity1D:
     """Midpoint-sampled 1-D density, floored and renormalized."""
@@ -47,7 +52,6 @@ def smooth_random_density_2d(
     grid_x: Grid1D,
     grid_y: Grid1D,
     seed: int,
-    n_modes: int = 3,
     amplitude: float = 0.8,
 ) -> DiscreteDensity2D:
     """Random low-frequency positive density: exp of a small cosine series."""
@@ -56,8 +60,8 @@ def smooth_random_density_2d(
     ly = grid_y.nodes[-1] - grid_y.nodes[0]
     X, Y = np.meshgrid(grid_x.centers, grid_y.centers, indexing="ij")
     bump = np.zeros_like(X)
-    for kx in range(n_modes):
-        for ky in range(n_modes):
+    for kx in range(_N_MODES):
+        for ky in range(_N_MODES):
             amp = amplitude * rng.uniform(-1.0, 1.0) / (1.0 + kx + ky)
             phase_x = rng.uniform(0.0, 2 * np.pi)
             phase_y = rng.uniform(0.0, 2 * np.pi)
@@ -83,17 +87,12 @@ def shifted_density_2d(d: DiscreteDensity2D, shift_x: int = 0, shift_y: int = 0)
     return DiscreteDensity2D.from_values(d.grid_x, d.grid_y, values)
 
 
-def random_feasible_coupling_values(
-    f1: DiscreteDensity1D,
-    f2: DiscreteDensity1D,
-    seed: int,
-    roughness: float = 0.5,
-) -> np.ndarray:
+def random_feasible_coupling_values(f1: DiscreteDensity1D, f2: DiscreteDensity1D, seed: int) -> np.ndarray:
     """Random positive values for IPFP projection into the coupling polytope."""
     rng = Xoshiro256StarStar(seed)
     base = np.outer(f1.values, f2.values)
     noise = rng.uniform(-1.0, 1.0, size=base.shape)
-    return base * np.exp(roughness * noise)
+    return base * np.exp(_ROUGHNESS * noise)
 
 
 def aligned_atomic_instance(

@@ -35,8 +35,9 @@ class Grid1D:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("grid nodes must be strictly increasing")
+        # finite first, so that no inf - inf reaches the difference
+        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+            raise ValueError("grid nodes must be finite and strictly increasing")
 
     @property
     def n_cells(self) -> int:
@@ -86,7 +87,7 @@ class DiscreteDensity1D:
         _check_finite(values)
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
-        if abs(self.total_mass() - 1.0) > MASS_TOL:
+        if not abs(self.total_mass() - 1.0) <= MASS_TOL:  # also rejects a NaN mass
             raise ValueError(f"density mass {self.total_mass()} not 1 within {MASS_TOL}")
 
     def total_mass(self) -> float:
@@ -116,7 +117,7 @@ class DiscreteDensity2D:
         _check_finite(values)
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
-        if abs(self.total_mass() - 1.0) > MASS_TOL:
+        if not abs(self.total_mass() - 1.0) <= MASS_TOL:  # also rejects a NaN mass
             raise ValueError(f"density mass {self.total_mass()} not 1 within {MASS_TOL}")
 
     @property

@@ -201,8 +201,7 @@ def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) 
     unless the final bump ran (see `_ipfp_core`). Raises after _IPFP_SWEEPS
     sweeps with the residual.
     """
-    values = _ipfp_values(raw, f1, f2)
-    return CouplingDensity(DiscreteDensity2D(f1.grid, f2.grid, values), f1, f2)
+    return CouplingDensity(f1.grid, f2.grid, _ipfp_values(raw, f1, f2), f1, f2)
 
 
 def feasible_direction(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingDensity, as_density, check_coupling_side
+from .coupling import check_coupling_side
 from .measures import DiscreteDensity2D, Grid1D, QuantileTable, RampCache
 
 
@@ -98,26 +98,24 @@ def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(sq[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
-def build_g_map(f: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
+def build_g_map(f: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
     """g(x, y) on the p-grid; g[i, j] lives on f's second axis.
 
     p must couple f's x-marginal (`check_coupling_side`, axis 0).
     """
-    pd = as_density(p)
-    check_coupling_side(pd, f.marginals[0], 0)
-    return conditional_quantile_field(f, "x").at_centers(pd.cell_masses)[0]
+    check_coupling_side(p, f.marginals[0], 0)
+    return conditional_quantile_field(f, "x").at_centers(p.cell_masses)[0]
 
 
-def build_h_map(f_tilde: DiscreteDensity2D, p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
+def build_h_map(f_tilde: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
     """h(x, y) on the p-grid; h[i, j] lives on f~'s first axis.
 
     p must couple f~'s y-marginal (`check_coupling_side`, axis 1).
     """
-    pd = as_density(p)
-    check_coupling_side(pd, f_tilde.marginals[1], 1)
+    check_coupling_side(p, f_tilde.marginals[1], 1)
     field = conditional_quantile_field(f_tilde, "y")
     # C order like g, so that sums over h run in the same order as over g
-    return np.ascontiguousarray(field.at_centers(pd.cell_masses.T)[0].T)
+    return np.ascontiguousarray(field.at_centers(p.cell_masses.T)[0].T)
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def _pushforward_report(binned: np.ndarray, ref: np.ndarray) -> PushforwardRepor
 
 def pushforward_check(
     f: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
     g: np.ndarray,
 ) -> PushforwardReport:
     """Law of (X1, g(X1, Y2)) under p, binned onto f's grid, against f.
@@ -173,7 +171,7 @@ def pushforward_check(
     the passed g must be consistent). The deposition error vanishes under
     refinement; identically zero when p matches f's conditional structure.
     """
-    masses = as_density(p).cell_masses
+    masses = p.cell_masses
     field = conditional_quantile_field(f, "x")
     binned = _binned_pushforward(field, masses, g, f.grid_y.nodes, "g")
     return _pushforward_report(binned, f.cell_masses)
@@ -181,11 +179,11 @@ def pushforward_check(
 
 def pushforward_check_h(
     f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
     h: np.ndarray,
 ) -> PushforwardReport:
     """Law of (h(X1, Y2), Y2) under p against f~ (transpose of the g check)."""
-    masses = as_density(p).cell_masses
+    masses = p.cell_masses
     field = conditional_quantile_field(f_tilde, "y")
     binned = _binned_pushforward(field, masses.T, h.T, f_tilde.grid_x.nodes, "h")
     return _pushforward_report(binned.T, f_tilde.cell_masses)
@@ -201,7 +199,7 @@ class CouplingCost:
 def coupling_cost(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
     g: np.ndarray,
     h: np.ndarray,
 ) -> CouplingCost:
@@ -210,10 +208,9 @@ def coupling_cost(
     term_y integrates (y - g)^2 against p, term_x integrates (x - h)^2; on
     p's own maps the total equals `objective_pass(...).L_value` bit for bit.
     """
-    pd = as_density(p)
-    masses = pd.cell_masses
+    masses = p.cell_masses
     if g.shape != masses.shape or h.shape != masses.shape:
         raise ValueError("maps must live on p's grid")
-    term_y = float(_slice_costs(pd.grid_y.centers - g, masses).sum())
-    term_x = float(_slice_costs(pd.grid_x.centers - h.T, masses.T).sum())
+    term_y = float(_slice_costs(p.grid_y.centers - g, masses).sum())
+    term_x = float(_slice_costs(p.grid_x.centers - h.T, masses.T).sum())
     return CouplingCost(total=term_x + term_y, term_x=term_x, term_y=term_y)

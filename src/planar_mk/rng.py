@@ -49,10 +49,6 @@ class Xoshiro256StarStar:
         for _ in range(4):
             z, state = _splitmix64_next(state)
             s.append(z)
-        # All-zero state is invalid for xoshiro; cannot occur from splitmix64
-        # seeding, but guard anyway.
-        if not any(s):
-            s[0] = _SM_GAMMA
         self._s = s
 
     def next_uint64(self) -> int:

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import CouplingDensity, as_density, check_coupling_side
+from .coupling import check_coupling_side
 from .measures import DiscreteDensity2D, Grid1D, RampCache
 from .reduction import ConditionalQuantileField, _slice_costs, conditional_quantile_field
 
@@ -108,23 +108,22 @@ QuantileFields = tuple[ConditionalQuantileField, ConditionalQuantileField]
 def _checked_pass(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
     fields: QuantileFields | None = None,
 ) -> ObjectivePass:
     """The coupling check, then one pass on fields, built from f and f~ if not given."""
-    pd = as_density(p)
-    check_coupling_side(pd, f.marginals[0], 0)
-    check_coupling_side(pd, f_tilde.marginals[1], 1)
+    check_coupling_side(p, f.marginals[0], 0)
+    check_coupling_side(p, f_tilde.marginals[1], 1)
     if fields is None:
         fields = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
     field_f, field_ft = fields
-    return objective_pass(field_f, field_ft, pd.cell_masses, pd.grid_x, pd.grid_y)
+    return objective_pass(field_f, field_ft, p.cell_masses, p.grid_x, p.grid_y)
 
 
 def evaluate_L(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
 ) -> float:
     """Reduced objective at p; identical to `coupling_cost` on its own maps."""
     return _checked_pass(f, f_tilde, p).L_value
@@ -133,7 +132,7 @@ def evaluate_L(
 def first_variation(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Variation kernels (phi, psi) of L at p.
 
@@ -147,16 +146,16 @@ def first_variation(
 def simplified_cross_derivatives(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed forms phi_y = 2(y - g) and psi_x = 2(x - h) on the grid."""
     out = _checked_pass(f, f_tilde, p)
     return 2.0 * (f_tilde.grid_y.centers - out.g), 2.0 * (f.grid_x.centers[:, None] - out.h)
 
 
-def cumulative_h(p: CouplingDensity | DiscreteDensity2D) -> np.ndarray:
+def cumulative_h(p: DiscreteDensity2D) -> np.ndarray:
     """H(x, y) = cumulative coupling mass up to (x, y), on the grid nodes: (n_x + 1, n_y + 1)."""
-    masses = as_density(p).cell_masses
+    masses = p.cell_masses
     H = np.zeros((masses.shape[0] + 1, masses.shape[1] + 1))
     H[1:, 1:] = np.cumsum(np.cumsum(masses, axis=0), axis=1)
     return H
@@ -182,7 +181,7 @@ def _axis_derivative(values: np.ndarray, centers: np.ndarray, axis: int) -> np.n
 def euler_lagrange_residual(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
-    p: CouplingDensity | DiscreteDensity2D,
+    p: DiscreteDensity2D,
     fields: QuantileFields | None = None,
 ) -> ELResidualReport:
     """Stationarity residual d/dx[G(x, H_x/f1)] + d/dy[G~(H_y/f2, y)].
@@ -198,11 +197,10 @@ def euler_lagrange_residual(
     fields, built once by a caller that evaluates several couplings of the
     same pair.
     """
-    pd = as_density(p)
-    at_p = _checked_pass(f, f_tilde, pd, fields)
-    residual = _axis_derivative(at_p.g, pd.grid_x.centers, 0) + _axis_derivative(at_p.h, pd.grid_y.centers, 1)
+    at_p = _checked_pass(f, f_tilde, p, fields)
+    residual = _axis_derivative(at_p.g, p.grid_x.centers, 0) + _axis_derivative(at_p.h, p.grid_y.centers, 1)
 
-    areas = pd.cell_areas
+    areas = p.cell_areas
     inner = (slice(1, -1), slice(1, -1))
     if residual[inner].size > 0:
         l2 = float(np.sqrt(np.sum(residual[inner] ** 2 * areas[inner])))

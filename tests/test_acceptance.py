@@ -134,7 +134,7 @@ def test_criterion_3_gradient_correctness():
             plus = DiscreteDensity2D(f.grid_x, f_tilde.grid_y, p.values + eps * eta)
             minus = DiscreteDensity2D(f.grid_x, f_tilde.grid_y, p.values - eps * eta)
             fd = (evaluate_L(f, f_tilde, plus) - evaluate_L(f, f_tilde, minus)) / (2 * eps)
-            analytic = float(np.sum((phi + psi) * eta * p.density.cell_areas))
+            analytic = float(np.sum((phi + psi) * eta * p.cell_areas))
             worst = max(worst, abs(fd - analytic) / max(1.0, abs(fd)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 60.0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,7 +241,7 @@ class TestCliSolve:
         monkeypatch.undo()
         f, f_tilde = read_density(fa), read_density(fb)
         p = solve(f, f_tilde, SolverConfig()).p_star
-        grid_x, grid_y = p.density.grid_x, p.density.grid_y
+        grid_x, grid_y = p.grid_x, p.grid_y
         write_grid_csv(tmp_path / "g_ref.csv", grid_x, grid_y, reduction.build_g_map(f, p))
         write_grid_csv(tmp_path / "h_ref.csv", grid_x, grid_y, reduction.build_h_map(f_tilde, p))
         assert (out / "g.csv").read_bytes() == (tmp_path / "g_ref.csv").read_bytes()
@@ -410,6 +411,91 @@ class TestCliSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 7
         assert report["config"]["seed"] == 7
+
+
+_TWO = {"min": 0, "max": 1, "n": 2}
+_CSV_HEAD = "x_edge\\y_edges,0,0.5,1\n"
+# (file name, content or None for a directory, a fragment of the error line)
+_MALFORMED_INPUTS = {
+    "ragged_json_values": (
+        "f.json", json.dumps({"grid_x": _TWO, "grid_y": _TWO, "values": [[1, 2], [3]]}), "values must be numbers"
+    ),
+    "grid_spec_without_n": (
+        "f.json", json.dumps({"grid_x": {"min": 0, "max": 1}, "grid_y": _TWO, "values": [[1, 2], [3, 4]]}),
+        "grid_x must provide min, max and n",
+    ),
+    "json_infinite_grid_max": (
+        "f.json", '{"grid_x": {"min": 0, "max": Infinity, "n": 2}, "grid_y": {"min": 0, "max": 1, "n": 2}, '
+        '"values": [[1, 2], [3, 4]]}', "grid_x needs finite max > min",
+    ),
+    "csv_under_three_lines": ("f.csv", _CSV_HEAD + "0,1,1\n", "too short for a grid CSV"),
+    "csv_cell_not_a_number": ("f.csv", _CSV_HEAD + "0,1,x\n0.5,1,1\n1\n", "malformed grid CSV"),
+    "csv_last_row_too_long": ("f.csv", _CSV_HEAD + "0,1,1\n0.5,1,1\n1,1\n", "final row must carry only"),
+    "csv_block_off_the_edges": ("f.csv", _CSV_HEAD + "0,1\n0.5,1\n1\n", "does not match the edge counts"),
+    "csv_infinite_edge": ("f.csv", _CSV_HEAD + "0,1,1\n0.5,1,1\ninf\n", "grid nodes must be finite"),
+    "txt_path": ("f.txt", "1,2\n", "unsupported extension '.txt'"),
+    "json_directory": ("f.json", None, "f.json"),
+    "csv_directory": ("f.csv", None, "f.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
+def test_malformed_input_exits_1_in_one_line(tmp_path, capsys, case):
+    name, content, fragment = _MALFORMED_INPUTS[case]
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--input-f", str(path), "--input-g", str(path), "--out-dir", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0], lines
+    assert not caught, [str(w.message) for w in caught]
+    assert not out.exists()
+
+
+def test_infinite_csv_edge_is_not_a_density(tmp_path):
+    # the mass of a grid with an infinite edge is NaN, which once passed the mass test
+    path = tmp_path / "f.csv"
+    path.write_text(_MALFORMED_INPUTS["csv_infinite_edge"][1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DensityFormatError, match="grid nodes must be finite"):
+            read_density(path)
+    for bad in ([0.0, 1.0, np.inf], [0.0, np.inf, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Grid1D(np.array(bad))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input-f", "F"],
+        ["oracle"],
+        ["solve", "--input-f", "F", "--input-g", "G", "--bogus"],
+        # check-el reads no solver config, so it takes neither flag
+        ["check-el", "--input-f", "F", "--input-g", "G", "--config", "missing.json", "--seed", "5"],
+    ],
+    ids=["missing_input_g", "oracle_without_inputs", "unknown_flag", "check_el_solver_flags"],
+)
+def test_usage_error_exits_1_in_one_line(tmp_path, capsys, argv):
+    # exit 2 means the solver hit max_iters, so a usage error must not use it
+    files = dict(zip("FG", write_pair(tmp_path)))
+    out = tmp_path / "o"
+    assert main([files.get(a, a) for a in argv] + ["--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and not captured.out, captured
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0 and "--input-g" in capsys.readouterr().out
 
 
 class TestCliOracleAndChecks:

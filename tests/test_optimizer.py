@@ -385,7 +385,7 @@ class TestSolve:
         p = report.p_star
         phi, psi = first_variation(f, f, p)
         grad = phi + psi
-        areas = p.density.cell_areas
+        areas = p.cell_areas
         rng = np.random.default_rng(42)
         for _ in range(20):
             eta = project_zero_marginals(
@@ -420,7 +420,7 @@ class TestSolve:
         f = smooth_random_density_2d(g, g, seed=seeds[0])
         ft = smooth_random_density_2d(g, g, seed=seeds[1])
         p = solve(f, ft, SolverConfig(max_iters=2000, grad_tol=0.0, stall_tol=1e-15)).p_star
-        areas = p.density.cell_areas
+        areas = p.cell_areas
         L_star = evaluate_L(f, ft, p)
 
         def L_at(d, s):

@@ -20,6 +20,7 @@ from planar_mk.measures import (
 from planar_mk.optimizer import ipfp_project
 from planar_mk.oracle import solve_full_2d
 from planar_mk.reduction import (
+    DegenerateSliceError,
     _slice_costs,
     build_g_map,
     build_h_map,
@@ -51,6 +52,14 @@ class TestConditionalCdf:
         d = DiscreteDensity2D(g, g, np.array([[0.4, 0.1], [0.2, 0.3]]))
         assert np.allclose(conditional_quantile_field(d, "x").table.probs[0], [0.0, 0.8, 1.0])
         assert np.allclose(conditional_quantile_field(d, "y").table.probs[1], [0.0, 0.25, 1.0])
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_empty_slice_raises(self, axis):
+        g = unit_cell_grid(2)
+        values = np.array([[0.0, 0.0], [0.5, 0.5]])  # x-cell 0 carries no mass; transposed, y-cell 0
+        d = DiscreteDensity2D(g, g, values if axis == "x" else values.T)
+        with pytest.raises(DegenerateSliceError, match="slice 0 carries no mass"):
+            conditional_quantile_field(d, axis)
 
     def test_uniform_every_slice(self):
         g = Grid1D.uniform(0.0, 1.0, 5)
@@ -182,7 +191,7 @@ class TestPushforward:
         gy = Grid1D(np.cumsum(np.r_[-1.0, rng.uniform(0.2, 1.8, 10)]))
         f = smooth_random_density_2d(gx, gy, seed=11)
         p = make_smooth_feasible_coupling(f, f, seed=12)
-        masses = p.density.cell_masses
+        masses = p.cell_masses
         if check_h:
             binned = pushforward_check_h(f, p, build_h_map(f, p)).binned_masses.T
             masses, axis, edges = masses.T, "y", gx.nodes
@@ -279,7 +288,7 @@ class TestCouplingCost:
             p = ipfp_project(random_feasible_coupling_values(f1, f2, seed=300 + seed), f1, f2)
             out = objective_pass(
                 conditional_quantile_field(f, "x"), conditional_quantile_field(ft, "y"),
-                p.density.cell_masses, gx, gy,
+                p.cell_masses, gx, gy,
             )
             total = coupling_cost(f, ft, p, out.g, out.h).total
             assert evaluate_L(f, ft, p) == out.L_value == total, seed

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import density_cdf, make_smooth_feasible_coupling, shift_pair
-from planar_mk.coupling import FeasibilityError
+from planar_mk.coupling import CouplingDensity, FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
     gaussian_2d,
     product_density_2d,
     smooth_random_density_2d,
 )
-from planar_mk.measures import DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
+from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
 from planar_mk.optimizer import ipfp_project, project_zero_marginals, solve
-from planar_mk.reduction import build_g_map, build_h_map, conditional_quantile_field, coupling_cost
+from planar_mk.reduction import (
+    build_g_map,
+    build_h_map,
+    conditional_quantile_field,
+    coupling_cost,
+    pushforward_check,
+    pushforward_check_h,
+)
 from planar_mk.variational import (
     cumulative_h,
     euler_lagrange_residual,
@@ -30,7 +40,7 @@ def test_maps_equal_objective_pass_maps_bit_for_bit():
     ft = smooth_random_density_2d(g16, g16, seed=8)
     p = make_smooth_feasible_coupling(f, ft, seed=9)
     out = objective_pass(
-        conditional_quantile_field(f, "x"), conditional_quantile_field(ft, "y"), p.density.cell_masses, g16, g16
+        conditional_quantile_field(f, "x"), conditional_quantile_field(ft, "y"), p.cell_masses, g16, g16
     )
     assert np.array_equal(build_g_map(f, p), out.g)
     assert np.array_equal(build_h_map(ft, p), out.h)
@@ -67,7 +77,7 @@ class TestEvaluateL:
         f, f_tilde = correlated_pair_8
         p_wrong = ipfp_project(f_tilde.values, *marginals_2d(f_tilde))
         with pytest.raises(FeasibilityError):
-            evaluate_L(f, f_tilde, p_wrong.density)
+            evaluate_L(f, f_tilde, p_wrong)
 
 
 @pytest.mark.parametrize("entry", [evaluate_L, first_variation, euler_lagrange_residual])
@@ -80,13 +90,78 @@ def test_coupling_on_another_grid_rejected(entry, correlated_pair_8, independent
         entry(f, f_tilde, p)
 
 
+@st.composite
+def coupled_pair(draw):
+    """f, f~ and a positive raw array on random nonuniform grids of 1-8 cells per axis.
+
+    f lies on (gx, ga) and f~ on (gb, gy), so p lives on (gx, gy).
+    """
+    grids = []
+    for _ in range(4):
+        n = draw(st.integers(1, 8))
+        widths = draw(arrays(np.float64, n, elements=st.floats(0.2, 2.0)))
+        grids.append(Grid1D(np.cumsum(np.r_[draw(st.floats(-1.0, 1.0)), widths])))
+    gx, ga, gb, gy = grids
+
+    def positive(shape):
+        return np.exp(draw(arrays(np.float64, shape, elements=st.floats(-3.0, 3.0))))
+
+    f = DiscreteDensity2D.from_values(gx, ga, positive((gx.n_cells, ga.n_cells)))
+    f_tilde = DiscreteDensity2D.from_values(gb, gy, positive((gb.n_cells, gy.n_cells)))
+    return f, f_tilde, positive((gx.n_cells, gy.n_cells))
+
+
+def _bytes(out) -> list:
+    """Every float an output holds, as bytes, in a fixed order."""
+    if isinstance(out, float):
+        return [np.float64(out).tobytes()]
+    if isinstance(out, np.ndarray):
+        return [out.shape, out.tobytes()]
+    if isinstance(out, tuple):
+        return [b for item in out for b in _bytes(item)]
+    return [b for value in vars(out).values() for b in _bytes(value)]
+
+
+class TestCouplingIsADensity:
+    @settings(max_examples=40, deadline=None)
+    @given(pair=coupled_pair())
+    def test_coupling_and_plain_density_give_the_same_bytes(self, pair):
+        f, f_tilde, raw = pair
+        p = ipfp_project(raw, f.marginals[0], f_tilde.marginals[1])
+        q = DiscreteDensity2D(p.grid_x, p.grid_y, p.values)
+        assert isinstance(p, DiscreteDensity2D) and type(q) is DiscreteDensity2D
+        g, h = build_g_map(f, p), build_h_map(f_tilde, p)
+        for d in (p, q):
+            assert coupling_cost(f, f_tilde, d, g, h).total == evaluate_L(f, f_tilde, d)
+        calls = [
+            lambda d: evaluate_L(f, f_tilde, d),
+            lambda d: first_variation(f, f_tilde, d),
+            lambda d: build_g_map(f, d),
+            lambda d: build_h_map(f_tilde, d),
+            lambda d: pushforward_check(f, d, g),
+            lambda d: pushforward_check_h(f_tilde, d, h),
+            lambda d: coupling_cost(f, f_tilde, d, g, h),
+            lambda d: cumulative_h(d),
+            lambda d: euler_lagrange_residual(f, f_tilde, d),
+        ]
+        for call in calls:
+            assert _bytes(call(p)) == _bytes(call(q))
+
+    def test_floor_dip_rejected(self):
+        g = Grid1D.uniform(0.0, 1.0, 2)
+        uniform = DiscreteDensity1D(g, np.ones(2))
+        # feasible: both marginals are uniform, but two cells carry nothing
+        with pytest.raises(ValueError, match="below the positivity floor"):
+            CouplingDensity(g, g, np.array([[2.0, 0.0], [0.0, 2.0]]), uniform, uniform)
+
+
 class TestFirstVariation:
     def test_matches_central_differences(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8
         p = make_smooth_feasible_coupling(f, f_tilde, seed=7)
         phi, psi = first_variation(f, f_tilde, p)
         grad = phi + psi
-        areas = p.density.cell_areas
+        areas = p.cell_areas
         wx = f.grid_x.cell_widths
         wy = f_tilde.grid_y.cell_widths
         rng = np.random.default_rng(17)
@@ -103,7 +178,7 @@ class TestFirstVariation:
         f, _ = correlated_pair_8
         p = ipfp_project(f.values, *marginals_2d(f))
         phi, psi = first_variation(f, f, p)
-        areas = p.density.cell_areas
+        areas = p.cell_areas
         rng = np.random.default_rng(23)
         for _ in range(5):
             eta = project_zero_marginals(
@@ -115,7 +190,7 @@ class TestFirstVariation:
         f, f_tilde = correlated_pair_8
         p = make_smooth_feasible_coupling(f, f_tilde, seed=11)
         phi, psi = first_variation(f, f_tilde, p)
-        areas = p.density.cell_areas
+        areas = p.cell_areas
         rng = np.random.default_rng(29)
         eta = project_zero_marginals(
             rng.normal(size=phi.shape), f.grid_x.cell_widths, f_tilde.grid_y.cell_widths

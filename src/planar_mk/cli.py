@@ -29,6 +29,7 @@ from .density_io import (
     json_numbers,
     read_density,
     read_grid_csv,
+    read_json,
     write_grid_csv,
 )
 from .measures import DiscreteDensity2D, per_axis_w2_sum
@@ -51,8 +52,7 @@ def _write_report(out_dir: Path, body: dict, seconds: float) -> Path:
     report["timing"] = {"seconds": seconds}
     path = out_dir / "report.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=1, sort_keys=True) + "\n")  # one write, not one per chunk
     return path
 
 
@@ -113,8 +113,7 @@ def cmd_solve(args) -> int:
 
 
 def _load_instance(path: str) -> TransportInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     keys = ("supply", "demand", "cost")
     if not isinstance(doc, dict) or not all(key in doc for key in keys):
         raise ValueError(f"{path}: expected a JSON object with supply, demand and cost")

@@ -49,6 +49,15 @@ def json_numbers(raw, what: str) -> np.ndarray:
         raise DensityFormatError(f"{what} must be numbers ({exc})") from exc
 
 
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file; a file that does not decode is named in the error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DensityFormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def _grid_fields(spec: dict, label: str) -> tuple[float, float, int]:
     """min, max and n of a grid spec, checked but not yet built into a grid."""
     try:
@@ -75,14 +84,10 @@ def _ingest(path: str | Path, grid_x: Grid1D, grid_y: Grid1D, values: np.ndarray
 
 
 def read_density_json(path: str | Path) -> DiscreteDensity2D:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DensityFormatError(f"{path}: invalid JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or not all(key in doc for key in ("grid_x", "grid_y", "values")):
         raise DensityFormatError(f"{path}: expected an object with grid_x, grid_y and values")
-    specs = [_grid_fields(doc["grid_x"], "grid_x"), _grid_fields(doc["grid_y"], "grid_y")]
+    specs = [_grid_fields(doc[key], f"{path}: {key}") for key in ("grid_x", "grid_y")]
     values = json_numbers(doc["values"], f"{path}: values")
     # the shape is compared before any grid is built, so that an absurd n is
     # rejected instead of allocated
@@ -117,7 +122,7 @@ def read_grid_csv(path: str | Path) -> tuple[Grid1D, Grid1D, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DensityFormatError(f"{path}: {exc}") from exc
     if len(lines) < 3:
         raise DensityFormatError(f"{path}: too short for a grid CSV")

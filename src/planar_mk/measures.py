@@ -24,32 +24,42 @@ EPS_FLOOR = 1e-10
 MASS_TOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing cell edges; cells are the intervals between them."""
+    """Strictly increasing cell edges; cells are the intervals between them.
+
+    The grid keeps its own read-only copy of the nodes, so that changing the
+    caller's array later leaves it alone, and computes its cell widths and
+    centers once, read-only too: solver loops read them on every pass.
+    """
 
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _read_only(np.array(self.nodes, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
         # finite first, so that no inf - inf reaches the difference
-        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+        if not (np.isfinite(nodes).all() and (self.cell_widths > 0).all()):
             raise ValueError("grid nodes must be finite and strictly increasing")
 
     @property
     def n_cells(self) -> int:
         return self.nodes.size - 1
 
-    @property
+    @cached_property
     def cell_widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        return _read_only(np.diff(self.nodes))
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        return _read_only(0.5 * (self.nodes[:-1] + self.nodes[1:]))
 
     @staticmethod
     def uniform(lo: float, hi: float, n_cells: int) -> "Grid1D":
@@ -209,7 +219,7 @@ class QuantileTable:
         one every row counts as moved.
         """
         t_arr = np.asarray(t, dtype=float)
-        if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):  # also rejects NaN
+        if not ((t_arr > 0.0) & (t_arr <= 1.0)).all():  # also rejects NaN
             raise ValueError("quantile level must lie in (0, 1]")
         n_rows = self.probs.shape[0]
         if n_rows > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != n_rows):
@@ -222,7 +232,7 @@ class QuantileTable:
         if bound:
             kept = cache.lo < levels
             kept &= levels <= cache.hi
-            moved = np.flatnonzero(~kept.all(axis=1))
+            moved = (~kept.all(axis=1)).nonzero()[0]
         else:
             moved = range(n_rows)
         if len(moved):

@@ -19,7 +19,6 @@ both sides, is below the tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -27,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .coupling import CouplingDensity, _sums_l1_error
+from .density_io import read_json
 from .measures import (
     EPS_FLOOR,
     DiscreteDensity1D,
@@ -86,8 +86,7 @@ class SolverConfig:
 
     @staticmethod
     def from_json(path: str) -> "SolverConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: a solver config must be a JSON object")
         known = {f.name for f in SolverConfig.__dataclass_fields__.values()}
@@ -125,8 +124,8 @@ def _marginal_residual(
     masses: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """The larger of the two L1 marginal errors of cell masses, and the row sums it read."""
-    row_sums = masses.sum(axis=1)
-    err = max(_sums_l1_error(row_sums, row_target), _sums_l1_error(masses.sum(axis=0), col_target))
+    row_sums = np.add.reduce(masses, axis=1)
+    err = max(_sums_l1_error(row_sums, row_target), _sums_l1_error(np.add.reduce(masses, axis=0), col_target))
     return err, row_sums
 
 
@@ -176,12 +175,12 @@ def _ipfp_core(
     # most the bumped mass (~ n^2 * EPS_FLOOR * cell area), far inside the
     # 1e-9 polytope tolerance.
     for _ in range(3):
-        if np.min(values) >= EPS_FLOOR:
+        if values.min() >= EPS_FLOOR:
             break
         values = alternate(np.maximum(values, EPS_FLOOR))
-    if np.min(values) < EPS_FLOOR:
+    if values.min() < EPS_FLOOR:
         values = np.maximum(values, EPS_FLOOR)
-        values = values / float(np.sum(values * areas))
+        values = values / float((values * areas).sum())
     return values
 
 
@@ -284,10 +283,10 @@ def _run_mirror_descent(
 
     for it in range(config.max_iters):
         # row/col sums of the direction must vanish (descent stays in the polytope)
-        marg = max(np.max(np.abs(pg @ wy)), np.max(np.abs(wx @ pg)))
-        if not marg < 1e-10 * max(1.0, float(np.max(np.abs(pg)))):
+        marg = max(np.abs(pg @ wy).max(), np.abs(wx @ pg).max())
+        if not marg < 1e-10 * max(1.0, float(np.abs(pg).max())):
             raise RuntimeError(f"descent direction has marginal sums up to {marg:.3e}")
-        gnorm = float(np.sqrt(np.sum(pg**2 * areas)))
+        gnorm = float(np.sqrt((pg**2 * areas).sum()))
         traces.grad_trace.append(gnorm)
         if gnorm <= grad_tol:
             traces.termination = "grad_tol"
@@ -303,7 +302,7 @@ def _run_mirror_descent(
         while s > _MIN_STEP:
             z = -s * pg
             cand = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target)
-            predicted = float(np.sum(grad * (cand - values) * areas))
+            predicted = float((grad * (cand - values) * areas).sum())
             if predicted < 0.0:
                 trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y, caches)
                 if trial.L_value <= L_cur + _ARMIJO * predicted:
@@ -325,8 +324,8 @@ def _run_mirror_descent(
         pg_new = project_zero_marginals(grad, wx, wy)
         m = cand * areas
         dlog = np.log(cand) - np.log(values)
-        curv = float(np.sum(m * dlog * (pg_new - pg)))
-        step = float(np.sum(m * dlog * dlog)) / curv if curv > 0.0 else s
+        curv = float((m * dlog * (pg_new - pg)).sum())
+        step = float((m * dlog * dlog).sum()) / curv if curv > 0.0 else s
 
         values, pg = cand, pg_new
         decrease = L_cur - accepted.L_value

@@ -71,10 +71,12 @@ class ConditionalQuantileField:
         `value_and_slope`.
         """
         totals = np.ascontiguousarray(rows).sum(axis=1)
-        levels = np.cumsum(rows, axis=1)
+        levels = np.add.accumulate(rows, axis=1)
         levels -= 0.5 * rows
         levels /= totals[:, None]
-        val, slope = self.table.value_and_slope(np.clip(levels, 1e-15, 1.0, out=levels), cache)
+        # the clip to [1e-15, 1] in two ufunc calls; NaN passes through to the level check
+        np.maximum(levels, 1e-15, out=levels)
+        val, slope = self.table.value_and_slope(np.minimum(levels, 1.0, out=levels), cache)
         return val, slope, totals
 
 

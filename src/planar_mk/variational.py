@@ -57,7 +57,7 @@ def _term_pass(
     b *= slope
     b *= rows
     b /= totals[:, None]
-    tail = np.cumsum(b[:, ::-1], axis=1)[:, ::-1]
+    tail = np.add.accumulate(b[:, ::-1], axis=1)[:, ::-1]
     b *= 0.5
     tail -= b
     costs = _slice_costs(resid, rows)

@@ -376,6 +376,14 @@ class TestCliSolve:
             assert capsys.readouterr().err.startswith("error:"), doc
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "check-el", "compare"])
+    def test_report_layout_is_sorted_indent_1(self, tmp_path, command):
+        fa, fb = write_pair(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
     def test_reports_byte_identical_excluding_timing(self, tmp_path):
         fa, fb = write_pair(tmp_path, seed=3)
         out1 = tmp_path / "run1"
@@ -454,6 +462,37 @@ def test_malformed_input_exits_1_in_one_line(tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0], lines
     assert not caught, [str(w.message) for w in caught]
+    assert not out.exists()
+
+
+_NOT_UTF8 = b'{"grid_x": \xff}'
+# (argv with F for the bad file and G for a good density, the bad file's name, its bytes)
+_UNREADABLE_INPUTS = {
+    "grid_spec_without_n": (
+        ["solve", "--input-f", "F", "--input-g", "G"], "bad.json",
+        json.dumps({"grid_x": {"min": 0, "max": 1}, "grid_y": _TWO, "values": [[1, 2], [3, 4]]}).encode(),
+    ),
+    "density_json_not_utf8": (["solve", "--input-f", "G", "--input-g", "F"], "bad.json", _NOT_UTF8),
+    "coupling_csv_not_utf8": (
+        ["check-el", "--input-f", "G", "--input-g", "G", "--input-p", "F"], "p.csv",
+        _CSV_HEAD.encode() + b"0,1,\xff\n0.5,1,1\n1\n",
+    ),
+    "config_invalid_json": (["solve", "--input-f", "G", "--input-g", "G", "--config", "F"], "cfg.json", b"{]"),
+    "config_not_utf8": (["compare", "--input-f", "G", "--input-g", "G", "--config", "F"], "cfg.json", _NOT_UTF8),
+    "instance_invalid_json": (["oracle", "--instance", "F"], "lp.json", b'{"supply": [1,]}'),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE_INPUTS))
+def test_input_error_names_its_file(tmp_path, capsys, case):
+    argv, name, content = _UNREADABLE_INPUTS[case]
+    good = write_pair(tmp_path, n=2)[0]
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    out = tmp_path / "o"
+    code = main([{"F": str(bad), "G": good}.get(a, a) for a in argv] + ["--out-dir", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), lines
     assert not out.exists()
 
 

@@ -86,6 +86,20 @@ class TestGrid:
         assert np.allclose(g.cell_widths, 0.5)
         assert np.allclose(g.centers, [0.25, 0.75, 1.25, 1.75])
 
+    def test_owns_read_only_nodes_widths_and_centers(self):
+        given = np.array([0.0, 0.1, 0.5, 0.75, 1.0])
+        g = Grid1D(given)
+        given[1] = 0.9  # an aliased grid would read widths [0.9, -0.4, 0.25, 0.25]
+        assert np.array_equal(g.nodes, [0.0, 0.1, 0.5, 0.75, 1.0])
+        for name in ("nodes", "cell_widths", "centers"):
+            arr = getattr(g, name)
+            assert arr is getattr(g, name), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert np.array_equal(g.cell_widths, np.diff(g.nodes))
+        assert np.array_equal(g.centers, 0.5 * (g.nodes[:-1] + g.nodes[1:]))
+
 
 class TestBuildCdf:
     def test_two_equal_cells(self):

@@ -20,6 +20,7 @@ from planar_mk.measures import (
 from planar_mk.optimizer import ipfp_project
 from planar_mk.oracle import solve_full_2d
 from planar_mk.reduction import (
+    ConditionalQuantileField,
     DegenerateSliceError,
     _slice_costs,
     build_g_map,
@@ -67,6 +68,40 @@ class TestConditionalCdf:
         probs = conditional_quantile_field(d, "x").table.probs
         for i in range(5):
             assert np.allclose(probs[i], np.linspace(0, 1, 6))
+
+
+class _LevelRecorder:
+    """A stand-in table that keeps the levels it is asked for and returns them as values and slopes."""
+
+    def value_and_slope(self, t, cache=None):
+        self.levels = t.copy()
+        return t, t
+
+
+class TestAtCenters:
+    def test_levels_clamp_like_np_clip(self):
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.0, 1.0, size=(64, 16))
+        rows[::2, :3] = 0.0   # leading zero masses: level 0, clamped up
+        rows[::3, -4:] = 0.0  # trailing zero masses: level 1, roundoff included
+        reference = np.cumsum(rows, axis=1)
+        reference -= 0.5 * rows
+        reference /= rows.sum(axis=1)[:, None]
+        assert (reference > 1.0).any()  # the upper clamp is exercised too
+        np.clip(reference, 1e-15, 1.0, out=reference)
+        recorder = _LevelRecorder()
+        for slices in (rows, np.asfortranarray(rows)):  # C rows, and transposed masses as h passes them
+            ConditionalQuantileField(recorder).at_centers(slices)
+            assert np.array_equal(recorder.levels, reference)
+            assert (recorder.levels[::2, 0] == 1e-15).all()
+
+    def test_nan_row_still_raises(self):
+        g = Grid1D.uniform(0.0, 1.0, 4)
+        field = conditional_quantile_field(DiscreteDensity2D(g, g, np.ones((4, 4))), "x")
+        rows = np.full((4, 4), 1.0 / 16.0)
+        rows[2, 1] = np.nan
+        with pytest.raises(ValueError, match="quantile level"):
+            field.at_centers(rows)
 
 
 class TestGMap:

@@ -157,13 +157,14 @@ class RampCache:
 
     Bound to one table and one level shape by the first call that gets it;
     a call on another table or with levels of another shape binds it anew.
-    Per level it keeps the bracketing knots lo < t <= hi and the ramp's left
-    value v0 and rise dv, in the layout of the levels.
+    Per level it keeps the bracketing knots lo < t <= hi, the ramp's left
+    value v0, rise dv, width hi - lo and slope dv / width, in the layout of
+    the levels. A call recomputes them for the rows it searched again only.
     """
 
     def __init__(self):
         self.table: QuantileTable | None = None
-        self.lo = self.hi = self.v0 = self.dv = np.empty(0)
+        self.lo = self.hi = self.v0 = self.dv = self.width = self.slope = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -216,19 +217,19 @@ class QuantileTable:
         gathers: the probs are nondecreasing, so the knot at hi is still the
         first with probs >= t. Only the other rows are searched again.
         Values and slopes are the same bits with or without a cache; without
-        one every row counts as moved.
+        one every row counts as moved. With one, the slopes returned are a
+        read-only view of the cache's own, which the next call on that cache
+        rewrites in its moved rows.
         """
         t_arr = np.asarray(t, dtype=float)
-        if not ((t_arr > 0.0) & (t_arr <= 1.0)).all():  # also rejects NaN
+        # min and max over the levels, not three boolean temporaries; a NaN fails both
+        if t_arr.size and not (t_arr.min() > 0.0 and t_arr.max() <= 1.0):
             raise ValueError("quantile level must lie in (0, 1]")
         n_rows = self.probs.shape[0]
         if n_rows > 1 and (t_arr.ndim == 0 or t_arr.shape[0] != n_rows):
             raise ValueError("levels need one row per table row")
         levels = t_arr.reshape(n_rows, -1)
-        own = cache is None  # then the ramp arrays are this call's own
-        if own:
-            cache = RampCache()
-        bound = cache.table is self and cache.lo.shape == levels.shape
+        bound = cache is not None and cache.table is self and cache.lo.shape == levels.shape
         if bound:
             kept = cache.lo < levels
             kept &= levels <= cache.hi
@@ -255,16 +256,26 @@ class QuantileTable:
             lo, v0 = probs.take(idx), values.take(idx)
             del idx
             dv = np.subtract(v1, v0, out=v1)
-            if bound:
-                cache.lo[moved], cache.hi[moved], cache.v0[moved], cache.dv[moved] = lo, hi, v0, dv
-            else:
-                cache.table, cache.lo, cache.hi, cache.v0, cache.dv = self, lo, hi, v0, dv
-        lo, hi, v0, dv = cache.lo, cache.hi, cache.v0, cache.dv
-        # steps on arrays this call owns run in place, so few (S, M)
-        # temporaries are alive at once on large grids
-        width = np.subtract(hi, lo, out=hi if own else None)
-        slope = dv / width
-        frac = np.subtract(levels, lo, out=lo if own else None)
+        if cache is None:
+            # every array is this call's own: steps run in place, so few (S, M)
+            # temporaries are alive at once on large grids
+            width = np.subtract(hi, lo, out=hi)
+            slope = dv / width
+            frac = np.subtract(levels, lo, out=lo)
+        else:
+            if len(moved):
+                width = hi - lo
+                ramps = lo, hi, v0, dv, width, dv / width
+                if bound:
+                    (cache.lo[moved], cache.hi[moved], cache.v0[moved], cache.dv[moved],
+                     cache.width[moved], cache.slope[moved]) = ramps
+                else:
+                    cache.table = self
+                    cache.lo, cache.hi, cache.v0, cache.dv, cache.width, cache.slope = ramps
+            v0, dv, width = cache.v0, cache.dv, cache.width
+            slope = cache.slope.view()
+            slope.flags.writeable = False  # the caller reads the cache's own slopes
+            frac = levels - cache.lo
         frac /= width
         frac *= dv
         val = np.add(v0, frac, out=frac)

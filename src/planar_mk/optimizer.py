@@ -92,8 +92,11 @@ class SolverConfig:
         known = {f.name for f in SolverConfig.__dataclass_fields__.values()}
         unknown = set(raw) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return SolverConfig(**raw)
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        try:
+            return SolverConfig(**raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -131,7 +134,7 @@ def _marginal_residual(
 
 def _ipfp_core(
     raw: np.ndarray, areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """IPFP on plain value arrays; raises after _IPFP_SWEEPS sweeps with the residual.
 
     The input is floored first; below _IPFP_TOL it is returned as floored.
@@ -140,36 +143,53 @@ def _ipfp_core(
     products per sweep, until their row error falls below _IPFP_TOL. Then it
     builds v * u * w once and keeps it if that array's own residual, both
     sides, is below _IPFP_TOL too; else the vectors start over from the built
-    array, and the sweep count runs on.
+    array, and the sweep count runs on. The gate reads the column error only
+    once the row error passes.
 
-    What every returned array keeps: an L1 marginal residual, both sides, of
-    at most FEAS_TOL, and a minimum of at least EPS_FLOOR * (1 - 1e-9). The
-    _IPFP_TOL gate holds as well unless up to three re-floor passes still
-    leave a cell below the floor; the final bump then floors and rescales to
-    unit mass, which moves the marginals by up to the bumped mass.
+    Returns the values, their masses values * areas and their marginal
+    residual (`_marginal_residual`), the same bits a caller would compute
+    from the values. What every returned array keeps: an L1 marginal
+    residual, both sides, of at most FEAS_TOL, and a minimum of at least
+    EPS_FLOOR * (1 - 1e-9). The _IPFP_TOL gate holds as well unless up to
+    three re-floor passes still leave a cell below the floor; the final bump
+    then floors and rescales to unit mass, which moves the marginals by up
+    to the bumped mass.
     """
-    values = np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR)
 
-    def alternate(v: np.ndarray) -> np.ndarray:
-        # kw is masses @ w; w starts at 1, so the residual check's row sums serve
+    def crawl(err: float) -> IPFPConvergenceError:
+        return IPFPConvergenceError(f"IPFP residual {err:.3e} after {_IPFP_SWEEPS} iterations")
+
+    def gate(masses: np.ndarray) -> tuple[float, np.ndarray]:
+        # the row sums are masses @ w while w is 1, so the first sweep reads them
+        row_sums = np.add.reduce(masses, axis=1)
+        err = _sums_l1_error(row_sums, row_target)
+        if err < _IPFP_TOL:  # a NaN row error fails here and enters the sweeps
+            err = max(err, _sums_l1_error(np.add.reduce(masses, axis=0), col_target))
+        return err, row_sums
+
+    def alternate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         masses = v * areas
-        err, kw = _marginal_residual(masses, row_target, col_target)
+        err, kw = gate(masses)
         sweeps = 0
         while not err < _IPFP_TOL:
-            while not err < _IPFP_TOL:
-                if sweeps == _IPFP_SWEEPS:
-                    raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {_IPFP_SWEEPS} iterations")
+            if sweeps == _IPFP_SWEEPS:  # name the residual of both sides
+                raise crawl(_marginal_residual(masses, row_target, col_target)[0])
+            while True:
                 u = row_target / kw
                 w = col_target / (u @ masses)
                 kw = masses @ w
                 err = _sums_l1_error(u * kw, row_target)
                 sweeps += 1
+                if err < _IPFP_TOL:
+                    break
+                if sweeps == _IPFP_SWEEPS:
+                    raise crawl(err)
             v = v * u[:, None] * w
             masses = v * areas
-            err, kw = _marginal_residual(masses, row_target, col_target)
-        return v
+            err, kw = gate(masses)
+        return v, masses, err
 
-    values = alternate(values)
+    values, masses, err = alternate(np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR))
     # Scaling can shave floored cells; re-floor and re-converge. A final bump
     # plus unit-mass rescale, if still needed, perturbs the marginals by at
     # most the bumped mass (~ n^2 * EPS_FLOOR * cell area), far inside the
@@ -177,17 +197,19 @@ def _ipfp_core(
     for _ in range(3):
         if values.min() >= EPS_FLOOR:
             break
-        values = alternate(np.maximum(values, EPS_FLOOR))
+        values, masses, err = alternate(np.maximum(values, EPS_FLOOR))
     if values.min() < EPS_FLOOR:
         values = np.maximum(values, EPS_FLOOR)
         values = values / float((values * areas).sum())
-    return values
+        masses = values * areas
+        err = _marginal_residual(masses, row_target, col_target)[0]
+    return values, masses, err
 
 
 def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
-    """`_ipfp_core` on the cell areas and cell masses of the marginals f1 and f2."""
+    """The values `_ipfp_core` returns on the cell areas and cell masses of the marginals f1 and f2."""
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-    return _ipfp_core(raw, areas, f1.cell_masses, f2.cell_masses)
+    return _ipfp_core(raw, areas, f1.cell_masses, f2.cell_masses)[0]
 
 
 def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
@@ -272,13 +294,15 @@ def _run_mirror_descent(
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
     values = values0.copy()
+    masses = values * areas
     # successive passes move few center levels to another ramp
     caches = RampCache(), RampCache()
-    out = objective_pass(field_f, field_ft, values * areas, grid_x, grid_y, caches)
+    out = objective_pass(field_f, field_ft, masses, grid_x, grid_y, caches)
     L_cur, grad = out.L_value, out.phi + out.psi
     pg = project_zero_marginals(grad, wx, wy)
-    marg_err = _marginal_residual(values * areas, row_target, col_target)[0]
+    marg_err = _marginal_residual(masses, row_target, col_target)[0]
     traces = _StartResult(values, [L_cur], [], 0, "max_iters", marg_err)
+    log_values = np.log(values)
     step = _STEP_INIT
 
     for it in range(config.max_iters):
@@ -296,15 +320,16 @@ def _run_mirror_descent(
         # projection back onto the polytope, which is IPFP; the exponent is
         # shifted by its max so it cannot overflow, and IPFP cancels the
         # constant factor. Accept on a generalized Armijo decrease against
-        # the realized displacement; the accepted trial's pass carries on.
+        # the realized displacement; the accepted trial's pass carries on,
+        # as do the masses and the marginal residual IPFP returns with it.
         s = step
         accepted = None
         while s > _MIN_STEP:
             z = -s * pg
-            cand = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target)
+            cand, m, cand_err = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target)
             predicted = float((grad * (cand - values) * areas).sum())
             if predicted < 0.0:
-                trial = objective_pass(field_f, field_ft, cand * areas, grid_x, grid_y, caches)
+                trial = objective_pass(field_f, field_ft, m, grid_x, grid_y, caches)
                 if trial.L_value <= L_cur + _ARMIJO * predicted:
                     accepted = trial
                     break
@@ -322,18 +347,17 @@ def _run_mirror_descent(
         # curvature estimate is not positive
         grad = accepted.phi + accepted.psi
         pg_new = project_zero_marginals(grad, wx, wy)
-        m = cand * areas
-        dlog = np.log(cand) - np.log(values)
-        curv = float((m * dlog * (pg_new - pg)).sum())
-        step = float((m * dlog * dlog).sum()) / curv if curv > 0.0 else s
+        log_cand = np.log(cand)
+        dlog = log_cand - log_values
+        m_dlog = m * dlog
+        curv = float((m_dlog * (pg_new - pg)).sum())
+        step = float((m_dlog * dlog).sum()) / curv if curv > 0.0 else s
 
-        values, pg = cand, pg_new
+        values, log_values, pg = cand, log_cand, pg_new
         decrease = L_cur - accepted.L_value
         L_cur = accepted.L_value
         traces.L_trace.append(L_cur)
-        traces.max_marginal_error = max(
-            traces.max_marginal_error, _marginal_residual(m, row_target, col_target)[0]
-        )
+        traces.max_marginal_error = max(traces.max_marginal_error, cand_err)
         traces.iterations = it + 1
         if decrease < config.stall_tol * max(1.0, abs(L_cur)):
             traces.termination = "stalled"

@@ -169,11 +169,15 @@ def _pivot(flows: dict[tuple[int, int], float], cycle_arcs: list[tuple[int, int]
 
     Signs alternate along the cycle starting with + on the entering arc; theta
     is the least flow on a minus arc, and the first minus arc that carries it
-    leaves the basis.
+    leaves the basis. One pass over the minus arcs finds both.
     """
     minus_arcs = cycle_arcs[1::2]
-    theta = min(flows[arc] for arc in minus_arcs)
-    leave = next(arc for arc in minus_arcs if flows[arc] == theta)
+    leave = minus_arcs[0]
+    theta = flows[leave]
+    for arc in minus_arcs:
+        flow = flows[arc]
+        if flow < theta:
+            theta, leave = flow, arc
     flows[cycle_arcs[0]] = theta
     for arc in minus_arcs:
         flows[arc] -= theta
@@ -184,20 +188,23 @@ def _pivot(flows: dict[tuple[int, int], float], cycle_arcs: list[tuple[int, int]
 
 
 def _rehang(
-    adj: list[list[int]], node: int, par: int, parent: list[int], depth: list[int], pot: list[float],
-    cost_rows: list[list[float]], m: int,
+    adj: list[list[int]], node: int, par: int, parent: list[int], parent_arc: list[tuple[int, int]],
+    depth: list[int], pot: list[float], cost_rows: list[list[float]], m: int,
 ) -> None:
     """Hang node's subtree from par, breadth first, in place.
 
-    Each node of the subtree gets its parent, its depth and its potential
-    cost(arc to parent) - pot[parent], the recurrence of a whole-tree walk.
+    Each node of the subtree gets its parent, the arc to it (`_arc`), its
+    depth and its potential cost(arc to parent) - pot[parent], the
+    recurrence of a whole-tree walk.
     """
     parent[node] = par
     queue = [node]
     for x in queue:  # grows while it is read: a FIFO queue
         px = parent[x]
+        i, j = arc = (x, px - m) if x < m else (px, x - m)
+        parent_arc[x] = arc
         depth[x] = depth[px] + 1
-        pot[x] = (cost_rows[x][px - m] if x < m else cost_rows[px][x - m]) - pot[px]
+        pot[x] = cost_rows[i][j] - pot[px]
         for nb in adj[x]:
             if nb != px:
                 parent[nb] = x
@@ -222,16 +229,18 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
     # hang the tree from row 0: parents, depths and potentials u_i + v_j = C_ij
     # with u_0 = 0, rows then columns
     cost_rows = cost.tolist()
+    parent_arc: list[tuple[int, int]] = [(0, 0)] * (m + k)  # row 0's entry is never read
     depth = [0] * (m + k)
     pot = [0.0] * (m + k)
     for node in adj[0]:
-        _rehang(adj, node, 0, parent, depth, pot, cost_rows, m)
+        _rehang(adj, node, 0, parent, parent_arc, depth, pot, cost_rows, m)
 
     rc = np.empty_like(cost)  # reduced costs, rewritten in place at each pivot
     for pivots in range(200 * (m + k) * max(m, k)):
-        np.subtract(cost, np.array(pot[:m])[:, None], out=rc)
-        rc -= np.array(pot[m:])[None, :]
-        enter = int(np.argmin(rc))  # Dantzig: most negative, ties to the smallest index
+        pot_arr = np.array(pot)
+        np.subtract(cost, pot_arr[:m, None], out=rc)
+        rc -= pot_arr[m:]
+        enter = int(rc.argmin())  # Dantzig: most negative, ties to the smallest index
         if rc.flat[enter] >= -_RC_TOL:
             break
         ei, ej = divmod(enter, k)
@@ -242,10 +251,10 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
         x, y = m + ej, ei
         while x != y:
             if depth[x] >= depth[y]:
-                up.append(_arc(x, parent[x], m))
+                up.append(parent_arc[x])
                 x = parent[x]
             else:
-                down.append(_arc(y, parent[y], m))
+                down.append(parent_arc[y])
                 y = parent[y]
         leave = _pivot(flows, [(ei, ej), *up, *reversed(down)])
 
@@ -257,9 +266,9 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
         # the leaving arc cut off the entering arc's column exactly when it lay
         # on the column's climb; that side now hangs from the entering arc
         if leave in up:
-            _rehang(adj, m + ej, ei, parent, depth, pot, cost_rows, m)
+            _rehang(adj, m + ej, ei, parent, parent_arc, depth, pot, cost_rows, m)
         else:
-            _rehang(adj, ei, m + ej, parent, depth, pot, cost_rows, m)
+            _rehang(adj, ei, m + ej, parent, parent_arc, depth, pot, cost_rows, m)
     else:
         raise RuntimeError("transportation simplex failed to converge")
 

@@ -96,7 +96,11 @@ def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     the stride. `einsum` and a multiply-then-sum add in other orders, so
     they would move the last bits of L.
     """
-    sq = np.square(resid, order="C")
+    return _square_costs(np.square(resid, order="C"), rows)
+
+
+def _square_costs(sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`_slice_costs` on residuals the caller has squared already, C-ordered."""
     return np.matmul(sq[:, None, :], rows[:, :, None])[:, 0, 0]
 
 

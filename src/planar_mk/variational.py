@@ -36,7 +36,7 @@ import numpy as np
 
 from .coupling import check_coupling_side
 from .measures import DiscreteDensity2D, Grid1D, RampCache
-from .reduction import ConditionalQuantileField, _slice_costs, conditional_quantile_field
+from .reduction import ConditionalQuantileField, _square_costs, conditional_quantile_field
 
 
 def _term_pass(
@@ -50,7 +50,7 @@ def _term_pass(
     `at_centers`.
     """
     val, slope, totals = field.at_centers(rows, cache)
-    resid = centers - val
+    resid = np.subtract(centers, val, order="C")  # C order, so that its squares are too
     # tail integrand x cell mass: 2 (t - G)(-G_y) p w / f1, built in place
     # so that few (S, K) temporaries are alive at once on large grids
     b = -2.0 * resid
@@ -60,9 +60,9 @@ def _term_pass(
     tail = np.add.accumulate(b[:, ::-1], axis=1)[:, ::-1]
     b *= 0.5
     tail -= b
-    costs = _slice_costs(resid, rows)
-    tail += np.square(resid, out=resid)
-    return costs, val, tail
+    sq = np.square(resid, out=resid)  # squared once, for the costs and the tail
+    tail += sq
+    return _square_costs(sq, rows), val, tail
 
 
 @dataclass(frozen=True)

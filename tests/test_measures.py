@@ -376,6 +376,18 @@ class TestRampCache:
             assert val.tobytes() == fresh_val.tobytes() and slope.tobytes() == fresh_slope.tobytes(), step
             assert val.shape == fresh_val.shape == slope.shape == np.shape(levels)
 
+    def test_cached_slopes_are_read_only(self):
+        # the slopes a cached call returns are the cache's own; writing into them raises
+        table = QuantileTable([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0]])
+        cache = RampCache()
+        for levels in ([[0.2, 0.7], [0.2, 0.7]], [[0.3, 0.6], [0.3, 0.4]], [[0.3, 0.6], [0.3, 0.45]]):
+            _, slope = table.value_and_slope(np.array(levels), cache)  # bind, one row moved, none moved
+            with pytest.raises(ValueError, match="read-only"):
+                slope[0, 0] = 0.0
+            assert np.array_equal(slope, table.value_and_slope(np.array(levels))[1])
+        _, own = table.value_and_slope(np.array([[0.2, 0.7], [0.2, 0.7]]))
+        own[0, 0] = 0.0  # without a cache the slopes are the caller's
+
     def test_kept_rows_read_the_cache(self):
         # a row whose levels keep their brackets is neither searched nor
         # gathered again; a row with a moved level is

@@ -181,6 +181,16 @@ class TestIpfpProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
+    def test_returned_masses_and_residual_are_the_values(self, zeros, data):
+        # the descent reads the masses and residual IPFP returns instead of rebuilding them
+        raw, f1, f2 = data.draw(ipfp_problem(zeros))
+        areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+        values, masses, residual = optimizer._ipfp_core(raw, areas, f1.cell_masses, f2.cell_masses)
+        assert masses.tobytes() == (values * areas).tobytes()
+        assert residual == optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses)[0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
     def test_feasible_input_is_returned_bit_for_bit(self, zeros, data):
         raw, f1, f2 = data.draw(ipfp_problem(zeros))
         p = ipfp_project(raw, f1, f2)
@@ -242,18 +252,21 @@ class TestIpfp:
         core = optimizer._ipfp_core
 
         def spy(raw, areas, row_target, col_target):
-            values = core(raw, areas, row_target, col_target)
-            returned.append((values, areas, row_target, col_target))
-            return values
+            out = core(raw, areas, row_target, col_target)
+            returned.append((out, areas, row_target, col_target))
+            return out
 
         monkeypatch.setattr(optimizer, "_ipfp_core", spy)
         solve(*shift_pair(3, 1, 1, 8), SolverConfig())
         # only the bump path returns cells below the floor: it divides by a total mass above 1
-        assert any(np.min(values) < EPS_FLOOR for values, *_ in returned)
-        for values, areas, row_target, col_target in returned:
+        assert any(np.min(values) < EPS_FLOOR for (values, _, _), *_ in returned)
+        for (values, masses, residual), areas, row_target, col_target in returned:
             err, _ = optimizer._marginal_residual(values * areas, row_target, col_target)
             assert err <= FEAS_TOL
             assert np.min(values) >= EPS_FLOOR * (1 - 1e-9)
+            # the masses and residual returned with the values are theirs, bit for bit
+            assert masses.tobytes() == (values * areas).tobytes()
+            assert residual == err
 
 
 class TestFeasibleDirection:
@@ -495,7 +508,13 @@ class TestSolve:
         code = main(["solve", "--input-f", str(density), "--input-g", str(density),
                      "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: unknown config keys: ['scheme']")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: unknown config keys: ['scheme']")
+        # a field error names the file too
+        cfg.write_text(json.dumps({"max_iters": -1}))
+        code = main(["solve", "--input-f", str(density), "--input-g", str(density),
+                     "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config max_iters must be an integer >= 0, got -1\n"
 
 
 class TestSolverConfig:
@@ -568,4 +587,4 @@ class TestSolverConfig:
         code = main(["solve", "--input-f", str(density), "--input-g", str(density),
                      "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")

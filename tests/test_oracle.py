@@ -289,6 +289,33 @@ class TestSolveLp:
         assert pivots == [132, 148, 147, 181, 114, 137]
         assert max(pivots) < 300
 
+    def test_kept_parent_arcs_match_the_tree(self, monkeypatch):
+        # the cycle climb reads each node's kept arc to its parent; after every
+        # pivot's re-hang it must be the arc that joins the node to its parent
+        rehang, pivot = oracle._rehang, oracle._pivot
+        tree = {}
+        checks = []
+
+        def check():
+            parent, parent_arc, m = tree["lists"]
+            checks.append(all(parent_arc[x] == oracle._arc(x, parent[x], m) for x in range(1, len(parent))))
+
+        def spy_rehang(adj, node, par, parent, parent_arc, *rest):
+            tree["lists"] = parent, parent_arc, rest[-1]
+            rehang(adj, node, par, parent, parent_arc, *rest)
+
+        def spy_pivot(flows, cycle_arcs):
+            check()  # the start's tree, or the previous pivot's re-hung one
+            return pivot(flows, cycle_arcs)
+
+        monkeypatch.setattr(oracle, "_rehang", spy_rehang)
+        monkeypatch.setattr(oracle, "_pivot", spy_pivot)
+        for instance in tied_instances(seed=16, count=300, max_side=12):
+            solve_lp(instance)
+            check()  # the last pivot's tree
+        assert len(checks) > 1000
+        assert all(checks)
+
     @pytest.mark.parametrize(
         "instances",
         [

@@ -222,7 +222,7 @@ class QuantileTable:
         rewrites in its moved rows.
         """
         t_arr = np.asarray(t, dtype=float)
-        # min and max over the levels, not three boolean temporaries; a NaN fails both
+        # a NaN level fails both comparisons
         if t_arr.size and not (t_arr.min() > 0.0 and t_arr.max() <= 1.0):
             raise ValueError("quantile level must lie in (0, 1]")
         n_rows = self.probs.shape[0]

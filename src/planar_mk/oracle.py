@@ -7,14 +7,17 @@ ties going to the smallest flat index. The perturbation, not the pricing rule,
 is what prevents cycling: it keeps every basis flow at least the perturbation
 size away from zero, so each pivot moves a positive amount of flow and
 strictly lowers the perturbed objective. The basis tree, rooted at row 0, is
-kept across pivots: neighbour lists and each node's parent, depth and dual
-potential (u_0 = 0; a node's potential is the cost of the arc to its parent
-minus the parent's). The pivot cycle climbs `parent` from both ends of the
-entering arc until they meet. A pivot changes only the subtree that the
-leaving arc cuts off from row 0, so only that subtree is re-hung, breadth
-first from the entering arc's end inside it (Ahuja, Magnanti & Orlin 1993,
-ch. 11). Parents, depths and potentials do not depend on the walk order, so
-they match a walk of the whole tree bit for bit. The arc flows come from a
+kept across pivots: neighbour lists and each node's parent, arc to the
+parent, depth and dual potential (u_0 = 0; a node's potential is the cost of
+the arc to its parent minus the parent's). The pivot cycle climbs `parent`
+from both ends of the entering arc until they meet, reading each node's kept
+arc. A pivot changes only the subtree that the leaving arc cuts off from row
+0, so only that subtree is re-hung, breadth first from the entering arc's end
+inside it (Ahuja, Magnanti & Orlin 1993, ch. 11). Parents, arcs, depths and
+potentials do not depend on the walk order, so they match a walk of the
+whole tree bit for bit. Each pivot reads the potentials into one array for
+pricing, and one pass over the cycle's minus arcs gives both theta and the
+leaving arc. The arc flows come from a
 whole-tree walk of the start and the final basis (each node ships its
 subtree's balance to its parent, leaves first). No external LP dependency:
 flows are recomputed on the final basis tree with the original unperturbed

@@ -5,8 +5,9 @@ density files (JSON or CSV) or LP instance files; outputs are plot-ready CSV
 grids plus a versioned report.json whose timing fields are isolated so that
 reports from a fixed seed are byte-identical apart from timing.
 
-Exit codes: 0 success / converged, 1 usage, I/O or validation failure, 2
-solver hit max_iters, 3 oracle size limit, 4 compare gap above tolerance.
+Exit codes: 0 success / converged, 1 usage, I/O or validation failure or a
+solver that gave up, 2 solver hit max_iters, 3 oracle size limit, 4 compare
+gap above tolerance.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .density_io import (
     write_grid_csv,
 )
 from .measures import DiscreteDensity2D, per_axis_w2_sum
-from .optimizer import IPFPConvergenceError, NoDescentError, SolverConfig, ipfp_project, solve
+from .optimizer import SolverConfig, ipfp_project, solve
 from .oracle import (
     SizeLimitError,
     TransportInstance,
@@ -307,9 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         DensityFormatError,
         UnbalancedInstanceError,
         FeasibilityError,
-        NoDescentError,
-        IPFPConvergenceError,
         OSError,
+        RuntimeError,  # a solver that gave up: no descent, IPFP out of sweeps, an LP without a plan
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,22 +7,22 @@ ties going to the smallest flat index. The perturbation, not the pricing rule,
 is what prevents cycling: it keeps every basis flow at least the perturbation
 size away from zero, so each pivot moves a positive amount of flow and
 strictly lowers the perturbed objective. The basis tree, rooted at row 0, is
-kept across pivots: neighbour lists and each node's parent, arc to the
-parent, depth and dual potential (u_0 = 0; a node's potential is the cost of
-the arc to its parent minus the parent's). The pivot cycle climbs `parent`
-from both ends of the entering arc until they meet, reading each node's kept
-arc. A pivot changes only the subtree that the leaving arc cuts off from row
-0, so only that subtree is re-hung, breadth first from the entering arc's end
-inside it (Ahuja, Magnanti & Orlin 1993, ch. 11). Parents, arcs, depths and
-potentials do not depend on the walk order, so they match a walk of the
-whole tree bit for bit. Each pivot reads the potentials into one array for
-pricing, and one pass over the cycle's minus arcs gives both theta and the
-leaving arc. The arc flows come from a
-whole-tree walk of the start and the final basis (each node ships its
-subtree's balance to its parent, leaves first). No external LP dependency:
-flows are recomputed on the final basis tree with the original unperturbed
-masses, and the final potentials (u, v) are kept on the plan as a duality
-certificate.
+kept across pivots in flat per-node lists: neighbours, parent, depth, dual
+potential (u_0 = 0; a node's potential is the cost of the arc to its parent
+minus the parent's) and the flow on the arc to the parent (Ahuja, Magnanti &
+Orlin 1993, ch. 11). The pivot cycle is the list of nodes met climbing
+`parent` from both ends of the entering arc until they meet; the flows at
+its minus positions give theta and the leaving arc, the first minimum in
+cycle order. A pivot changes only the subtree that the leaving arc cuts off
+from row 0: that subtree is re-hung breadth first from the entering arc's end
+inside it, and along its stem, from that end up to the leaving arc, each flow
+moves down one node. Parents, depths and potentials do not depend on the walk
+order, so they match a walk of the whole tree bit for bit. No external LP
+dependency: flows are recomputed on the final basis, walked in its arcs'
+order, with the unperturbed masses, and the final potentials (u, v) are kept
+on the plan as a duality certificate. Where floor-level masses sit below the
+perturbation's total, the final basis can be infeasible for the real masses;
+the LP is then solved once more with a perturbation below the smallest mass.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class TransportPlan:
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
     m, k = a.size, b.size
-    ra, rb = a.copy(), b.copy()
+    ra, rb = a.tolist(), b.tolist()
     i = j = 0
     arcs = [(0, 0)]
     while not (i == m - 1 and j == k - 1):
@@ -155,59 +155,49 @@ def _arc(node: int, par: int, m: int) -> tuple[int, int]:
     return (node, par - m) if node < m else (par, node - m)
 
 
-def _tree_flows(order: list[int], parent: list[int], a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
-    """Unique arc flows on a basis tree balancing supplies a against demands b."""
+def _tree_flows(order: list[int], parent: list[int], a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Each node's flow on its arc to its parent, on the basis tree balancing supplies a against demands b."""
     m = a.size
     bal = a.tolist() + (-b).tolist()  # net outflow required at each node
-    flows: dict[tuple[int, int], float] = {}
+    flow = [0.0] * len(bal)  # row 0's entry is never read
     for node in reversed(order[1:]):  # children first: ship the subtree balance to the parent
-        par = parent[node]
-        flows[_arc(node, par, m)] = bal[node] if node < m else -bal[node]
-        bal[par] += bal[node]
-    return flows
+        flow[node] = bal[node] if node < m else -bal[node]
+        bal[parent[node]] += bal[node]
+    return flow
 
 
-def _pivot(flows: dict[tuple[int, int], float], cycle_arcs: list[tuple[int, int]]) -> tuple[int, int]:
-    """Push theta around the cycle, entering arc first; returns the leaving arc.
+def _pivot(flow: list[float], cycle: list[int]) -> tuple[int, float]:
+    """Push theta around the cycle; returns the leaving node's position in it, and theta.
 
-    Signs alternate along the cycle starting with + on the entering arc; theta
-    is the least flow on a minus arc, and the first minus arc that carries it
-    leaves the basis. One pass over the minus arcs finds both.
+    `cycle` lists, in cycle order, the nodes whose arcs to their parents close
+    the entering arc into a cycle. Signs alternate, + on the entering arc and
+    so - on cycle[0]; theta is the least flow at a minus position, and the
+    first node there that carries it leaves.
     """
-    minus_arcs = cycle_arcs[1::2]
-    leave = minus_arcs[0]
-    theta = flows[leave]
-    for arc in minus_arcs:
-        flow = flows[arc]
-        if flow < theta:
-            theta, leave = flow, arc
-    flows[cycle_arcs[0]] = theta
-    for arc in minus_arcs:
-        flows[arc] -= theta
-    for arc in cycle_arcs[2::2]:
-        flows[arc] += theta
-    del flows[leave]
-    return leave
+    minus = [flow[x] for x in cycle[::2]]
+    theta = min(minus)
+    for x in cycle[::2]:
+        flow[x] -= theta
+    for x in cycle[1::2]:
+        flow[x] += theta
+    return 2 * minus.index(theta), theta
 
 
 def _rehang(
-    adj: list[list[int]], node: int, par: int, parent: list[int], parent_arc: list[tuple[int, int]],
-    depth: list[int], pot: list[float], cost_rows: list[list[float]], m: int,
+    adj: list[list[int]], node: int, par: int, parent: list[int], depth: list[int], pot: list[float],
+    cost_rows: list[list[float]], m: int,
 ) -> None:
     """Hang node's subtree from par, breadth first, in place.
 
-    Each node of the subtree gets its parent, the arc to it (`_arc`), its
-    depth and its potential cost(arc to parent) - pot[parent], the
-    recurrence of a whole-tree walk.
+    Each node of the subtree gets its parent, its depth and its potential
+    cost(arc to parent) - pot[parent], the recurrence of a whole-tree walk.
     """
     parent[node] = par
     queue = [node]
     for x in queue:  # grows while it is read: a FIFO queue
         px = parent[x]
-        i, j = arc = (x, px - m) if x < m else (px, x - m)
-        parent_arc[x] = arc
         depth[x] = depth[px] + 1
-        pot[x] = cost_rows[i][j] - pot[px]
+        pot[x] = (cost_rows[x][px - m] if x < m else cost_rows[px][x - m]) - pot[px]
         for nb in adj[x]:
             if nb != px:
                 parent[nb] = x
@@ -215,81 +205,108 @@ def _rehang(
 
 
 def solve_lp(instance: TransportInstance) -> TransportPlan:
-    """Optimal transport plan by transportation simplex, exact to roundoff."""
+    """Optimal transport plan by transportation simplex, exact to roundoff.
+
+    A perturbation whose total outweighs the smallest masses can end on a basis
+    that the real masses make infeasible. So a plan whose marginal error or
+    duality gap exceeds 1e-10 is solved once more, with a perturbation
+    totalling half the smallest positive mass; only marginals still off raise.
+    """
+    a0, b0 = instance.supply, instance.demand
+    m = a0.size
+    masses = np.concatenate([a0, b0])
+    for eps in (_PERTURB, masses[masses > 0].min() / (m * (m + 1))):
+        plan = _simplex(instance, eps)
+        err = max(plan.marginal_errors(a0, b0))
+        if err <= 1e-10 and plan.duality_gap(a0, b0) <= 1e-10:
+            return plan
+    if err > 1e-10:
+        raise RuntimeError(f"plan marginals off by {err}")
+    return plan
+
+
+def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
+    """The simplex with supply i perturbed by eps (i+1); flows are recomputed without it."""
     a0, b0, cost = instance.supply, instance.demand, instance.cost
     m, k = cost.shape
     # lexicographic perturbation removes degenerate ties; undone at the end
-    a = a0 + _PERTURB * (np.arange(m) + 1)
+    a = a0 + eps * (np.arange(m) + 1)
     b = b0.copy()
-    b[-1] += _PERTURB * (m * (m + 1)) / 2
+    b[-1] += eps * (m * (m + 1)) / 2
 
     arcs = _northwest_corner(a, b)
     if len(arcs) != m + k - 1:
         raise RuntimeError(f"northwest-corner basis has {len(arcs)} arcs, expected {m + k - 1}")
     order, parent, adj = _walk(arcs, m, k)
-    flows = _tree_flows(order, parent, a, b)  # its keys are the basis
+    flow = _tree_flows(order, parent, a, b)
+    # the basis arcs, children first, in the order the final recompute walks them
+    basis = dict.fromkeys(_arc(x, parent[x], m) for x in reversed(order[1:]))
 
     # hang the tree from row 0: parents, depths and potentials u_i + v_j = C_ij
     # with u_0 = 0, rows then columns
     cost_rows = cost.tolist()
-    parent_arc: list[tuple[int, int]] = [(0, 0)] * (m + k)  # row 0's entry is never read
     depth = [0] * (m + k)
     pot = [0.0] * (m + k)
     for node in adj[0]:
-        _rehang(adj, node, 0, parent, parent_arc, depth, pot, cost_rows, m)
+        _rehang(adj, node, 0, parent, depth, pot, cost_rows, m)
 
     rc = np.empty_like(cost)  # reduced costs, rewritten in place at each pivot
+    pot_arr = np.empty(m + k)  # the potentials, copied in for each pricing
     for pivots in range(200 * (m + k) * max(m, k)):
-        pot_arr = np.array(pot)
+        pot_arr[:] = pot
         np.subtract(cost, pot_arr[:m, None], out=rc)
         rc -= pot_arr[m:]
         enter = int(rc.argmin())  # Dantzig: most negative, ties to the smallest index
-        if rc.flat[enter] >= -_RC_TOL:
+        if rc.item(enter) >= -_RC_TOL:
             break
         ei, ej = divmod(enter, k)
 
-        # unique cycle: entering arc + tree path from its column back to its
-        # row, found by climbing both ends until they meet
+        # unique cycle: entering arc + tree path (each node for its arc to its
+        # parent) from its column back to its row, climbing both ends to meet
         up, down = [], []
         x, y = m + ej, ei
         while x != y:
             if depth[x] >= depth[y]:
-                up.append(parent_arc[x])
+                up.append(x)
                 x = parent[x]
             else:
-                down.append(parent_arc[y])
+                down.append(y)
                 y = parent[y]
-        leave = _pivot(flows, [(ei, ej), *up, *reversed(down)])
+        cycle = up + down[::-1]
+        pos, theta = _pivot(flow, cycle)
 
-        li, lj = leave
-        adj[li].remove(m + lj)
-        adj[m + lj].remove(li)
-        adj[ei].append(m + ej)
-        adj[m + ej].append(ei)
         # the leaving arc cut off the entering arc's column exactly when it lay
         # on the column's climb; that side now hangs from the entering arc
-        if leave in up:
-            _rehang(adj, m + ej, ei, parent, parent_arc, depth, pot, cost_rows, m)
+        if pos < len(up):
+            node, par, stem = m + ej, ei, up[: pos + 1]
         else:
-            _rehang(adj, ei, m + ej, parent, parent_arc, depth, pot, cost_rows, m)
+            node, par, stem = ei, m + ej, down[: len(cycle) - pos]
+        i, j = sorted((stem[-1], parent[stem[-1]]))
+        adj[i].remove(j)
+        adj[j].remove(i)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        del basis[i, j - m]
+        basis[ei, ej] = None
+        # the stem from node up to the leaving arc turns over: each stem node
+        # now hangs from the one below it, by that node's old arc and flow
+        for x in stem:
+            flow[x], theta = theta, flow[x]
+        _rehang(adj, node, par, parent, depth, pot, cost_rows, m)
     else:
         raise RuntimeError("transportation simplex failed to converge")
 
     # drop the perturbation: recompute flows on the optimal basis. The
-    # recompute's sums run in walk order, so a basis that moved is walked as
-    # the flow dict lists it.
+    # recompute's sums run in walk order, so a basis that moved is walked in
+    # its arcs' order.
     if pivots:
-        order, parent, _ = _walk(flows, m, k)
+        order, parent, _ = _walk(basis, m, k)
     final = _tree_flows(order, parent, a0, b0)
     flow_mat = np.zeros((m, k))
-    for (i, j), f in final.items():
-        flow_mat[i, j] = max(f, 0.0)  # basis flows are >= -O(perturbation)
+    for x in order[1:]:
+        flow_mat[_arc(x, parent[x], m)] = max(final[x], 0.0)  # basis flows are >= -O(perturbation)
     objective = float(np.sum(flow_mat * cost))
-    plan = TransportPlan(flow_mat, objective, np.array(pot[:m]), np.array(pot[m:]))
-    r_err, c_err = plan.marginal_errors(a0, b0)
-    if max(r_err, c_err) > 1e-10:
-        raise RuntimeError(f"plan marginals off by {max(r_err, c_err)}")
-    return plan
+    return TransportPlan(flow_mat, objective, np.array(pot[:m]), np.array(pot[m:]))
 
 
 def comonotone_plan_1d(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarray) -> TransportPlan:

@@ -54,3 +54,12 @@ def shift_pair(seed, sx, sy, n):
         vals[:, -sy:] = 0
     f = DiscreteDensity2D.from_values(g, g, vals)
     return f, shifted_density_2d(f, sx, sy)
+
+
+def narrow_gaussian_pair(n):
+    """Two narrow correlated Gaussians on an n x n unit grid; at 16x16 their
+    corner cells hold floor-level masses, down to 6.6e-12."""
+    g = Grid1D.uniform(0.0, 1.0, n)
+    f = gaussian_2d(g, g, mean=(0.5, 0.5), sigma=(0.10, 0.08), rho=0.4)
+    f_tilde = gaussian_2d(g, g, mean=(0.47, 0.53), sigma=(0.09, 0.11), rho=-0.3)
+    return f, f_tilde

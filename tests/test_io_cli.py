@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import planar_mk
-from conftest import shift_pair
-from planar_mk import cli, measures, reduction
+from conftest import narrow_gaussian_pair, shift_pair
+from planar_mk import cli, measures, oracle, reduction
 from planar_mk.cli import main
 from planar_mk.density_io import (
     DensityFormatError,
@@ -597,6 +597,40 @@ class TestCliOracleAndChecks:
             assert capsys.readouterr().err.startswith("error:"), text
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("target", ["f_tilde", "f"])
+    def test_oracle_narrow_gaussian_pair_at_16x16(self, tmp_path, target):
+        # floor-level masses: the LP is solved a second time with a smaller perturbation
+        f, f_tilde = narrow_gaussian_pair(16)
+        fa, fb = tmp_path / "f.json", tmp_path / "g.json"
+        write_density_json(fa, f)
+        write_density_json(fb, f_tilde if target == "f_tilde" else f)
+        out = tmp_path / "out"
+        assert main(["oracle", "--input-f", str(fa), "--input-g", str(fb), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["duality_gap"] <= 1e-10
+        flows = np.loadtxt(out / "plan.csv", delimiter=",")
+        supply, demand = (read_density(p).cell_masses.ravel() for p in (fa, fb))
+        assert np.abs(flows.sum(axis=1) - supply / supply.sum()).max() <= 1e-10
+        assert np.abs(flows.sum(axis=0) - demand / demand.sum()).max() <= 1e-10
+        if target == "f":
+            assert report["objective"] == 0.0
+
+    @pytest.mark.parametrize("argv", [["--instance", "instance.json"], ["--input-f", "f.json", "--input-g", "f.json"]])
+    def test_oracle_exits_in_words_when_the_lp_fails(self, tmp_path, capsys, monkeypatch, argv):
+        def failing_lp(instance):
+            raise RuntimeError("transportation simplex failed to converge")
+
+        _patch_planar_mk(monkeypatch, oracle.solve_lp, failing_lp)
+        (tmp_path / "instance.json").write_text('{"supply": [1.0], "demand": [1.0], "cost": [[0.0]]}')
+        g = Grid1D.uniform(0.0, 1.0, 2)
+        write_density_json(tmp_path / "f.json", smooth_random_density_2d(g, g, seed=1))
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        assert main(["oracle", *argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: transportation simplex failed to converge\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_check_el_writes_residual_and_gradient(self, tmp_path):
         fa, fb = write_pair(tmp_path, seed=6)
         out = tmp_path / "out"
@@ -754,6 +788,35 @@ class TestCliCompare:
         code = main(["compare", "--input-f", fa, "--input-g", fb, "--out-dir", str(out), "--tolerance", tolerance])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --tolerance")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["f_tilde", "f"])
+    def test_narrow_gaussian_pair_at_16x16(self, tmp_path, target):
+        # the LP solves despite floor-level masses. Off whole-cell shifts the
+        # cell-center LP bounds neither side, so the gap (1.1e-3 against f~)
+        # is not held to the default tolerance.
+        f, f_tilde = narrow_gaussian_pair(16)
+        fa, fb = tmp_path / "f.json", tmp_path / "g.json"
+        write_density_json(fa, f)
+        write_density_json(fb, f_tilde if target == "f_tilde" else f)
+        out = tmp_path / "out"
+        code = main(["compare", "--input-f", str(fa), "--input-g", str(fb), "--out-dir", str(out), "--tolerance", "1e-2"])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        if target == "f":
+            assert report["oracle_optimum"] == 0.0
+
+    def test_lp_failure_exits_1_in_words(self, tmp_path, capsys, monkeypatch):
+        def failing_lp(instance):
+            raise RuntimeError("plan marginals off by 3.13e-09")
+
+        _patch_planar_mk(monkeypatch, oracle.solve_lp, failing_lp)
+        fa, fb = write_pair(tmp_path, n=4, seed=7)
+        out = tmp_path / "out"
+        assert main(["compare", "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: plan marginals off by 3.13e-09\n"
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_oversized_grid_exits_3(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import shift_pair
+from conftest import narrow_gaussian_pair, shift_pair
 from planar_mk import oracle
 from planar_mk.instances import smooth_random_density_2d
 from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
@@ -72,10 +72,10 @@ def spy_pivots(monkeypatch):
     thetas = []
     pivot = oracle._pivot
 
-    def spy(flows, cycle_arcs):
-        leave = pivot(flows, cycle_arcs)
-        thetas.append(flows[cycle_arcs[0]])
-        return leave
+    def spy(flow, cycle):
+        pos, theta = pivot(flow, cycle)
+        thetas.append(theta)
+        return pos, theta
 
     monkeypatch.setattr(oracle, "_pivot", spy)
     return thetas
@@ -186,14 +186,17 @@ def random_instances(seed, count, max_side):
 
 
 @st.composite
-def lp_instances(draw):
-    """1 to 12 atoms per side on a line; tied draws put them on integers 0..3."""
-    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+def lp_instances(draw, max_side=12, positive_mass=st.floats(1e-3, 1.0)):
+    """1 to max_side atoms per side on a line; tied draws put them on integers 0..3.
+
+    Each mass is 0 or a draw of positive_mass, before both sides are normalized.
+    """
+    m, k = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     if draw(st.booleans()):
         x, y = (np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float) for n in (m, k))
     else:
         x, y = (draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0))) for n in (m, k))
-    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    mass = st.one_of(st.just(0.0), positive_mass)
     a, b = (draw(arrays(np.float64, n, elements=mass)) for n in (m, k))
     a[0] = max(a[0], 1e-3)
     b[0] = max(b[0], 1e-3)
@@ -290,23 +293,35 @@ class TestSolveLp:
         assert max(pivots) < 300
 
     def test_kept_parent_arcs_match_the_tree(self, monkeypatch):
-        # the cycle climb reads each node's kept arc to its parent; after every
-        # pivot's re-hang it must be the arc that joins the node to its parent
+        # the cycle climb and pricing read each node's kept parent, depth and
+        # potential; after every pivot's re-hang they must be those of a fresh
+        # walk of the basis arcs in the neighbour lists, and each node's arc
+        # to its parent a basis arc
         rehang, pivot = oracle._rehang, oracle._pivot
         tree = {}
         checks = []
 
         def check():
-            parent, parent_arc, m = tree["lists"]
-            checks.append(all(parent_arc[x] == oracle._arc(x, parent[x], m) for x in range(1, len(parent))))
+            adj, parent, depth, pot, cost_rows, m = tree["lists"]
+            basis = {(i, j - m) for i in range(m) for j in adj[i]}
+            order, fresh_parent, _ = oracle._walk(basis, m, len(adj) - m)
+            fresh_depth, fresh_pot = [0] * len(adj), [0.0] * len(adj)
+            for x in order[1:]:
+                i, j = oracle._arc(x, fresh_parent[x], m)
+                fresh_depth[x] = fresh_depth[fresh_parent[x]] + 1
+                fresh_pot[x] = cost_rows[i][j] - fresh_pot[fresh_parent[x]]
+            checks.append(
+                (parent, depth, pot) == (fresh_parent, fresh_depth, fresh_pot)
+                and all(oracle._arc(x, parent[x], m) in basis for x in range(1, len(adj)))
+            )
 
-        def spy_rehang(adj, node, par, parent, parent_arc, *rest):
-            tree["lists"] = parent, parent_arc, rest[-1]
-            rehang(adj, node, par, parent, parent_arc, *rest)
+        def spy_rehang(adj, node, par, parent, depth, pot, cost_rows, m):
+            tree["lists"] = adj, parent, depth, pot, cost_rows, m
+            rehang(adj, node, par, parent, depth, pot, cost_rows, m)
 
-        def spy_pivot(flows, cycle_arcs):
+        def spy_pivot(flow, cycle):
             check()  # the start's tree, or the previous pivot's re-hung one
-            return pivot(flows, cycle_arcs)
+            return pivot(flow, cycle)
 
         monkeypatch.setattr(oracle, "_rehang", spy_rehang)
         monkeypatch.setattr(oracle, "_pivot", spy_pivot)
@@ -337,6 +352,15 @@ class TestSolveLp:
     @given(instance=lp_instances())
     def test_certificate_on_random_instances(self, instance):
         assert_certified(solve_lp(instance), instance)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=lp_instances(max_side=40, positive_mass=st.one_of(st.floats(1e-12, 1e-11), st.floats(1e-3, 1.0))))
+    def test_certificate_with_floor_level_masses(self, instance):
+        # floor-level masses of 1e-12 to 1e-11 among bulk ones, against a 1e-13
+        # perturbation totalling up to 8.2e-11: some need the re-solve
+        plan = solve_lp(instance)
+        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-10
+        assert_certified(plan, instance)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
@@ -420,6 +444,18 @@ class TestFull2D:
         ax1 = solve_lp(TransportInstance(u1.cell_masses, v1.cell_masses, c)).objective
         ax2 = solve_lp(TransportInstance(u2.cell_masses, v2.cell_masses, c)).objective
         assert full == pytest.approx(ax1 + ax2, abs=1e-10)
+
+    @pytest.mark.parametrize("target", ["f_tilde", "f"])
+    def test_narrow_gaussian_pair_at_16x16(self, target):
+        # masses down to 6.6e-12, below the 3.3e-9 perturbation total at 256
+        # atoms: the first basis is infeasible for the real masses, the re-solve's is not
+        f, f_tilde = narrow_gaussian_pair(16)
+        result = solve_full_2d(f, f_tilde if target == "f_tilde" else f)
+        plan, instance = result.plan, result.instance
+        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-10
+        assert_certified(plan, instance)
+        if target == "f":
+            assert result.objective == 0.0
 
     def test_size_limit(self):
         g = Grid1D.uniform(0.0, 1.0, 17)

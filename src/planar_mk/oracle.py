@@ -364,8 +364,8 @@ def solve_full_2d(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> Planar2DP
     """Exact planar optimum: both densities flattened to cell-center atoms.
 
     The flow matrix has (n_x*n_y)^2 entries; the MAX_ATOMS_PER_SIDE cap keeps
-    grids at 16x16 per axis, where the simplex runs 1000-1800 pivots in
-    0.2-0.6 s on one core.
+    grids at 16x16 per axis, where the simplex runs 940-1750 pivots in
+    0.1-0.5 s on one core (twice that when floor-level masses need a re-solve).
     """
     n_src = f.grid_x.n_cells * f.grid_y.n_cells
     n_tgt = f_tilde.grid_x.n_cells * f_tilde.grid_y.n_cells

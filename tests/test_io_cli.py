@@ -615,19 +615,27 @@ class TestCliOracleAndChecks:
         if target == "f":
             assert report["objective"] == 0.0
 
-    @pytest.mark.parametrize("argv", [["--instance", "instance.json"], ["--input-f", "f.json", "--input-g", "f.json"]])
-    def test_oracle_exits_in_words_when_the_lp_fails(self, tmp_path, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--instance", "instance.json"],
+            ["oracle", "--input-f", "f.json", "--input-g", "f.json"],
+            ["compare", "--input-f", "f.json", "--input-g", "f.json"],
+        ],
+        ids=["oracle_lp", "oracle_full_2d", "compare"],
+    )
+    def test_lp_failure_exits_1_in_words(self, tmp_path, capsys, monkeypatch, argv):
         def failing_lp(instance):
-            raise RuntimeError("transportation simplex failed to converge")
+            raise RuntimeError("plan marginals off by 3.13e-09")
 
         _patch_planar_mk(monkeypatch, oracle.solve_lp, failing_lp)
         (tmp_path / "instance.json").write_text('{"supply": [1.0], "demand": [1.0], "cost": [[0.0]]}')
         g = Grid1D.uniform(0.0, 1.0, 2)
         write_density_json(tmp_path / "f.json", smooth_random_density_2d(g, g, seed=1))
         argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
-        assert main(["oracle", *argv, "--out-dir", str(tmp_path / "out")]) == 1
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err == "error: transportation simplex failed to converge\n"
+        assert err == "error: plan marginals off by 3.13e-09\n"
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -805,19 +813,6 @@ class TestCliCompare:
         report = json.loads((out / "report.json").read_text())
         if target == "f":
             assert report["oracle_optimum"] == 0.0
-
-    def test_lp_failure_exits_1_in_words(self, tmp_path, capsys, monkeypatch):
-        def failing_lp(instance):
-            raise RuntimeError("plan marginals off by 3.13e-09")
-
-        _patch_planar_mk(monkeypatch, oracle.solve_lp, failing_lp)
-        fa, fb = write_pair(tmp_path, n=4, seed=7)
-        out = tmp_path / "out"
-        assert main(["compare", "--input-f", fa, "--input-g", fb, "--out-dir", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: plan marginals off by 3.13e-09\n"
-        assert "Traceback" not in err
-        assert not out.exists()
 
     def test_oversized_grid_exits_3(self, tmp_path, capsys):
         g = Grid1D.uniform(0.0, 1.0, 17)

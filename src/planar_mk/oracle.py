@@ -22,7 +22,7 @@ dependency: flows are recomputed on the final basis, walked in its arcs'
 order, with the unperturbed masses, and the final potentials (u, v) are kept
 on the plan as a duality certificate. Where floor-level masses sit below the
 perturbation's total, the final basis can be infeasible for the real masses;
-the LP is then solved once more with a perturbation below the smallest mass.
+the LP is then solved once more with a smaller perturbation (`solve_lp`).
 """
 
 from __future__ import annotations
@@ -208,21 +208,29 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
     """Optimal transport plan by transportation simplex, exact to roundoff.
 
     A perturbation whose total outweighs the smallest masses can end on a basis
-    that the real masses make infeasible. So a plan whose marginal error or
-    duality gap exceeds 1e-10 is solved once more, with a perturbation
-    totalling half the smallest positive mass; only marginals still off raise.
+    that the real masses make infeasible; clipping its negative flows, each at
+    most that total, leaves a marginal error or a duality gap. So a plan with
+    either above 1e-10 is solved once more with a smaller perturbation, totalling
+    at most half the smallest positive mass and 1e-11 over the cost scale. Of the
+    plans whose marginals pass, the one with the smaller gap is returned, the
+    first on a tie; if neither passes, RuntimeError.
     """
     a0, b0 = instance.supply, instance.demand
-    m = a0.size
-    masses = np.concatenate([a0, b0])
-    for eps in (_PERTURB, masses[masses > 0].min() / (m * (m + 1))):
-        plan = _simplex(instance, eps)
-        err = max(plan.marginal_errors(a0, b0))
-        if err <= 1e-10 and plan.duality_gap(a0, b0) <= 1e-10:
-            return plan
-    if err > 1e-10:
-        raise RuntimeError(f"plan marginals off by {err}")
-    return plan
+    plans = [_simplex(instance, _PERTURB)]
+    if max(plans[0].marginal_errors(a0, b0)) > 1e-10 or plans[0].duality_gap(a0, b0) > 1e-10:
+        m = a0.size
+        masses = np.concatenate([a0, b0])
+        total = min(masses[masses > 0].min() / 2, 1e-11 / max(1.0, float(instance.cost.max())))
+        eps = total / (m * (m + 1) / 2)
+        if eps < _PERTURB:  # a larger one would move the bulk masses further
+            try:
+                plans.append(_simplex(instance, eps))
+            except RuntimeError:
+                pass
+    passed = [p for p in plans if max(p.marginal_errors(a0, b0)) <= 1e-10]
+    if not passed:
+        raise RuntimeError(f"plan marginals off by {max(plans[0].marginal_errors(a0, b0))}")
+    return min(passed, key=lambda p: p.duality_gap(a0, b0))
 
 
 def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
@@ -260,6 +268,8 @@ def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
         if rc.item(enter) >= -_RC_TOL:
             break
         ei, ej = divmod(enter, k)
+        if (ei, ej) in basis:  # its reduced cost is roundoff: costs too large for _RC_TOL
+            raise RuntimeError(f"basis arc ({ei}, {ej}) priced at {rc.item(enter)}; costs too large for the LP")
 
         # unique cycle: entering arc + tree path (each node for its arc to its
         # parent) from its column back to its row, climbing both ends to meet

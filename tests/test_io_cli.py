@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import planar_mk
 from conftest import narrow_gaussian_pair, shift_pair
+from test_oracle import random_instances
 from planar_mk import cli, measures, oracle, reduction
 from planar_mk.cli import main
 from planar_mk.density_io import (
@@ -638,6 +640,24 @@ class TestCliOracleAndChecks:
         assert err == "error: plan marginals off by 3.13e-09\n"
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_oracle_on_costs_too_large_fails_fast_in_words(self, tmp_path, capsys):
+        # at costs x1e5 roundoff prices a basis arc of this 30-atom instance
+        # below the reduced-cost tolerance; the simplex stops at that pivot
+        # rather than repeating it up to its cap of 200(m+k)max(m,k) pivots
+        instance = list(random_instances(seed=9, count=85, max_side=30))[84]
+        (tmp_path / "instance.json").write_text(json.dumps({
+            "supply": instance.supply.tolist(),
+            "demand": instance.demand.tolist(),
+            "cost": (instance.cost * 1e5).tolist(),
+        }))
+        start = time.perf_counter()
+        rc = main(["oracle", "--instance", str(tmp_path / "instance.json"), "--out-dir", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis arc (5, 5) priced at ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_check_el_writes_residual_and_gradient(self, tmp_path):
         fa, fb = write_pair(tmp_path, seed=6)

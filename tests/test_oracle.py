@@ -81,6 +81,26 @@ def spy_pivots(monkeypatch):
     return thetas
 
 
+def spy_simplex(monkeypatch):
+    """Record the perturbation of every `_simplex` run."""
+    epsilons = []
+    simplex = oracle._simplex
+
+    def spy(instance, eps):
+        epsilons.append(eps)
+        return simplex(instance, eps)
+
+    monkeypatch.setattr(oracle, "_simplex", spy)
+    return epsilons
+
+
+def compare8_scaled(scale):
+    """compare8's first case as an LP, its costs multiplied by scale."""
+    f, f_tilde = shift_pair(1, 1, 0, 8)
+    instance = solve_full_2d(f, f_tilde).instance
+    return TransportInstance(instance.supply, instance.demand, instance.cost * scale)
+
+
 def reference_solve_lp(instance):
     """The transportation simplex with a whole-tree walk after every pivot.
 
@@ -361,6 +381,60 @@ class TestSolveLp:
         plan = solve_lp(instance)
         assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-10
         assert_certified(plan, instance)
+
+    def test_gap_closed_by_a_smaller_perturbation(self, monkeypatch):
+        # compare8's first case with costs x100: the 1e-13 perturbation's
+        # clipped flows pass the marginal check (3.6e-12) but leave a gap of
+        # 4.0e-10; the re-solve's perturbation is smaller and closes it
+        instance = compare8_scaled(100.0)
+        epsilons = spy_simplex(monkeypatch)
+        plan = solve_lp(instance)
+        a, b = instance.supply, instance.demand
+        assert max(plan.marginal_errors(a, b)) <= 1e-10
+        assert plan.duality_gap(a, b) <= 1e-10
+        m = a.size
+        assert epsilons[0] == oracle._PERTURB and epsilons[1] < oracle._PERTURB
+        assert epsilons[1] * m * (m + 1) / 2 <= 1e-11 / instance.cost.max()
+
+    @pytest.mark.parametrize("second", ["marginals_off", "raises"])
+    def test_first_plan_kept_when_the_re_solve_fails(self, monkeypatch, second):
+        # the re-solve may only improve on the first plan: one whose marginals
+        # pass is returned when the second's do not, or when the second raises
+        instance = compare8_scaled(100.0)
+        first = oracle._simplex(instance, oracle._PERTURB)
+        simplex = oracle._simplex
+
+        def spy(instance, eps):
+            if eps == oracle._PERTURB:
+                return simplex(instance, eps)
+            if second == "raises":
+                raise RuntimeError("transportation simplex failed to converge")
+            plan = simplex(instance, eps)
+            return oracle.TransportPlan(plan.flows * 2, plan.objective, plan.u, plan.v)
+
+        monkeypatch.setattr(oracle, "_simplex", spy)
+        assert_same_plan(solve_lp(instance), first)
+
+    def test_costs_scaled_1e5_certify_marginals_or_fail_fast(self, monkeypatch):
+        # at costs x1e5 roundoff can price a basis arc below -_RC_TOL; such a
+        # pivot would change nothing, so the simplex stops there at once (on
+        # instances 20, 22, 44, 82, 86 and 92) instead of repeating it up to
+        # its cap of 200(m+k)max(m,k) pivots. Every other instance returns a
+        # plan whose marginals pass.
+        thetas = spy_pivots(monkeypatch)
+        failed = []
+        for n, instance in enumerate(random_instances(seed=5, count=100, max_side=8)):
+            a, b = instance.supply, instance.demand
+            before = len(thetas)
+            try:
+                plan = solve_lp(TransportInstance(a, b, instance.cost * 1e5))
+            except RuntimeError as err:
+                assert "priced at" in str(err)
+                assert len(thetas) - before < 100
+                failed.append(n)
+            else:
+                assert max(plan.marginal_errors(a, b)) <= 1e-10
+        assert failed == [20, 22, 44, 82, 86, 92]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)

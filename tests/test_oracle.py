@@ -33,6 +33,9 @@ def random_instance(rng, m, k, tied=False):
     return x, a / a.sum(), y, b / b.sum()
 
 
+# 33 to 48 atoms per side: 1089 to 2304 arcs, which pricing scans in two or three blocks
+MULTI_BLOCK_SIDES = {"min_side": 33, "max_side": 48}
+
 # the benchmark's compare8 cases: (seed, (sx, sy)) on 8x8 grids
 COMPARE8_CASES = ((1, (1, 0)), (2, (0, 1)), (3, (1, 1)), (4, (2, 1)), (5, (1, 2)), (6, (2, 2)))
 
@@ -42,12 +45,12 @@ def compare8_pairs():
         yield shift_pair(seed, sx, sy, 8)
 
 
-def tied_instances(seed, count, max_side):
+def tied_instances(seed, count, max_side, min_side=1):
     """Random instances on integer atom positions (many tied costs); every
     other one has uniform masses, so degenerate bases are common."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
-        m, k = int(rng.integers(1, max_side + 1)), int(rng.integers(1, max_side + 1))
+        m, k = int(rng.integers(min_side, max_side + 1)), int(rng.integers(min_side, max_side + 1))
         x, a, y, b = random_instance(rng, m, k, tied=True)
         if trial % 2:
             a, b = np.full(m, 1.0 / m), np.full(k, 1.0 / k)
@@ -104,10 +107,10 @@ def compare8_scaled(scale):
 def reference_solve_lp(instance):
     """The transportation simplex with a whole-tree walk after every pivot.
 
-    A self-contained copy with the start, perturbation, pricing, cycle, ratio
-    test and final recompute of `solve_lp`, but which walks the whole basis
-    tree and recomputes every potential at each pivot: the reference that the
-    re-hung subtrees must match bit for bit.
+    A self-contained copy with the start, perturbation, block-search pricing,
+    cycle, ratio test and final recompute of `solve_lp`, but which walks the
+    whole basis tree and prices every arc at each pivot: the reference that
+    the re-hung subtrees must match bit for bit.
     """
     a0, b0, cost = instance.supply, instance.demand, instance.cost
     m, k = cost.shape
@@ -158,14 +161,22 @@ def reference_solve_lp(instance):
     order, parent, depth = walk(arcs)
     flows = tree_flows(order, parent, a, b)
     cost_rows = cost.tolist()
+    rows = max(1, oracle._BLOCK_ARCS // k)  # blocks of whole rows
+    n_blocks = -(-m // rows)
+    last = 0
     for _ in range(200 * (m + k) * max(m, k)):
         pot = [0.0] * (m + k)
         for node in order[1:]:
             i, j = arc(node, parent[node])
             pot[node] = cost_rows[i][j] - pot[parent[node]]
         rc = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
-        enter = int(np.argmin(rc))
-        if rc.flat[enter] >= -oracle._RC_TOL:
+        # the first block from the last entering arc's on with an arc below -_RC_TOL
+        for b in [(last + step) % n_blocks for step in range(n_blocks)]:
+            enter = b * rows * k + int(np.argmin(rc[b * rows : (b + 1) * rows]))
+            if rc.flat[enter] < -oracle._RC_TOL:
+                last = b
+                break
+        else:
             break
         ei, ej = divmod(enter, k)
         up, down = [], []
@@ -196,11 +207,11 @@ def reference_solve_lp(instance):
     return TransportPlan(flow_mat, float(np.sum(flow_mat * cost)), np.array(pot[:m]), np.array(pot[m:]))
 
 
-def random_instances(seed, count, max_side):
-    """Random instances, tied and untied in turn, with 1 to max_side atoms per side."""
+def random_instances(seed, count, max_side, min_side=1):
+    """Random instances, tied and untied in turn, with min_side to max_side atoms per side."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
-        m, k = int(rng.integers(1, max_side + 1)), int(rng.integers(1, max_side + 1))
+        m, k = int(rng.integers(min_side, max_side + 1)), int(rng.integers(min_side, max_side + 1))
         x, a, y, b = random_instance(rng, m, k, tied=trial % 2 == 1)
         yield TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2)
 
@@ -268,10 +279,13 @@ class TestSolveLp:
             TransportInstance(**parts)
 
     def test_matches_highs(self):
+        # HiGHS checks the pricing independently: 40 instances of up to 12
+        # atoms per side in one pricing block, and 6 of 38 to 42 in two
         scipy_optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(14)
-        for trial in range(40):
-            m, k = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        for trial in range(46):
+            lo, hi = (1, 12) if trial < 40 else (38, 42)
+            m, k = int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))
             x, a, y, b = random_instance(rng, m, k, tied=trial % 2 == 1)
             cost = (x[:, None] - y[None, :]) ** 2
             rows = np.kron(np.eye(m), np.ones(k))  # sum_j p_ij = a_i
@@ -301,15 +315,36 @@ class TestSolveLp:
         assert len(thetas) > 1000
         assert min(thetas) > oracle._PERTURB / 2
 
+    @pytest.mark.parametrize(
+        "instances",
+        [
+            lambda: tied_instances(seed=18, count=30, **MULTI_BLOCK_SIDES),
+            lambda: random_instances(seed=19, count=30, **MULTI_BLOCK_SIDES),
+        ],
+        ids=["tied", "random"],
+    )
+    def test_multi_block_pricing_certifies_and_moves_flow(self, monkeypatch, instances):
+        # pricing stops only after a full cycle of blocks finds no arc below
+        # -_RC_TOL, so every arc is priced against the final potentials; and
+        # any entering arc with a negative reduced cost keeps the pivots
+        # nondegenerate under the perturbation
+        thetas = spy_pivots(monkeypatch)
+        for instance in instances():
+            assert instance.cost.size > oracle._BLOCK_ARCS
+            assert_certified(solve_lp(instance), instance)
+        assert len(thetas) > 1000
+        assert min(thetas) > oracle._PERTURB / 2
+
     def test_pivot_budget_on_compare8(self, monkeypatch):
-        # Dantzig pricing takes 114-181 pivots per case; Bland's rule took 908-2952
+        # block-search pricing takes 91-126 pivots per case; Dantzig pricing
+        # took 114-181 and Bland's rule 908-2952
         thetas = spy_pivots(monkeypatch)
         pivots = []
         for f, f_tilde in compare8_pairs():
             before = len(thetas)
             solve_full_2d(f, f_tilde)
             pivots.append(len(thetas) - before)
-        assert pivots == [132, 148, 147, 181, 114, 137]
+        assert pivots == [109, 126, 106, 102, 108, 91]
         assert max(pivots) < 300
 
     def test_kept_parent_arcs_match_the_tree(self, monkeypatch):
@@ -356,8 +391,10 @@ class TestSolveLp:
         [
             lambda: tied_instances(seed=16, count=300, max_side=12),
             lambda: random_instances(seed=17, count=200, max_side=29),
+            lambda: tied_instances(seed=20, count=30, **MULTI_BLOCK_SIDES),
+            lambda: random_instances(seed=21, count=30, **MULTI_BLOCK_SIDES),
         ],
-        ids=["tied", "random"],
+        ids=["tied", "random", "tied_multi_block", "random_multi_block"],
     )
     def test_bit_identical_to_whole_tree_walks(self, instances):
         for instance in instances():

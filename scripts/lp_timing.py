@@ -1,42 +1,32 @@
 #!/usr/bin/env python3
 """Pivots and wall time of the exact transportation LP on fixed instances.
 
-Solves `oracle.solve_full_2d` on compare8's six 8x8 whole-cell shifts and on
-three instances at the oracle's 16x16 size cap: the whole-cell shift of
-seed 1 by (1, 0), the generic pair of seeds 1 and 2, and the narrow Gaussian
-pair. Prints one line per LP: its pivots (both solves' when floor-level
-masses need a re-solve), the least wall seconds over --repeat solves, the
-milliseconds per pivot and the objective.
+Solves `oracle.solve_full_2d` on compare8's six 8x8 whole-cell shifts, built
+by perfbench/workloads.py, and on three instances at the oracle's 16x16 size
+cap: the whole-cell shift of seed 1 by (1, 0), the generic pair of seeds 1
+and 2, and the narrow Gaussian pair. Prints one line per LP: its pivots
+(both solves' when floor-level masses need a re-solve), the least wall
+seconds over --repeat solves, the milliseconds per pivot and the objective.
 
     python3 scripts/lp_timing.py
     python3 scripts/lp_timing.py --repeat 1
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 from planar_mk import oracle
-from planar_mk.instances import gaussian_2d, shifted_density_2d, smooth_random_density_2d
-from planar_mk.measures import DiscreteDensity2D, Grid1D
+from planar_mk.instances import gaussian_2d, smooth_random_density_2d
+from planar_mk.measures import Grid1D
 
-# compare8's cases: (seed, (sx, sy)) on 8x8 grids
-COMPARE8_CASES = ((1, (1, 0)), (2, (0, 1)), (3, (1, 1)), (4, (2, 1)), (5, (1, 2)), (6, (2, 2)))
-
-
-def shift_pair(seed, sx, sy, n):
-    """A smooth density with a vacated margin and its whole-cell shift."""
-    g = Grid1D.uniform(0.0, 1.0, n)
-    vals = smooth_random_density_2d(g, g, seed=seed).values.copy()
-    if sx:
-        vals[-sx:, :] = 0
-    if sy:
-        vals[:, -sy:] = 0
-    f = DiscreteDensity2D.from_values(g, g, vals)
-    return f, shifted_density_2d(f, sx, sy)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import COMPARE_CASES, shift_pair  # noqa: E402  the benchmark's compare8 instances
 
 
 def build_instances():
-    for seed, (sx, sy) in COMPARE8_CASES:
+    for seed, (sx, sy) in COMPARE_CASES:
         yield f"compare8 shift{seed}_{sx}{sy}", *shift_pair(seed, sx, sy, 8)
     yield "16x16 shift1_10", *shift_pair(1, 1, 0, 16)
     g = Grid1D.uniform(0.0, 1.0, 16)

@@ -4,9 +4,9 @@
 Solves `oracle.solve_full_2d` on compare8's six 8x8 whole-cell shifts, built
 by perfbench/workloads.py, and on three instances at the oracle's 16x16 size
 cap: the whole-cell shift of seed 1 by (1, 0), the generic pair of seeds 1
-and 2, and the narrow Gaussian pair. Prints one line per LP: its pivots
-(both solves' when floor-level masses need a re-solve), the least wall
-seconds over --repeat solves, the milliseconds per pivot and the objective.
+and 2, and the narrow Gaussian pair. Prints one line per LP: its pivots,
+the least wall seconds over --repeat solves, the milliseconds per pivot and
+the objective.
 
     python3 scripts/lp_timing.py
     python3 scripts/lp_timing.py --repeat 1
@@ -41,10 +41,10 @@ def count_pivots(f, f_tilde):
     count = 0
     pivot = oracle._pivot
 
-    def counted(flow, cycle):
+    def counted(flow, up, down):
         nonlocal count
         count += 1
-        return pivot(flow, cycle)
+        return pivot(flow, up, down)
 
     oracle._pivot = counted
     try:

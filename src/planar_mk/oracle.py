@@ -1,33 +1,35 @@
 """Exact transportation LP used as ground truth at desk scale.
 
-The solver is a self-contained transportation simplex (northwest-corner
-start, block-search pricing, lexicographic supply perturbation against
-degeneracy). Pricing splits the rows into blocks of about _BLOCK_ARCS arcs
-and scans them cyclically from the block that gave the last entering arc;
-the arc entering is the most negative in the first block with one below
--_RC_TOL, ties going to the smallest flat index (Grigoriadis 1986). Up to
-_BLOCK_ARCS arcs form one block: Dantzig's rule. The simplex stops only after
-a full cycle of blocks, every arc priced against one set of potentials. The
-perturbation, not the pricing rule, is what prevents cycling: it keeps every
-basis flow at least the perturbation size away from zero, so each pivot on
-any arc of negative reduced cost moves a positive amount of flow and
-strictly lowers the perturbed objective. The basis tree, rooted at row 0, is
-kept across pivots in flat per-node lists: neighbours, parent, depth, dual
-potential (u_0 = 0; a node's potential is the cost of the arc to its parent
-minus the parent's) and the flow on the arc to the parent (Ahuja, Magnanti &
-Orlin 1993, ch. 11). The pivot cycle is the list of nodes met climbing
-`parent` from both ends of the entering arc until they meet; the flows at
-its minus positions give theta and the leaving arc, the first minimum in
-cycle order. A pivot changes only the subtree that the leaving arc cuts off
-from row 0: that subtree is re-hung breadth first from the entering arc's end
-inside it, and along its stem, from that end up to the leaving arc, each flow
-moves down one node. Parents, depths and potentials do not depend on the walk
-order, so they match a walk of the whole tree bit for bit. No external LP
-dependency: flows are recomputed on the final basis, walked in its arcs'
-order, with the unperturbed masses, and the final potentials (u, v) are kept
-on the plan as a duality certificate. Where floor-level masses sit below the
-perturbation's total, the final basis can be infeasible for the real masses;
-the LP is then solved once more with a smaller perturbation (`solve_lp`).
+The solver is a self-contained transportation simplex on strongly feasible
+spanning trees (Cunningham 1976; Ahuja, Magnanti & Orlin 1993, sec. 11.5),
+started at the northwest corner and priced by block search. Pricing splits
+the rows into blocks of about _BLOCK_ARCS arcs and scans them cyclically from
+the block that gave the last entering arc; the arc entering is the most
+negative in the first block with one below -_RC_TOL max(1, max C), ties going
+to the smallest flat index (Grigoriadis 1986). Up to _BLOCK_ARCS arcs form one
+block: Dantzig's rule. The simplex stops only after a full cycle of blocks,
+every arc priced against one set of potentials. The basis tree, rooted at
+row 0, is kept across pivots in flat per-node lists: neighbours, parent,
+depth, dual potential (u_0 = 0; a node's potential is the cost of the arc to
+its parent minus the parent's) and the flow on the arc to the parent (Ahuja,
+Magnanti & Orlin 1993, ch. 11). The pivot cycle is the list of nodes met
+climbing `parent` from both ends of the entering arc until they meet, at the
+apex. The tree is strongly feasible: every column hangs from its parent row
+by an arc of positive flow, so only arcs pointing to row 0 can be empty. In
+exact arithmetic the northwest-corner start is such a tree once rows and
+columns of zero mass are dropped (`solve_lp`), as its ties advance the row,
+and Cunningham's leaving rule keeps it one: of the arcs at theta, the last
+met walking the cycle from the apex in the entering arc's direction leaves.
+Any pivot that moves flow lowers the objective, and one that moves none
+lowers the potential of every node it re-hangs, rows' u and columns' -v
+alike, so no basis comes back and the simplex cannot cycle, on the real
+masses. A pivot changes only the subtree that the leaving arc cuts off from
+row 0: that subtree is re-hung breadth first from the entering arc's end
+inside it, and along its stem, from that end up to the leaving arc, each
+flow moves down one node. Parents, depths and potentials do not depend on
+the walk order, so they match a walk of the whole tree bit for bit. No
+external LP dependency: the final tree's flows are the plan, and its
+potentials (u, v) are kept on the plan as a duality certificate.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ class SizeLimitError(ValueError):
 MAX_ATOMS_PER_SIDE = 256
 
 _BALANCE_TOL = 1e-12
-_RC_TOL = 1e-11  # reduced-cost threshold for entering arcs
+_RC_TOL = 1e-11  # reduced-cost threshold for entering arcs, per unit of the largest cost
 _BLOCK_ARCS = 1024  # arcs per pricing block, in whole rows
-_PERTURB = 1e-13  # lexicographic supply perturbation
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class TransportPlan:
     """A transport plan; `solve_lp` also sets the dual potentials u, v.
 
     The potentials satisfy u_i + v_j = C_ij on the final basis and
-    u_i + v_j <= C_ij elsewhere (to the reduced-cost tolerance), so together
-    with a `duality_gap` near zero they certify the plan optimal.
+    u_i + v_j <= C_ij elsewhere, to the reduced-cost tolerance 1e-11 max(1, max C),
+    so together with a `duality_gap` near zero they certify the plan optimal.
     """
 
     flows: np.ndarray
@@ -172,21 +173,31 @@ def _tree_flows(order: list[int], parent: list[int], a: np.ndarray, b: np.ndarra
     return flow
 
 
-def _pivot(flow: list[float], cycle: list[int]) -> tuple[int, float]:
-    """Push theta around the cycle; returns the leaving node's position in it, and theta.
+def _pivot(flow: list[float], up: list[int], down: list[int]) -> tuple[list[int], float]:
+    """Push theta around the cycle; returns the leaving arc's stem, and theta.
 
-    `cycle` lists, in cycle order, the nodes whose arcs to their parents close
-    the entering arc into a cycle. Signs alternate, + on the entering arc and
-    so - on cycle[0]; theta is the least flow at a minus position, and the
-    first node there that carries it leaves.
+    `up` and `down` list the nodes met climbing `parent` from the entering
+    arc's column and row to the apex, each node for its arc to its parent.
+    Signs alternate from + on the entering arc, so - on up[0], down[0] and
+    every second node after them; theta is the least flow at a minus
+    position. The arc leaving is Cunningham's: of those at theta, the last met
+    walking the cycle from the apex in the entering arc's direction, down to
+    the row, across the entering arc and up from the column. That is the last
+    in `up`, or else the first in `down`. The stem is its side of the cycle,
+    from the entering arc to the leaving one.
     """
-    minus = [flow[x] for x in cycle[::2]]
-    theta = min(minus)
-    for x in cycle[::2]:
+    minus = up[::2] + down[::2]
+    theta = min(flow[x] for x in minus)
+    blocking = [t for t in range(0, len(up), 2) if flow[up[t]] == theta]
+    if blocking:
+        stem = up[: blocking[-1] + 1]
+    else:
+        stem = down[: next(t for t in range(0, len(down), 2) if flow[down[t]] == theta) + 1]
+    for x in minus:
         flow[x] -= theta
-    for x in cycle[1::2]:
+    for x in up[1::2] + down[1::2]:
         flow[x] += theta
-    return 2 * minus.index(theta), theta
+    return stem, theta
 
 
 def _rehang(
@@ -213,48 +224,33 @@ def _rehang(
 def solve_lp(instance: TransportInstance) -> TransportPlan:
     """Optimal transport plan by transportation simplex, exact to roundoff.
 
-    A perturbation whose total outweighs the smallest masses can end on a basis
-    that the real masses make infeasible; clipping its negative flows, each at
-    most that total, leaves a marginal error or a duality gap. So a plan with
-    either above 1e-10 is solved once more with a smaller perturbation, totalling
-    at most half the smallest positive mass and 1e-11 over the cost scale. Of the
-    plans whose marginals pass, the one with the smaller gap is returned, the
-    first on a tie; if neither passes, RuntimeError.
+    Rows and columns of zero mass carry no flow, so the simplex runs without
+    them, which keeps its start strongly feasible. They then take the largest
+    potentials that keep every arc's reduced cost >= 0: u_i = min_j (C_ij - v_j)
+    over the other columns, then v_j = min_i (C_ij - u_i) over all rows. A plan
+    whose marginals are off by more than 1e-10 raises RuntimeError.
     """
-    a0, b0 = instance.supply, instance.demand
-    plans = [_simplex(instance, _PERTURB)]
-    if max(plans[0].marginal_errors(a0, b0)) > 1e-10 or plans[0].duality_gap(a0, b0) > 1e-10:
-        m = a0.size
-        masses = np.concatenate([a0, b0])
-        total = min(masses[masses > 0].min() / 2, 1e-11 / max(1.0, float(instance.cost.max())))
-        eps = total / (m * (m + 1) / 2)
-        if eps < _PERTURB:  # a larger one would move the bulk masses further
-            try:
-                plans.append(_simplex(instance, eps))
-            except RuntimeError:
-                pass
-    passed = [p for p in plans if max(p.marginal_errors(a0, b0)) <= 1e-10]
-    if not passed:
-        raise RuntimeError(f"plan marginals off by {max(plans[0].marginal_errors(a0, b0))}")
-    return min(passed, key=lambda p: p.duality_gap(a0, b0))
+    a, b, cost = instance.supply, instance.demand, instance.cost
+    rows, cols = a > 0, b > 0
+    flows = np.zeros(cost.shape)
+    u, v = np.zeros(a.size), np.zeros(b.size)
+    flows[np.ix_(rows, cols)], u[rows], v[cols] = _simplex(a[rows], b[cols], cost[np.ix_(rows, cols)])
+    u[~rows] = np.min(cost[~rows][:, cols] - v[cols], axis=1)
+    v[~cols] = np.min(cost[:, ~cols] - u[:, None], axis=0)
+    plan = TransportPlan(flows, float(np.sum(flows * cost)), u, v)
+    if max(plan.marginal_errors(a, b)) > 1e-10:
+        raise RuntimeError(f"plan marginals off by {max(plan.marginal_errors(a, b))}")
+    return plan
 
 
-def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
-    """The simplex with supply i perturbed by eps (i+1); flows are recomputed without it."""
-    a0, b0, cost = instance.supply, instance.demand, instance.cost
+def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The simplex on positive masses a, b; returns the plan's flows and its potentials u, v."""
     m, k = cost.shape
-    # lexicographic perturbation removes degenerate ties; undone at the end
-    a = a0 + eps * (np.arange(m) + 1)
-    b = b0.copy()
-    b[-1] += eps * (m * (m + 1)) / 2
-
     arcs = _northwest_corner(a, b)
     if len(arcs) != m + k - 1:
         raise RuntimeError(f"northwest-corner basis has {len(arcs)} arcs, expected {m + k - 1}")
     order, parent, adj = _walk(arcs, m, k)
     flow = _tree_flows(order, parent, a, b)
-    # the basis arcs, children first, in the order the final recompute walks them
-    basis = dict.fromkeys(_arc(x, parent[x], m) for x in reversed(order[1:]))
 
     # hang the tree from row 0: parents, depths and potentials u_i + v_j = C_ij
     # with u_0 = 0, rows then columns
@@ -264,12 +260,13 @@ def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
     for node in adj[0]:
         _rehang(adj, node, 0, parent, depth, pot, cost_rows, m)
 
+    tol = _RC_TOL * max(1.0, float(cost.max()))  # potentials carry roundoff in proportion to the costs
     rc = np.empty_like(cost)  # reduced costs, rewritten in place, a block at a time
     pot_arr = np.empty(m + k)  # the potentials, copied in for each pricing
     rows = max(1, _BLOCK_ARCS // k)  # rows per pricing block
     blocks = [(r, min(r + rows, m)) for r in range(0, m, rows)]
     blk = 0  # the block that gave the last entering arc
-    for pivots in range(200 * (m + k) * max(m, k)):
+    for _ in range(200 * (m + k) * max(m, k)):
         pot_arr[:] = pot
         for blk in (*range(blk, len(blocks)), *range(blk)):
             r0, r1 = blocks[blk]
@@ -277,13 +274,13 @@ def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
             np.subtract(cost[r0:r1], pot_arr[r0:r1, None], out=seg)
             seg -= pot_arr[m:]
             enter = r0 * k + int(seg.argmin())  # most negative in the block, ties to the smallest index
-            if rc.item(enter) < -_RC_TOL:
+            if rc.item(enter) < -tol:
                 break
         else:  # a full cycle of blocks priced every arc against these potentials
             break
         ei, ej = divmod(enter, k)
-        if (ei, ej) in basis:  # its reduced cost is roundoff: costs too large for _RC_TOL
-            raise RuntimeError(f"basis arc ({ei}, {ej}) priced at {rc.item(enter)}; costs too large for the LP")
+        if parent[m + ej] == ei or parent[ei] == m + ej:  # a basis arc: its reduced cost is roundoff
+            raise RuntimeError(f"basis arc ({ei}, {ej}) priced at {rc.item(enter)}; roundoff beyond the tolerance")
 
         # unique cycle: entering arc + tree path (each node for its arc to its
         # parent) from its column back to its row, climbing both ends to meet
@@ -296,22 +293,17 @@ def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
             else:
                 down.append(y)
                 y = parent[y]
-        cycle = up + down[::-1]
-        pos, theta = _pivot(flow, cycle)
+        stem, theta = _pivot(flow, up, down)
 
-        # the leaving arc cut off the entering arc's column exactly when it lay
-        # on the column's climb; that side now hangs from the entering arc
-        if pos < len(up):
-            node, par, stem = m + ej, ei, up[: pos + 1]
-        else:
-            node, par, stem = ei, m + ej, down[: len(cycle) - pos]
+        # the leaving arc cut off the entering arc's end where the stem starts;
+        # that side now hangs from the entering arc
+        node = stem[0]
+        par = ei if node == m + ej else m + ej
         i, j = sorted((stem[-1], parent[stem[-1]]))
         adj[i].remove(j)
         adj[j].remove(i)
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
-        del basis[i, j - m]
-        basis[ei, ej] = None
         # the stem from node up to the leaving arc turns over: each stem node
         # now hangs from the one below it, by that node's old arc and flow
         for x in stem:
@@ -320,17 +312,10 @@ def _simplex(instance: TransportInstance, eps: float) -> TransportPlan:
     else:
         raise RuntimeError("transportation simplex failed to converge")
 
-    # drop the perturbation: recompute flows on the optimal basis. The
-    # recompute's sums run in walk order, so a basis that moved is walked in
-    # its arcs' order.
-    if pivots:
-        order, parent, _ = _walk(basis, m, k)
-    final = _tree_flows(order, parent, a0, b0)
     flow_mat = np.zeros((m, k))
-    for x in order[1:]:
-        flow_mat[_arc(x, parent[x], m)] = max(final[x], 0.0)  # basis flows are >= -O(perturbation)
-    objective = float(np.sum(flow_mat * cost))
-    return TransportPlan(flow_mat, objective, np.array(pot[:m]), np.array(pot[m:]))
+    for x in range(1, m + k):
+        flow_mat[_arc(x, parent[x], m)] = max(flow[x], 0.0)  # roundoff can leave an empty arc just below 0
+    return flow_mat, np.array(pot[:m]), np.array(pot[m:])
 
 
 def comonotone_plan_1d(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarray) -> TransportPlan:
@@ -388,8 +373,8 @@ def solve_full_2d(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> Planar2DP
     """Exact planar optimum: both densities flattened to cell-center atoms.
 
     The flow matrix has (n_x*n_y)^2 entries; the MAX_ATOMS_PER_SIDE cap keeps
-    grids at 16x16 per axis, where the simplex runs 775-3170 pivots in
-    0.03-0.16 s on one core (about twice that when floor-level masses need a re-solve).
+    grids at 16x16 per axis, where the simplex runs 628-3170 pivots in
+    0.02-0.2 s on one core.
     """
     n_src = f.grid_x.n_cells * f.grid_y.n_cells
     n_tgt = f_tilde.grid_x.n_cells * f_tilde.grid_y.n_cells

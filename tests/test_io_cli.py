@@ -601,7 +601,7 @@ class TestCliOracleAndChecks:
 
     @pytest.mark.parametrize("target", ["f_tilde", "f"])
     def test_oracle_narrow_gaussian_pair_at_16x16(self, tmp_path, target):
-        # floor-level masses: the LP is solved a second time with a smaller perturbation
+        # floor-level masses, down to 6.6e-12, cost the LP no accuracy
         f, f_tilde = narrow_gaussian_pair(16)
         fa, fb = tmp_path / "f.json", tmp_path / "g.json"
         write_density_json(fa, f)
@@ -609,11 +609,11 @@ class TestCliOracleAndChecks:
         out = tmp_path / "out"
         assert main(["oracle", "--input-f", str(fa), "--input-g", str(fb), "--out-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["duality_gap"] <= 1e-10
+        assert report["duality_gap"] <= 1e-13
         flows = np.loadtxt(out / "plan.csv", delimiter=",")
         supply, demand = (read_density(p).cell_masses.ravel() for p in (fa, fb))
-        assert np.abs(flows.sum(axis=1) - supply / supply.sum()).max() <= 1e-10
-        assert np.abs(flows.sum(axis=0) - demand / demand.sum()).max() <= 1e-10
+        assert np.abs(flows.sum(axis=1) - supply / supply.sum()).max() <= 1e-13
+        assert np.abs(flows.sum(axis=0) - demand / demand.sum()).max() <= 1e-13
         if target == "f":
             assert report["objective"] == 0.0
 
@@ -641,10 +641,13 @@ class TestCliOracleAndChecks:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_oracle_on_costs_too_large_fails_fast_in_words(self, tmp_path, capsys):
-        # at costs x1e5 roundoff prices a basis arc of this 30-atom instance
-        # below the reduced-cost tolerance; the simplex stops at that pivot
-        # rather than repeating it up to its cap of 200(m+k)max(m,k) pivots
+    def test_oracle_on_costs_too_large_fails_fast_in_words(self, tmp_path, capsys, monkeypatch):
+        # the reduced-cost tolerance, 1e-11 of the largest cost, sits far above
+        # the potentials' roundoff; cut to 1e-17 of it, at costs x1e5 roundoff
+        # prices a basis arc of this 30-atom instance below it. The simplex
+        # stops at that pivot rather than repeating it up to its cap of
+        # 200(m+k)max(m,k) pivots.
+        monkeypatch.setattr(oracle, "_RC_TOL", 1e-17)
         instance = list(random_instances(seed=9, count=85, max_side=30))[84]
         (tmp_path / "instance.json").write_text(json.dumps({
             "supply": instance.supply.tolist(),

@@ -58,9 +58,10 @@ def tied_instances(seed, count, max_side, min_side=1):
 
 
 def assert_certified(plan, instance):
-    """Dual feasibility and strong duality: a proof of optimality."""
-    assert np.max(plan.u[:, None] + plan.v[None, :] - instance.cost) <= oracle._RC_TOL
-    assert plan.duality_gap(instance.supply, instance.demand) <= 1e-10
+    """Dual feasibility and strong duality, to tolerances scaled with the costs: a proof of optimality."""
+    scale = max(1.0, float(instance.cost.max()))
+    assert np.max(plan.u[:, None] + plan.v[None, :] - instance.cost) <= oracle._RC_TOL * scale
+    assert plan.duality_gap(instance.supply, instance.demand) <= 1e-10 * scale
 
 
 def assert_same_plan(plan, ref):
@@ -75,48 +76,27 @@ def spy_pivots(monkeypatch):
     thetas = []
     pivot = oracle._pivot
 
-    def spy(flow, cycle):
-        pos, theta = pivot(flow, cycle)
+    def spy(flow, up, down):
+        stem, theta = pivot(flow, up, down)
         thetas.append(theta)
-        return pos, theta
+        return stem, theta
 
     monkeypatch.setattr(oracle, "_pivot", spy)
     return thetas
 
 
-def spy_simplex(monkeypatch):
-    """Record the perturbation of every `_simplex` run."""
-    epsilons = []
-    simplex = oracle._simplex
-
-    def spy(instance, eps):
-        epsilons.append(eps)
-        return simplex(instance, eps)
-
-    monkeypatch.setattr(oracle, "_simplex", spy)
-    return epsilons
-
-
-def compare8_scaled(scale):
-    """compare8's first case as an LP, its costs multiplied by scale."""
-    f, f_tilde = shift_pair(1, 1, 0, 8)
-    instance = solve_full_2d(f, f_tilde).instance
-    return TransportInstance(instance.supply, instance.demand, instance.cost * scale)
-
-
 def reference_solve_lp(instance):
     """The transportation simplex with a whole-tree walk after every pivot.
 
-    A self-contained copy with the start, perturbation, block-search pricing,
-    cycle, ratio test and final recompute of `solve_lp`, but which walks the
-    whole basis tree and prices every arc at each pivot: the reference that
-    the re-hung subtrees must match bit for bit.
+    A self-contained copy with the zero-mass handling, start, block-search
+    pricing, cycle and leaving rule of `solve_lp`, but which walks the whole
+    basis tree and prices every arc at each pivot: the reference that the
+    re-hung subtrees must match bit for bit.
     """
-    a0, b0, cost = instance.supply, instance.demand, instance.cost
+    keep_rows, keep_cols = np.flatnonzero(instance.supply > 0), np.flatnonzero(instance.demand > 0)
+    a, b = instance.supply[keep_rows], instance.demand[keep_cols]
+    cost = instance.cost[np.ix_(keep_rows, keep_cols)]
     m, k = cost.shape
-    a = a0 + oracle._PERTURB * (np.arange(m) + 1)
-    b = b0.copy()
-    b[-1] += oracle._PERTURB * (m * (m + 1)) / 2
 
     def arc(node, par):
         return (node, par - m) if node < m else (par, node - m)
@@ -135,15 +115,6 @@ def reference_solve_lp(instance):
         assert len(order) == m + k
         return order, parent, depth
 
-    def tree_flows(order, parent, supply, demand):
-        bal = supply.tolist() + (-demand).tolist()
-        flows = {}
-        for node in reversed(order[1:]):
-            par = parent[node]
-            flows[arc(node, par)] = bal[node] if node < m else -bal[node]
-            bal[par] += bal[node]
-        return flows
-
     ra, rb = a.copy(), b.copy()
     i = j = 0
     arcs = [(0, 0)]
@@ -159,8 +130,14 @@ def reference_solve_lp(instance):
             i += 1
         arcs.append((i, j))
     order, parent, depth = walk(arcs)
-    flows = tree_flows(order, parent, a, b)
+    bal = a.tolist() + (-b).tolist()
+    flows = {}
+    for node in reversed(order[1:]):
+        par = parent[node]
+        flows[arc(node, par)] = bal[node] if node < m else -bal[node]
+        bal[par] += bal[node]
     cost_rows = cost.tolist()
+    tol = oracle._RC_TOL * max(1.0, float(cost.max()))
     rows = max(1, oracle._BLOCK_ARCS // k)  # blocks of whole rows
     n_blocks = -(-m // rows)
     last = 0
@@ -170,15 +147,16 @@ def reference_solve_lp(instance):
             i, j = arc(node, parent[node])
             pot[node] = cost_rows[i][j] - pot[parent[node]]
         rc = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
-        # the first block from the last entering arc's on with an arc below -_RC_TOL
+        # the first block from the last entering arc's on with an arc below -tol
         for b in [(last + step) % n_blocks for step in range(n_blocks)]:
             enter = b * rows * k + int(np.argmin(rc[b * rows : (b + 1) * rows]))
-            if rc.flat[enter] < -oracle._RC_TOL:
+            if rc.flat[enter] < -tol:
                 last = b
                 break
         else:
             break
         ei, ej = divmod(enter, k)
+        assert (ei, ej) not in flows
         up, down = [], []
         x, y = m + ej, ei
         while x != y:
@@ -188,23 +166,31 @@ def reference_solve_lp(instance):
             else:
                 down.append(arc(y, parent[y]))
                 y = parent[y]
-        cycle_arcs = [(ei, ej), *up, *reversed(down)]
-        minus_arcs = cycle_arcs[1::2]
+        minus_arcs, plus_arcs = up[::2] + down[::2], up[1::2] + down[1::2]
         theta = min(flows[c] for c in minus_arcs)
-        leave = next(c for c in minus_arcs if flows[c] == theta)
+        # Cunningham: the last minus arc at theta on the walk from the apex in
+        # the entering arc's direction, down to its row and up from its column
+        apex_walk = [*reversed(down), *up]
+        leave = [c for c in apex_walk if c in minus_arcs and flows[c] == theta][-1]
         flows[(ei, ej)] = theta
         for c in minus_arcs:
             flows[c] -= theta
-        for c in cycle_arcs[2::2]:
+        for c in plus_arcs:
             flows[c] += theta
         del flows[leave]
         order, parent, depth = walk(flows)
     else:
         raise AssertionError("reference simplex hit its iteration cap")
-    flow_mat = np.zeros((m, k))
-    for (i, j), f in tree_flows(order, parent, a0, b0).items():
-        flow_mat[i, j] = max(f, 0.0)
-    return TransportPlan(flow_mat, float(np.sum(flow_mat * cost)), np.array(pot[:m]), np.array(pot[m:]))
+    flow_mat = np.zeros(instance.cost.shape)
+    for (i, j), f in flows.items():
+        flow_mat[keep_rows[i], keep_cols[j]] = max(f, 0.0)
+    u, v = np.zeros(instance.supply.size), np.zeros(instance.demand.size)
+    u[keep_rows], v[keep_cols] = pot[:m], pot[m:]
+    for i in np.flatnonzero(instance.supply == 0):
+        u[i] = min(instance.cost[i, j] - v[j] for j in keep_cols)
+    for j in np.flatnonzero(instance.demand == 0):
+        v[j] = min(instance.cost[:, j] - u)
+    return TransportPlan(flow_mat, float(np.sum(flow_mat * instance.cost)), u, v)
 
 
 def random_instances(seed, count, max_side, min_side=1):
@@ -300,20 +286,39 @@ class TestSolveLp:
     def test_duality_certificate_on_compare8(self):
         for f, f_tilde in compare8_pairs():
             result = solve_full_2d(f, f_tilde)
-            assert_certified(result.plan, result.instance)
+            plan, instance = result.plan, result.instance
+            assert_certified(plan, instance)
+            assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-13
+            assert plan.duality_gap(instance.supply, instance.demand) <= 1e-13
 
     def test_duality_certificate_on_tied_instances(self):
         for instance in tied_instances(seed=15, count=200, max_side=12):
             assert_certified(solve_lp(instance), instance)
 
-    def test_every_pivot_moves_flow(self, monkeypatch):
-        # the supply perturbation keeps every basis flow >= _PERTURB (up to
-        # roundoff), so no pivot is degenerate and the simplex cannot cycle
-        thetas = spy_pivots(monkeypatch)
-        for instance in tied_instances(seed=16, count=300, max_side=12):
-            solve_lp(instance)
-        assert len(thetas) > 1000
-        assert min(thetas) > oracle._PERTURB / 2
+    def test_tree_strongly_feasible_before_every_pivot(self, monkeypatch):
+        # masses in 16ths, zeros among them, so every flow is exact: before
+        # every pivot, each column hangs from its parent row by an arc of
+        # positive flow. Only arcs pointing to row 0 may be empty, which is
+        # what keeps degenerate pivots from cycling.
+        pivot = oracle._pivot
+        columns = []  # the columns of positive mass, which the simplex keeps
+        checks = []
+
+        def spy(flow, up, down):
+            checks.append(min(flow[-columns[-1]:]) > 0.0)  # the columns' flows, the last k of m + k
+            return pivot(flow, up, down)
+
+        monkeypatch.setattr(oracle, "_pivot", spy)
+        rng = np.random.default_rng(22)
+        for _ in range(400):
+            m, k = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+            x, y = rng.integers(0, 4, m).astype(float), rng.integers(0, 4, k).astype(float)
+            a, b = rng.multinomial(16, np.ones(m) / m) / 16, rng.multinomial(16, np.ones(k) / k) / 16
+            columns.append(np.count_nonzero(b))
+            plan = solve_lp(TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2))
+            assert max(plan.marginal_errors(a, b)) == 0.0
+        assert len(checks) > 1000
+        assert all(checks)
 
     @pytest.mark.parametrize(
         "instances",
@@ -323,28 +328,25 @@ class TestSolveLp:
         ],
         ids=["tied", "random"],
     )
-    def test_multi_block_pricing_certifies_and_moves_flow(self, monkeypatch, instances):
+    def test_multi_block_pricing_certifies(self, monkeypatch, instances):
         # pricing stops only after a full cycle of blocks finds no arc below
-        # -_RC_TOL, so every arc is priced against the final potentials; and
-        # any entering arc with a negative reduced cost keeps the pivots
-        # nondegenerate under the perturbation
+        # the reduced-cost tolerance, so every arc is priced against the final
+        # potentials
         thetas = spy_pivots(monkeypatch)
         for instance in instances():
             assert instance.cost.size > oracle._BLOCK_ARCS
             assert_certified(solve_lp(instance), instance)
         assert len(thetas) > 1000
-        assert min(thetas) > oracle._PERTURB / 2
 
     def test_pivot_budget_on_compare8(self, monkeypatch):
-        # block-search pricing takes 91-126 pivots per case; Dantzig pricing
-        # took 114-181 and Bland's rule 908-2952
+        # block-search pricing on strongly feasible trees takes 11-107 pivots per case
         thetas = spy_pivots(monkeypatch)
         pivots = []
         for f, f_tilde in compare8_pairs():
             before = len(thetas)
             solve_full_2d(f, f_tilde)
             pivots.append(len(thetas) - before)
-        assert pivots == [109, 126, 106, 102, 108, 91]
+        assert pivots == [107, 11, 65, 85, 49, 71]
         assert max(pivots) < 300
 
     def test_kept_parent_arcs_match_the_tree(self, monkeypatch):
@@ -374,9 +376,9 @@ class TestSolveLp:
             tree["lists"] = adj, parent, depth, pot, cost_rows, m
             rehang(adj, node, par, parent, depth, pot, cost_rows, m)
 
-        def spy_pivot(flow, cycle):
+        def spy_pivot(flow, up, down):
             check()  # the start's tree, or the previous pivot's re-hung one
-            return pivot(flow, cycle)
+            return pivot(flow, up, down)
 
         monkeypatch.setattr(oracle, "_rehang", spy_rehang)
         monkeypatch.setattr(oracle, "_pivot", spy_pivot)
@@ -413,65 +415,21 @@ class TestSolveLp:
     @settings(max_examples=100, deadline=None)
     @given(instance=lp_instances(max_side=40, positive_mass=st.one_of(st.floats(1e-12, 1e-11), st.floats(1e-3, 1.0))))
     def test_certificate_with_floor_level_masses(self, instance):
-        # floor-level masses of 1e-12 to 1e-11 among bulk ones, against a 1e-13
-        # perturbation totalling up to 8.2e-11: some need the re-solve
+        # floor-level masses of 1e-12 to 1e-11 among bulk ones: the simplex
+        # runs on the real masses, so they cost no accuracy
         plan = solve_lp(instance)
-        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-10
+        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-13
         assert_certified(plan, instance)
 
-    def test_gap_closed_by_a_smaller_perturbation(self, monkeypatch):
-        # compare8's first case with costs x100: the 1e-13 perturbation's
-        # clipped flows pass the marginal check (3.6e-12) but leave a gap of
-        # 4.0e-10; the re-solve's perturbation is smaller and closes it
-        instance = compare8_scaled(100.0)
-        epsilons = spy_simplex(monkeypatch)
-        plan = solve_lp(instance)
-        a, b = instance.supply, instance.demand
-        assert max(plan.marginal_errors(a, b)) <= 1e-10
-        assert plan.duality_gap(a, b) <= 1e-10
-        m = a.size
-        assert epsilons[0] == oracle._PERTURB and epsilons[1] < oracle._PERTURB
-        assert epsilons[1] * m * (m + 1) / 2 <= 1e-11 / instance.cost.max()
-
-    @pytest.mark.parametrize("second", ["marginals_off", "raises"])
-    def test_first_plan_kept_when_the_re_solve_fails(self, monkeypatch, second):
-        # the re-solve may only improve on the first plan: one whose marginals
-        # pass is returned when the second's do not, or when the second raises
-        instance = compare8_scaled(100.0)
-        first = oracle._simplex(instance, oracle._PERTURB)
-        simplex = oracle._simplex
-
-        def spy(instance, eps):
-            if eps == oracle._PERTURB:
-                return simplex(instance, eps)
-            if second == "raises":
-                raise RuntimeError("transportation simplex failed to converge")
-            plan = simplex(instance, eps)
-            return oracle.TransportPlan(plan.flows * 2, plan.objective, plan.u, plan.v)
-
-        monkeypatch.setattr(oracle, "_simplex", spy)
-        assert_same_plan(solve_lp(instance), first)
-
-    def test_costs_scaled_1e5_certify_marginals_or_fail_fast(self, monkeypatch):
-        # at costs x1e5 roundoff can price a basis arc below -_RC_TOL; such a
-        # pivot would change nothing, so the simplex stops there at once (on
-        # instances 20, 22, 44, 82, 86 and 92) instead of repeating it up to
-        # its cap of 200(m+k)max(m,k) pivots. Every other instance returns a
-        # plan whose marginals pass.
-        thetas = spy_pivots(monkeypatch)
-        failed = []
-        for n, instance in enumerate(random_instances(seed=5, count=100, max_side=8)):
+    def test_costs_scaled_1e5_certify_marginals_or_fail_fast(self):
+        # the reduced-cost tolerance grows with the largest cost, so roundoff in
+        # the potentials stays below it: at costs x1e5 every instance certifies
+        for instance in random_instances(seed=5, count=100, max_side=8):
             a, b = instance.supply, instance.demand
-            before = len(thetas)
-            try:
-                plan = solve_lp(TransportInstance(a, b, instance.cost * 1e5))
-            except RuntimeError as err:
-                assert "priced at" in str(err)
-                assert len(thetas) - before < 100
-                failed.append(n)
-            else:
-                assert max(plan.marginal_errors(a, b)) <= 1e-10
-        assert failed == [20, 22, 44, 82, 86, 92]
+            scaled = TransportInstance(a, b, instance.cost * 1e5)
+            plan = solve_lp(scaled)
+            assert max(plan.marginal_errors(a, b)) <= 1e-13
+            assert_certified(plan, scaled)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
@@ -558,12 +516,13 @@ class TestFull2D:
 
     @pytest.mark.parametrize("target", ["f_tilde", "f"])
     def test_narrow_gaussian_pair_at_16x16(self, target):
-        # masses down to 6.6e-12, below the 3.3e-9 perturbation total at 256
-        # atoms: the first basis is infeasible for the real masses, the re-solve's is not
+        # masses down to 6.6e-12: the simplex runs on the real masses, so they
+        # cost the plan no accuracy
         f, f_tilde = narrow_gaussian_pair(16)
         result = solve_full_2d(f, f_tilde if target == "f_tilde" else f)
         plan, instance = result.plan, result.instance
-        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-10
+        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-13
+        assert plan.duality_gap(instance.supply, instance.demand) <= 1e-13
         assert_certified(plan, instance)
         if target == "f":
             assert result.objective == 0.0

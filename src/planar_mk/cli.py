@@ -309,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         UnbalancedInstanceError,
         FeasibilityError,
         OSError,
-        RuntimeError,  # a solver that gave up: no descent, IPFP out of sweeps, an LP without a plan
+        RuntimeError,  # a solver that gave up: no descent, IPFP out of sweeps or off FEAS_TOL, an LP without a plan
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

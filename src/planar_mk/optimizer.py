@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingDensity, _sums_l1_error
+from .coupling import FEAS_TOL, FLOOR_RTOL, CouplingDensity, _sums_l1_error
 from .density_io import read_json
 from .measures import (
     EPS_FLOOR,
@@ -132,8 +132,22 @@ def _marginal_residual(
     return err, row_sums
 
 
+def _floor_tight(areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray) -> bool:
+    """Whether `_ipfp_core` may skip its re-floor passes on these cell areas and targets.
+
+    Both must hold: (a) some row or column target is at most its floor mass,
+    EPS_FLOOR times the line's area, to FLOOR_RTOL; and (b) the final bump
+    provably keeps FEAS_TOL. The bump lifts at most the floor's total mass
+    delta = EPS_FLOOR * areas.sum() and so moves the L1 marginal residual by
+    at most 2 delta, so (b) is 2 delta <= FEAS_TOL, a domain of area 5 at most.
+    """
+    floor = (1.0 + FLOOR_RTOL) * EPS_FLOOR
+    tight = (row_target <= floor * areas.sum(axis=1)).any() or (col_target <= floor * areas.sum(axis=0)).any()
+    return bool(tight) and 2.0 * EPS_FLOOR * float(areas.sum()) <= FEAS_TOL
+
+
 def _ipfp_core(
-    raw: np.ndarray, areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
+    raw: np.ndarray, areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray, floor_tight: bool
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """IPFP on plain value arrays; raises after _IPFP_SWEEPS sweeps with the residual.
 
@@ -146,14 +160,26 @@ def _ipfp_core(
     array, and the sweep count runs on. The gate reads the column error only
     once the row error passes.
 
+    Scaling can shave floored cells below EPS_FLOOR. Up to three re-floor
+    passes then floor and re-converge; if a cell is still below the floor, a
+    final bump floors and rescales to unit mass, which leaves the _IPFP_TOL
+    gate and moves the marginals by up to twice the bumped mass. floor_tight
+    is `_floor_tight` of the areas and targets: when it holds, a line sits at
+    its floor mass, which scaling cannot keep at the floor, so the re-floors
+    are skipped and a shaved output goes straight to the bump.
+
+    EPS_FLOOR is a density, so the bump's reach grows with the domain's
+    area: it lifts at most delta = EPS_FLOOR * areas.sum() and moves the
+    residual by at most 2 delta, 2e-10 on the unit square, far inside
+    FEAS_TOL, but 5.1e-8 on [0, 16]^2, where criterion 4's seed-6 pair
+    shifted by (2, 2) ends a bump at 1.7e-9. A bump whose residual exceeds
+    FEAS_TOL raises IPFPConvergenceError.
+
     Returns the values, their masses values * areas and their marginal
     residual (`_marginal_residual`), the same bits a caller would compute
     from the values. What every returned array keeps: an L1 marginal
     residual, both sides, of at most FEAS_TOL, and a minimum of at least
-    EPS_FLOOR * (1 - 1e-9). The _IPFP_TOL gate holds as well unless up to
-    three re-floor passes still leave a cell below the floor; the final bump
-    then floors and rescales to unit mass, which moves the marginals by up
-    to the bumped mass.
+    EPS_FLOOR * (1 - FLOOR_RTOL); the _IPFP_TOL gate as well off the bump.
     """
 
     def crawl(err: float) -> IPFPConvergenceError:
@@ -190,26 +216,31 @@ def _ipfp_core(
         return v, masses, err
 
     values, masses, err = alternate(np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR))
-    # Scaling can shave floored cells; re-floor and re-converge. A final bump
-    # plus unit-mass rescale, if still needed, perturbs the marginals by at
-    # most the bumped mass (~ n^2 * EPS_FLOOR * cell area), far inside the
-    # 1e-9 polytope tolerance.
-    for _ in range(3):
-        if values.min() >= EPS_FLOOR:
+    shaved = values.min() < EPS_FLOOR
+    for _ in range(0 if floor_tight else 3):
+        if not shaved:
             break
         values, masses, err = alternate(np.maximum(values, EPS_FLOOR))
-    if values.min() < EPS_FLOOR:
+        shaved = values.min() < EPS_FLOOR
+    if shaved:
         values = np.maximum(values, EPS_FLOOR)
         values = values / float((values * areas).sum())
         masses = values * areas
         err = _marginal_residual(masses, row_target, col_target)[0]
+        if not err <= FEAS_TOL:
+            raise IPFPConvergenceError(
+                f"IPFP cannot keep the mass floor: its final bump leaves a marginal residual {err:.3e}"
+                f" above {FEAS_TOL}, since the floor holds {EPS_FLOOR * float(areas.sum()):.3e}"
+                " of mass on this domain"
+            )
     return values, masses, err
 
 
 def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
     """The values `_ipfp_core` returns on the cell areas and cell masses of the marginals f1 and f2."""
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-    return _ipfp_core(raw, areas, f1.cell_masses, f2.cell_masses)[0]
+    row_target, col_target = f1.cell_masses, f2.cell_masses
+    return _ipfp_core(raw, areas, row_target, col_target, _floor_tight(areas, row_target, col_target))[0]
 
 
 def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
@@ -218,9 +249,9 @@ def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) 
     raw holds density values on (f1.grid, f2.grid); values are floored before
     scaling so every slice keeps positive mass. Already-feasible input is
     returned unchanged. The result's L1 marginal residual is at most FEAS_TOL
-    and its minimum at least EPS_FLOOR * (1 - 1e-9); it is below _IPFP_TOL
+    and its minimum at least EPS_FLOOR * (1 - FLOOR_RTOL); it is below _IPFP_TOL
     unless the final bump ran (see `_ipfp_core`). Raises after _IPFP_SWEEPS
-    sweeps with the residual.
+    sweeps with the residual, and when the bump cannot keep FEAS_TOL.
     """
     return CouplingDensity(f1.grid, f2.grid, _ipfp_values(raw, f1, f2), f1, f2)
 
@@ -291,6 +322,7 @@ def _run_mirror_descent(
     areas = np.outer(wx, wy)
     row_target = f1.cell_masses
     col_target = f2.cell_masses
+    floor_tight = _floor_tight(areas, row_target, col_target)
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
     values = values0.copy()
@@ -326,7 +358,7 @@ def _run_mirror_descent(
         accepted = None
         while s > _MIN_STEP:
             z = -s * pg
-            cand, m, cand_err = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target)
+            cand, m, cand_err = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target, floor_tight)
             predicted = float((grad * (cand - values) * areas).sum())
             if predicted < 0.0:
                 trial = objective_pass(field_f, field_ft, m, grid_x, grid_y, caches)

@@ -43,10 +43,10 @@ def make_smooth_feasible_coupling(f, f_tilde, seed, amplitude=0.6):
     return ipfp_project(np.outer(f1.values, f2.values) * bump.values, f1, f2)
 
 
-def shift_pair(seed, sx, sy, n):
-    """Criterion 4's construction on an n x n grid: a smooth density with a
-    vacated margin, paired with its whole-cell shift."""
-    g = Grid1D.uniform(0.0, 1.0, n)
+def shift_pair(seed, sx, sy, n, side=1.0):
+    """Criterion 4's construction on an n x n grid over [0, side]^2: a smooth
+    density with a vacated margin, paired with its whole-cell shift."""
+    g = Grid1D.uniform(0.0, side, n)
     vals = smooth_random_density_2d(g, g, seed=seed).values.copy()
     if sx:
         vals[-sx:, :] = 0

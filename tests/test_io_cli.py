@@ -18,6 +18,7 @@ from conftest import narrow_gaussian_pair, shift_pair
 from test_oracle import random_instances
 from planar_mk import cli, measures, oracle, reduction
 from planar_mk.cli import main
+from planar_mk.coupling import FEAS_TOL
 from planar_mk.density_io import (
     DensityFormatError,
     grid_spec,
@@ -219,6 +220,27 @@ class TestCliSolve:
             assert vals.shape == (gx.n_cells, gy.n_cells)
         # p_star additionally parses as a density
         assert abs(read_density(out / "p_star.csv").total_mass() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("side", [4.0, 16.0])
+    def test_floor_bump_keeps_feas_tol_or_fails_in_words(self, tmp_path, capsys, side):
+        # criterion 4's seed-6 pair shifted by (2, 2) on [0, side]^2. The mass
+        # floor is a density: on [0, 16]^2 it holds 2.56e-8 of mass, and the
+        # descent's final bump would leave a marginal residual of 1.7e-9
+        f, f_tilde = shift_pair(6, 2, 2, 8, side)
+        write_density_json(tmp_path / "f.json", f)
+        write_density_json(tmp_path / "g.json", f_tilde)
+        out = tmp_path / "out"
+        code = main(["solve", "--input-f", str(tmp_path / "f.json"), "--input-g", str(tmp_path / "g.json"),
+                     "--out-dir", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        if side == 4.0:
+            assert code == 0 and not lines
+            report = json.loads((out / "report.json").read_text())
+            assert report["marginal_error"]["max_iterate_l1"] <= FEAS_TOL
+        else:
+            assert code == 1 and len(lines) == 1, lines
+            assert lines[0].startswith("error: IPFP cannot keep the mass floor")
+            assert not out.exists()
 
     def test_maps_written_from_the_solve_residual(self, tmp_path, monkeypatch):
         # both conditional-quantile fields are built once per command:

@@ -40,10 +40,18 @@ def unit_marginal(values):
 def reference_ipfp_values(raw, f1, f2, max_iters=10_000, tol=1e-13):
     """The IPFP sweep with three products per sweep that `_ipfp_values` replaced.
 
-    Returns the values, the sweeps run in total and the re-floor passes.
+    Its re-floor rule is written out: the passes are skipped when a row or
+    column target is at most (1 + 1e-9) times its floor mass and twice the
+    floor's total mass is within FEAS_TOL. Returns the values, the sweeps run
+    in total and the re-floor passes.
     """
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     row_target, col_target = f1.cell_masses, f2.cell_masses
+    floor_mass = (1 + 1e-9) * EPS_FLOOR
+    at_floor = np.any(row_target <= floor_mass * f2.grid.cell_widths.sum() * f1.grid.cell_widths) or np.any(
+        col_target <= floor_mass * f1.grid.cell_widths.sum() * f2.grid.cell_widths
+    )
+    refloor_passes = 0 if at_floor and 2 * EPS_FLOOR * np.sum(areas) <= FEAS_TOL else 3
     sweeps_total = 0
 
     def residual(v):
@@ -64,7 +72,7 @@ def reference_ipfp_values(raw, f1, f2, max_iters=10_000, tol=1e-13):
 
     values = alternate(np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR))
     refloors = 0
-    for _ in range(3):
+    for _ in range(refloor_passes):
         if np.min(values) >= EPS_FLOOR:
             break
         values, refloors = alternate(np.maximum(values, EPS_FLOOR)), refloors + 1
@@ -124,6 +132,23 @@ class TestIpfpMatchesMatrixForm:
             expected, _, refloors = reference_ipfp_values(raw, f1, f2)
             assert refloors > 0, seed
             assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2, seed)
+
+    @pytest.mark.parametrize("case", [(3, 1, 1), (6, 2, 2)], ids=["shift3_11", "shift6_22"])
+    def test_floor_tight_inputs_skip_the_refloor_loop(self, case):
+        # a column of these pairs holds exactly its floor mass, so scaling
+        # shaves its cells and the projection ends on the final bump
+        f, f_tilde = shift_pair(*case, 8)
+        f1, f2 = f.marginals[0], f_tilde.marginals[1]
+        rng = np.random.default_rng(5)
+        for trial in range(5):
+            raw = np.outer(f1.values, f2.values) * np.exp(rng.uniform(-1.0, 1.0, size=(8, 8)))
+            expected, sweeps, refloors = reference_ipfp_values(raw, f1, f2)
+            assert sweeps > 0 and refloors == 0, trial
+            got = _ipfp_values(raw, f1, f2)
+            assert np.max(np.abs(got - expected) / expected) <= 1e-13, trial
+            assert np.min(got) < EPS_FLOOR, trial  # the bump's rescale, below the floor by a sliver
+            p = ipfp_project(raw, f1, f2)  # the coupling check: FEAS_TOL and the floor's tolerance
+            assert np.array_equal(p.values, got)
 
     def test_raises_at_the_same_sweep_budget(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -185,7 +210,8 @@ class TestIpfpProperties:
         # the descent reads the masses and residual IPFP returns instead of rebuilding them
         raw, f1, f2 = data.draw(ipfp_problem(zeros))
         areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-        values, masses, residual = optimizer._ipfp_core(raw, areas, f1.cell_masses, f2.cell_masses)
+        targets = f1.cell_masses, f2.cell_masses
+        values, masses, residual = optimizer._ipfp_core(raw, areas, *targets, optimizer._floor_tight(areas, *targets))
         assert masses.tobytes() == (values * areas).tobytes()
         assert residual == optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses)[0]
 
@@ -244,20 +270,23 @@ class TestIpfp:
         assert np.min(p.values) >= 1e-10 * (1 - 1e-9)
 
     def test_final_bump_keeps_the_polytope_invariant(self, monkeypatch):
-        # compare8's shift3_11: the re-floor passes leave cells below the floor,
-        # so the descent's projections end on the final bump and rescale. That
-        # path keeps residual <= FEAS_TOL and min >= EPS_FLOOR * (1 - 1e-9),
-        # not the _IPFP_TOL gate.
+        # compare8's shift3_11: a column holds exactly its floor mass, so the
+        # descent skips the re-floor passes and its projections end on the
+        # final bump and rescale. That path keeps residual <= FEAS_TOL and
+        # min >= EPS_FLOOR * (1 - 1e-9), not the _IPFP_TOL gate.
         returned = []
         core = optimizer._ipfp_core
 
-        def spy(raw, areas, row_target, col_target):
-            out = core(raw, areas, row_target, col_target)
+        def spy(raw, areas, row_target, col_target, *rest):
+            out = core(raw, areas, row_target, col_target, *rest)
             returned.append((out, areas, row_target, col_target))
+            passed.append(rest)
             return out
 
+        passed = []
         monkeypatch.setattr(optimizer, "_ipfp_core", spy)
         solve(*shift_pair(3, 1, 1, 8), SolverConfig())
+        assert set(passed) == {(True,)}  # every projection is told the pair is floor-tight
         # only the bump path returns cells below the floor: it divides by a total mass above 1
         assert any(np.min(values) < EPS_FLOOR for (values, _, _), *_ in returned)
         for (values, masses, residual), areas, row_target, col_target in returned:
@@ -267,6 +296,44 @@ class TestIpfp:
             # the masses and residual returned with the values are theirs, bit for bit
             assert masses.tobytes() == (values * areas).tobytes()
             assert residual == err
+
+
+class TestFloorTight:
+    """The rule that lets `_ipfp_core` skip its re-floor passes."""
+
+    @staticmethod
+    def targets(side, axis, scale):
+        # 4x4 cells over [0, side]^2; line 2 along axis holds scale times its floor mass
+        g = Grid1D.uniform(0.0, side, 4)
+        areas = np.outer(g.cell_widths, g.cell_widths)
+        targets = [areas.sum(axis=1) / areas.sum(), areas.sum(axis=0) / areas.sum()]
+        targets[axis][2] = scale * EPS_FLOOR * areas.sum(axis=1 - axis)[2]
+        return areas, *targets
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["row", "column"])
+    def test_a_line_at_its_floor_mass_is_tight(self, axis):
+        assert optimizer._floor_tight(*self.targets(1.0, axis, 1.0))
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["row", "column"])
+    def test_a_line_above_the_floor_tolerance_is_not(self, axis):
+        assert not optimizer._floor_tight(*self.targets(1.0, axis, 1 + 2e-9))
+
+    def test_a_domain_too_large_for_the_bump_is_not(self):
+        # the floor holds 2.56e-8 of mass on [0, 16]^2, so a bump may leave FEAS_TOL
+        areas, row_target, col_target = self.targets(16.0, 1, 1.0)
+        assert 2 * EPS_FLOOR * areas.sum() > FEAS_TOL
+        assert not optimizer._floor_tight(areas, row_target, col_target)
+
+    def test_compare8_pairs(self):
+        # five of criterion 4's six shift pairs have a y-marginal line at its
+        # floor mass; shift1_10's vacated row holds 1.18 times its floor mass
+        tight = []
+        for case in [(1, 1, 0), (2, 0, 1), (3, 1, 1), (4, 2, 1), (5, 1, 2), (6, 2, 2)]:
+            f, f_tilde = shift_pair(*case, 8)
+            f1, f2 = f.marginals[0], f_tilde.marginals[1]
+            areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+            tight.append(optimizer._floor_tight(areas, f1.cell_masses, f2.cell_masses))
+        assert tight == [False, True, True, True, True, True]
 
 
 class TestFeasibleDirection:

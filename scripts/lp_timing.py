@@ -5,8 +5,8 @@ Solves `oracle.solve_full_2d` on compare8's six 8x8 whole-cell shifts, built
 by perfbench/workloads.py, and on three instances at the oracle's 16x16 size
 cap: the whole-cell shift of seed 1 by (1, 0), the generic pair of seeds 1
 and 2, and the narrow Gaussian pair. Prints one line per LP: its pivots,
-the least wall seconds over --repeat solves, the milliseconds per pivot and
-the objective.
+the least wall seconds over --repeat solves, the milliseconds per pivot,
+the plan's largest marginal error, its duality gap and the objective.
 
     python3 scripts/lp_timing.py
     python3 scripts/lp_timing.py --repeat 1
@@ -61,7 +61,7 @@ def main() -> None:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
 
-    print(f"{'instance':<28} {'pivots':>6} {'seconds':>9} {'ms/pivot':>9} {'objective':>20}")
+    print(f"{'instance':<28} {'pivots':>6} {'seconds':>9} {'ms/pivot':>9} {'marg err':>9} {'gap':>9} {'objective':>20}")
     for name, f, f_tilde in build_instances():
         pivots = count_pivots(f, f_tilde)
         best = float("inf")
@@ -69,7 +69,11 @@ def main() -> None:
             start = time.perf_counter()
             result = oracle.solve_full_2d(f, f_tilde)
             best = min(best, time.perf_counter() - start)
-        print(f"{name:<28} {pivots:>6} {best:>9.4f} {1e3 * best / max(pivots, 1):>9.4f} {result.objective:>20.15g}")
+        plan, a, b = result.plan, result.instance.supply, result.instance.demand
+        print(
+            f"{name:<28} {pivots:>6} {best:>9.4f} {1e3 * best / max(pivots, 1):>9.4f} "
+            f"{max(plan.marginal_errors(a, b)):>9.2g} {plan.duality_gap(a, b):>9.2g} {result.objective:>20.15g}"
+        )
 
 
 if __name__ == "__main__":

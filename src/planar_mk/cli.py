@@ -118,7 +118,11 @@ def _load_instance(path: str) -> TransportInstance:
     keys = ("supply", "demand", "cost")
     if not isinstance(doc, dict) or not all(key in doc for key in keys):
         raise ValueError(f"{path}: expected a JSON object with supply, demand and cost")
-    return TransportInstance(*(json_numbers(doc[key], f"{path}: {key}") for key in keys))
+    parts = [json_numbers(doc[key], f"{path}: {key}") for key in keys]
+    try:
+        return TransportInstance(*parts)
+    except ValueError as exc:  # UnbalancedInstanceError stays one
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_oracle(args) -> int:

@@ -11,7 +11,8 @@ final short row carries the last x-edge. The format is self-contained. The
 writers' bytes are fixed (JSON in the `indent=1` layout with each float as
 its `repr`, CSV with every number as `%.17g`), and both round-trip every
 float64 exactly. Densities are 2-D in both formats, and ingestion (one step
-for both) rejects a negative value, then floors and renormalizes.
+for both) rejects a non-finite or negative value, then floors and
+renormalizes.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def grid_spec(grid: Grid1D) -> dict:
 
 
 def _ingest(path: str | Path, grid_x: Grid1D, grid_y: Grid1D, values: np.ndarray) -> DiscreteDensity2D:
-    """The one ingestion step of both formats: nonnegative values, floored and renormalized."""
+    """The one ingestion step of both formats: finite nonnegative values, floored and renormalized."""
+    if not np.isfinite(values).all():
+        raise DensityFormatError(f"{path}: density values must be finite")
     if np.any(values < 0):
         raise DensityFormatError(f"{path}: density values must be nonnegative")
     return DiscreteDensity2D.from_values(grid_x, grid_y, values)

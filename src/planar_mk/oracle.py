@@ -15,26 +15,29 @@ its parent minus the parent's) and the flow on the arc to the parent (Ahuja,
 Magnanti & Orlin 1993, ch. 11). The pivot cycle is the list of nodes met
 climbing `parent` from both ends of the entering arc until they meet, at the
 apex. The tree is strongly feasible: every column hangs from its parent row
-by an arc of positive flow, so only arcs pointing to row 0 can be empty. In
-exact arithmetic the northwest-corner start is such a tree once rows and
-columns of zero mass are dropped (`solve_lp`), as its ties advance the row,
-and Cunningham's leaving rule keeps it one: of the arcs at theta, the last
-met walking the cycle from the apex in the entering arc's direction leaves.
-Any pivot that moves flow lowers the objective, and one that moves none
-lowers the potential of every node it re-hangs, rows' u and columns' -v
-alike, so no basis comes back and the simplex cannot cycle, on the real
-masses. A pivot changes only the subtree that the leaving arc cuts off from
-row 0: that subtree is re-hung breadth first from the entering arc's end
-inside it, and along its stem, from that end up to the leaving arc, each
-flow moves down one node. Parents, depths and potentials do not depend on
-the walk order, so they match a walk of the whole tree bit for bit. No
-external LP dependency: the final tree's flows are the plan, and its
-potentials (u, v) are kept on the plan as a duality certificate.
+by an arc of positive flow, so only arcs pointing to row 0 can be empty. The
+start tree and its flows are the northwest corner's steps, each bringing in
+one row or column hung from the other end of its arc by the mass shipped
+there. With rows and columns of zero mass dropped (`solve_lp`) it is such a
+tree, as its ties advance the row, and Cunningham's leaving rule keeps it
+one: of the arcs at theta, the last met walking the cycle from the apex in
+the entering arc's direction leaves. Flows stay >= 0 in floating point: a
+corner step is the lesser of two nonnegative remainders, and a pivot takes
+theta only from flows of at least theta. Any pivot that moves flow lowers
+the objective, and one that moves none lowers the potential of every node
+it re-hangs, rows' u and columns' -v alike, so no basis comes back and the
+simplex cannot cycle, on the real masses. A pivot changes only the subtree
+that the leaving arc cuts off from row 0: that subtree is re-hung breadth
+first from the entering arc's end inside it, and along its stem, from that
+end up to the leaving arc, each flow moves down one node. Parents, depths
+and potentials do not depend on the walk order, so they match a walk of the
+whole tree bit for bit. No external LP dependency: the final tree's flows
+are the plan, and its potentials (u, v) are kept on the plan as a duality
+certificate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,65 +115,39 @@ class TransportPlan:
         return abs(float(self.u @ supply + self.v @ demand) - self.objective)
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
+def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
+    """The northwest-corner start tree on masses a, b: (node, parent, flow) for every node but row 0.
+
+    Nodes 0..m-1 are rows, m..m+k-1 columns. The corner walks a staircase of
+    arcs from (0, 0) to (m-1, k-1), shipping along each the lesser of its
+    row's and column's remaining mass, a flow >= 0, then moving to the next
+    row if the row is spent (ties too), else to the next column. Each step
+    brings in a new row or column, hung from the other end of its arc, so
+    the nodes come breadth first from row 0.
+    """
     m, k = a.size, b.size
     ra, rb = a.tolist(), b.tolist()
     i = j = 0
-    arcs = [(0, 0)]
-    while not (i == m - 1 and j == k - 1):
+    node, par = m, 0  # column 0 hangs from row 0
+    tree = []
+    while True:
         step = min(ra[i], rb[j])
+        tree.append((node, par, step))
+        if i == m - 1 and j == k - 1:
+            return tree
         ra[i] -= step
         rb[j] -= step
-        if ra[i] <= rb[j] and i < m - 1:
+        if ra[i] <= rb[j] and i < m - 1 or j == k - 1:
             i += 1
-        elif j < k - 1:
-            j += 1
+            node, par = i, m + j
         else:
-            i += 1
-        arcs.append((i, j))
-    return arcs
-
-
-def _walk(arcs: Iterable[tuple[int, int]], m: int, k: int) -> tuple[list[int], list[int], list[list[int]]]:
-    """Breadth-first walk of the basis tree from row 0.
-
-    Nodes 0..m-1 are rows, m..m+k-1 columns, and each arc (i, j) joins row i
-    to column j; neighbours are listed, and visited, in the order the arcs
-    come. Returns the visit order, each node's parent (row 0 is its own) and
-    the neighbour lists.
-    """
-    adj: list[list[int]] = [[] for _ in range(m + k)]
-    for i, j in arcs:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    order = [0]
-    parent = [0] * (m + k)
-    seen = [True] + [False] * (m + k - 1)
-    for node in order:  # grows while it is read: a FIFO queue
-        for nb in adj[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                parent[nb] = node
-                order.append(nb)
-    if len(order) != m + k:
-        raise RuntimeError(f"basis spans {len(order)} of {m + k} nodes")
-    return order, parent, adj
+            j += 1
+            node, par = m + j, i
 
 
 def _arc(node: int, par: int, m: int) -> tuple[int, int]:
     """The (row, column) arc joining a tree node to its parent."""
     return (node, par - m) if node < m else (par, node - m)
-
-
-def _tree_flows(order: list[int], parent: list[int], a: np.ndarray, b: np.ndarray) -> list[float]:
-    """Each node's flow on its arc to its parent, on the basis tree balancing supplies a against demands b."""
-    m = a.size
-    bal = a.tolist() + (-b).tolist()  # net outflow required at each node
-    flow = [0.0] * len(bal)  # row 0's entry is never read
-    for node in reversed(order[1:]):  # children first: ship the subtree balance to the parent
-        flow[node] = bal[node] if node < m else -bal[node]
-        bal[parent[node]] += bal[node]
-    return flow
 
 
 def _pivot(flow: list[float], up: list[int], down: list[int]) -> tuple[list[int], float]:
@@ -246,17 +223,16 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
 def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The simplex on positive masses a, b; returns the plan's flows and its potentials u, v."""
     m, k = cost.shape
-    arcs = _northwest_corner(a, b)
-    if len(arcs) != m + k - 1:
-        raise RuntimeError(f"northwest-corner basis has {len(arcs)} arcs, expected {m + k - 1}")
-    order, parent, adj = _walk(arcs, m, k)
-    flow = _tree_flows(order, parent, a, b)
+    adj: list[list[int]] = [[] for _ in range(m + k)]
+    parent, flow = [0] * (m + k), [0.0] * (m + k)  # row 0's flow is never read
+    for node, par, step in _northwest_corner(a, b):
+        adj[node].append(par)
+        adj[par].append(node)
+        parent[node], flow[node] = par, step
 
-    # hang the tree from row 0: parents, depths and potentials u_i + v_j = C_ij
-    # with u_0 = 0, rows then columns
+    # hang the tree from row 0: depths and potentials u_i + v_j = C_ij with u_0 = 0
     cost_rows = cost.tolist()
-    depth = [0] * (m + k)
-    pot = [0.0] * (m + k)
+    depth, pot = [0] * (m + k), [0.0] * (m + k)
     for node in adj[0]:
         _rehang(adj, node, 0, parent, depth, pot, cost_rows, m)
 
@@ -314,41 +290,32 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray
 
     flow_mat = np.zeros((m, k))
     for x in range(1, m + k):
-        flow_mat[_arc(x, parent[x], m)] = max(flow[x], 0.0)  # roundoff can leave an empty arc just below 0
+        flow_mat[_arc(x, parent[x], m)] = flow[x]
     return flow_mat, np.array(pot[:m]), np.array(pot[m:])
 
 
 def comonotone_plan_1d(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarray) -> TransportPlan:
     """Monotone-rearrangement (quantile) plan for 1-D atoms, squared distance.
 
-    Merges the two sorted cumulative-mass sequences; optimal for quadratic
-    cost, which the LP cross-checks.
+    The northwest corner on the atoms stably sorted by position, which is
+    the monotone plan and optimal for quadratic cost (Hoffman 1963); the LP
+    cross-checks it. Positions must be finite, and the masses pass the
+    checks of a `TransportInstance`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.ndim != 1 or a.shape != x.shape or y.ndim != 1 or b.shape != y.shape:
+    if x.ndim != 1 or np.shape(a) != x.shape or y.ndim != 1 or np.shape(b) != y.shape:
         raise ValueError("atom positions and masses must be 1-D arrays of one length per side")
-    if abs(a.sum() - 1.0) > _BALANCE_TOL or abs(b.sum() - 1.0) > _BALANCE_TOL:
-        raise UnbalancedInstanceError("atom masses must each sum to 1")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("atom positions must be finite")
+    instance = TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2)
     ox = np.argsort(x, kind="stable")
     oy = np.argsort(y, kind="stable")
-    flows = np.zeros((x.size, y.size))
-    i = j = 0
-    ra, rb = a[ox].copy(), b[oy].copy()
-    while i < x.size and j < y.size:
-        step = min(ra[i], rb[j])
-        if step > 0:
-            flows[ox[i], oy[j]] += step
-        ra[i] -= step
-        rb[j] -= step
-        if ra[i] <= 0 and i < x.size:
-            i += 1
-        if rb[j] <= 0 and j < y.size:
-            j += 1
-    objective = float(np.sum(flows * (x[:, None] - y[None, :]) ** 2))
-    return TransportPlan(flows, objective)
+    flows = np.zeros(instance.cost.shape)
+    for node, par, step in _northwest_corner(instance.supply[ox], instance.demand[oy]):
+        i, j = _arc(node, par, x.size)
+        flows[ox[i], oy[j]] = step
+    return TransportPlan(flows, float(np.sum(flows * instance.cost)))
 
 
 def atoms_from_density_2d(d: DiscreteDensity2D) -> tuple[np.ndarray, np.ndarray]:

@@ -465,6 +465,11 @@ _MALFORMED_INPUTS = {
     "csv_last_row_too_long": ("f.csv", _CSV_HEAD + "0,1,1\n0.5,1,1\n1,1\n", "final row must carry only"),
     "csv_block_off_the_edges": ("f.csv", _CSV_HEAD + "0,1\n0.5,1\n1\n", "does not match the edge counts"),
     "csv_infinite_edge": ("f.csv", _CSV_HEAD + "0,1,1\n0.5,1,1\ninf\n", "grid nodes must be finite"),
+    "json_nan_value": (
+        "f.json", '{"grid_x": {"min": 0, "max": 1, "n": 2}, "grid_y": {"min": 0, "max": 1, "n": 2}, '
+        '"values": [[1, NaN], [3, Infinity]]}', "f.json: density values must be finite",
+    ),
+    "csv_nan_value": ("f.csv", _CSV_HEAD + "0,1,nan\n0.5,1,1\n1\n", "f.csv: density values must be finite"),
     "txt_path": ("f.txt", "1,2\n", "unsupported extension '.txt'"),
     "json_directory": ("f.json", None, "f.json"),
     "csv_directory": ("f.csv", None, "f.csv"),
@@ -504,6 +509,11 @@ _UNREADABLE_INPUTS = {
     "config_invalid_json": (["solve", "--input-f", "G", "--input-g", "G", "--config", "F"], "cfg.json", b"{]"),
     "config_not_utf8": (["compare", "--input-f", "G", "--input-g", "G", "--config", "F"], "cfg.json", _NOT_UTF8),
     "instance_invalid_json": (["oracle", "--instance", "F"], "lp.json", b'{"supply": [1,]}'),
+    "instance_nan_cost": (["oracle", "--instance", "F"], "lp.json", b'{"supply": [1], "demand": [1], "cost": [[NaN]]}'),
+    "instance_unbalanced": (
+        ["oracle", "--instance", "F"], "lp.json",
+        b'{"supply": [0.6, 0.5], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}',
+    ),
 }
 
 
@@ -518,6 +528,14 @@ def test_input_error_names_its_file(tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), lines
     assert not out.exists()
+
+
+def test_instance_errors_keep_their_types(tmp_path):
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps({"supply": [0.6, 0.5], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}))
+    with pytest.raises(oracle.UnbalancedInstanceError, match="masses must each sum to 1") as exc:
+        cli._load_instance(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_infinite_csv_edge_is_not_a_density(tmp_path):

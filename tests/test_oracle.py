@@ -85,6 +85,26 @@ def spy_pivots(monkeypatch):
     return thetas
 
 
+def whole_tree_walk(arcs, m, k):
+    """Breadth-first walk of the tree on (row, column) arcs from row 0: visit order, parents and depths.
+
+    Nodes 0..m-1 are rows, m..m+k-1 columns; neighbours are visited in the
+    order the arcs come.
+    """
+    adj = [[] for _ in range(m + k)]
+    for i, j in arcs:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    order, parent, depth = [0], [0] * (m + k), [0] + [-1] * (m + k - 1)
+    for node in order:
+        for nb in adj[node]:
+            if depth[nb] < 0:
+                parent[nb], depth[nb] = node, depth[node] + 1
+                order.append(nb)
+    assert len(order) == m + k
+    return order, parent, depth
+
+
 def reference_solve_lp(instance):
     """The transportation simplex with a whole-tree walk after every pivot.
 
@@ -101,41 +121,21 @@ def reference_solve_lp(instance):
     def arc(node, par):
         return (node, par - m) if node < m else (par, node - m)
 
-    def walk(arcs):
-        adj = [[] for _ in range(m + k)]
-        for i, j in arcs:
-            adj[i].append(m + j)
-            adj[m + j].append(i)
-        order, parent, depth = [0], [0] * (m + k), [0] + [-1] * (m + k - 1)
-        for node in order:
-            for nb in adj[node]:
-                if depth[nb] < 0:
-                    parent[nb], depth[nb] = node, depth[node] + 1
-                    order.append(nb)
-        assert len(order) == m + k
-        return order, parent, depth
-
-    ra, rb = a.copy(), b.copy()
+    ra, rb = a.tolist(), b.tolist()
     i = j = 0
-    arcs = [(0, 0)]
-    while not (i == m - 1 and j == k - 1):  # northwest corner
+    flows = {}
+    while True:  # northwest corner: each step is its arc's flow
         step = min(ra[i], rb[j])
+        flows[(i, j)] = step
+        if i == m - 1 and j == k - 1:
+            break
         ra[i] -= step
         rb[j] -= step
-        if ra[i] <= rb[j] and i < m - 1:
+        if ra[i] <= rb[j] and i < m - 1 or j == k - 1:
             i += 1
-        elif j < k - 1:
-            j += 1
         else:
-            i += 1
-        arcs.append((i, j))
-    order, parent, depth = walk(arcs)
-    bal = a.tolist() + (-b).tolist()
-    flows = {}
-    for node in reversed(order[1:]):
-        par = parent[node]
-        flows[arc(node, par)] = bal[node] if node < m else -bal[node]
-        bal[par] += bal[node]
+            j += 1
+    order, parent, depth = whole_tree_walk(flows, m, k)
     cost_rows = cost.tolist()
     tol = oracle._RC_TOL * max(1.0, float(cost.max()))
     rows = max(1, oracle._BLOCK_ARCS // k)  # blocks of whole rows
@@ -178,12 +178,12 @@ def reference_solve_lp(instance):
         for c in plus_arcs:
             flows[c] += theta
         del flows[leave]
-        order, parent, depth = walk(flows)
+        order, parent, depth = whole_tree_walk(flows, m, k)
     else:
         raise AssertionError("reference simplex hit its iteration cap")
     flow_mat = np.zeros(instance.cost.shape)
     for (i, j), f in flows.items():
-        flow_mat[keep_rows[i], keep_cols[j]] = max(f, 0.0)
+        flow_mat[keep_rows[i], keep_cols[j]] = f
     u, v = np.zeros(instance.supply.size), np.zeros(instance.demand.size)
     u[keep_rows], v[keep_cols] = pot[:m], pot[m:]
     for i in np.flatnonzero(instance.supply == 0):
@@ -320,6 +320,27 @@ class TestSolveLp:
         assert len(checks) > 1000
         assert all(checks)
 
+    def test_flows_nonnegative_before_every_pivot_on_float_masses(self, monkeypatch):
+        # uniform masses 1/m, whose remainders round: each corner step is the
+        # lesser of two nonnegative remainders and a pivot subtracts theta only
+        # from flows of at least theta, so every flow, and so every theta,
+        # stays >= 0 and each column's flow to its parent row stays positive
+        pivot = oracle._pivot
+        columns = []
+        least, least_column = [], []
+
+        def spy(flow, up, down):
+            least.append(min(flow))
+            least_column.append(min(flow[-columns[-1]:]))
+            return pivot(flow, up, down)
+
+        monkeypatch.setattr(oracle, "_pivot", spy)
+        for instance in tied_instances(seed=18, count=30, **MULTI_BLOCK_SIDES):
+            columns.append(instance.demand.size)
+            solve_lp(instance)
+        assert len(least) > 1000
+        assert min(least) >= 0.0 and min(least_column) > 0.0
+
     @pytest.mark.parametrize(
         "instances",
         [
@@ -361,11 +382,10 @@ class TestSolveLp:
         def check():
             adj, parent, depth, pot, cost_rows, m = tree["lists"]
             basis = {(i, j - m) for i in range(m) for j in adj[i]}
-            order, fresh_parent, _ = oracle._walk(basis, m, len(adj) - m)
-            fresh_depth, fresh_pot = [0] * len(adj), [0.0] * len(adj)
+            order, fresh_parent, fresh_depth = whole_tree_walk(basis, m, len(adj) - m)
+            fresh_pot = [0.0] * len(adj)
             for x in order[1:]:
                 i, j = oracle._arc(x, fresh_parent[x], m)
-                fresh_depth[x] = fresh_depth[fresh_parent[x]] + 1
                 fresh_pot[x] = cost_rows[i][j] - fresh_pot[fresh_parent[x]]
             checks.append(
                 (parent, depth, pot) == (fresh_parent, fresh_depth, fresh_pot)
@@ -481,6 +501,23 @@ class TestComonotone:
         x, a, y, b = (*short, *full) if side == "source" else (*full, *short)
         with pytest.raises(ValueError, match="one length"):
             comonotone_plan_1d(x, a, y, b)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"a": [1.5, -0.5]}, "masses must be nonnegative"),  # once a plan with row sums [1, 0]
+            ({"a": [np.nan, 1.0]}, "must be finite"),
+            ({"b": [np.inf, 0.0]}, "must be finite"),
+            ({"x": [np.nan, 1.0]}, "positions must be finite"),  # once an objective of NaN
+            ({"y": [0.0, np.inf]}, "positions must be finite"),
+            ({"b": [0.5, 0.6]}, "must each sum to 1"),
+        ],
+        ids=["negative_mass", "nan_mass", "infinite_mass", "nan_position", "infinite_position", "unbalanced"],
+    )
+    def test_bad_atoms_rejected(self, bad, match):
+        atoms = {"x": [0.0, 1.0], "a": [0.5, 0.5], "y": [0.0, 1.0], "b": [0.5, 0.5], **bad}
+        with pytest.raises(ValueError, match=match):
+            comonotone_plan_1d(**{key: np.array(v) for key, v in atoms.items()})
 
 
 class TestFull2D:

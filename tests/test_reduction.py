@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import density_cdf, make_smooth_feasible_coupling
-from planar_mk.coupling import FeasibilityError
+from planar_mk.coupling import FEAS_TOL, FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
     gaussian_2d,
@@ -31,6 +32,7 @@ from planar_mk.reduction import (
     pushforward_check_h,
 )
 from planar_mk.variational import evaluate_L, objective_pass
+from test_variational import coupled_pair
 
 
 def unit_cell_grid(n):
@@ -244,6 +246,22 @@ class TestPushforward:
                     overlap = min(b, edges[k + 1]) - max(a, edges[k])
                     expected[s, k] += m * max(overlap, 0.0) / (b - a)
         assert np.max(np.abs(binned - expected)) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=coupled_pair(min_cells=2, max_cells=12))
+    def test_binned_slices_keep_the_marginals(self, pair):
+        # each x-slice of the g check's bins holds its p-slice's mass, and so
+        # does each y-slice of the h check's: the rebuilt maps keep f's
+        # x-marginal and f~'s y-marginal to the coupling's own FEAS_TOL
+        f, f_tilde, raw = pair
+        p = ipfp_project(raw, f.marginals[0], f_tilde.marginals[1])
+        masses = p.cell_masses
+        g_sums = pushforward_check(f, p, build_g_map(f, p)).binned_masses.sum(axis=1)
+        h_sums = pushforward_check_h(f_tilde, p, build_h_map(f_tilde, p)).binned_masses.sum(axis=0)
+        assert np.max(np.abs(g_sums - masses.sum(axis=1))) <= 1e-14
+        assert np.max(np.abs(h_sums - masses.sum(axis=0))) <= 1e-14
+        assert np.abs(g_sums - f.marginals[0].cell_masses).sum() <= FEAS_TOL
+        assert np.abs(h_sums - f_tilde.marginals[1].cell_masses).sum() <= FEAS_TOL
 
     def test_product_case_below_tolerance(self):
         grid = Grid1D.uniform(0.0, 1.0, 32)

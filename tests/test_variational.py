@@ -91,14 +91,14 @@ def test_coupling_on_another_grid_rejected(entry, correlated_pair_8, independent
 
 
 @st.composite
-def coupled_pair(draw):
-    """f, f~ and a positive raw array on random nonuniform grids of 1-8 cells per axis.
+def coupled_pair(draw, min_cells=1, max_cells=8):
+    """f, f~ and a positive raw array on random nonuniform grids of min_cells to max_cells cells per axis.
 
     f lies on (gx, ga) and f~ on (gb, gy), so p lives on (gx, gy).
     """
     grids = []
     for _ in range(4):
-        n = draw(st.integers(1, 8))
+        n = draw(st.integers(min_cells, max_cells))
         widths = draw(arrays(np.float64, n, elements=st.floats(0.2, 2.0)))
         grids.append(Grid1D(np.cumsum(np.r_[draw(st.floats(-1.0, 1.0)), widths])))
     gx, ga, gb, gy = grids

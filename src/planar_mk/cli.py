@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="solver optimum against the exact LP")
     add_solver(p_cmp)
-    p_cmp.add_argument("--tolerance", type=float, default=1e-3)
+    p_cmp.add_argument("--tolerance", type=float, default=1e-3,
+                       help="largest absolute gap |L(p*) - LP optimum| for exit 0, in squared length units")
 
     return parser
 

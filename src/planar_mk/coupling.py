@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, Grid1D
+from .measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D, floor_band
 
 # L1 tolerance for membership in the constraint polytope.
 FEAS_TOL = 1e-9
-
-# Relative tolerance on the mass floor: a coupling's cells may sit this far below EPS_FLOOR.
-FLOOR_RTOL = 1e-9
 
 # (density, axis) named in error texts: axis 0 is f's x-marginal, axis 1 f~'s y-marginal
 _SIDES = (("f", "x"), ("f~", "y"))
@@ -72,7 +69,7 @@ class CouplingDensity(DiscreteDensity2D):
         check_coupling_side(self, self.target_row_marginal, 0)
         check_coupling_side(self, self.target_col_marginal, 1)
         # unit-mass rescaling after the floor bump can shave a relative sliver
-        if np.min(self.values) < EPS_FLOOR * (1.0 - FLOOR_RTOL):
+        if np.min(self.values) < floor_band(self.cell_areas)[0]:
             raise ValueError("coupling density dips below the positivity floor")
 
     @property

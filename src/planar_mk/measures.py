@@ -17,8 +17,12 @@ from functools import cached_property
 import numpy as np
 
 # Mass floor applied before renormalization so every conditional CDF is
-# strictly increasing and invertible.
+# strictly increasing and invertible: a cell holds at least EPS_FLOOR times
+# its share of the domain (`floor_density`).
 EPS_FLOOR = 1e-10
+
+# Relative tolerance on the mass floor: a coupling's cells may sit this far below it.
+FLOOR_RTOL = 1e-9
 
 # Total-mass validation tolerance.
 MASS_TOL = 1e-12
@@ -73,11 +77,22 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("density values must be finite")
 
 
+def floor_density(weights: np.ndarray) -> float:
+    """EPS_FLOOR over the cell weights' total: each cell's floor mass is EPS_FLOOR times its share of the domain."""
+    return EPS_FLOOR / float(weights.sum())
+
+
+def floor_band(weights: np.ndarray) -> tuple[float, float]:
+    """`floor_density` of the weights less and plus FLOOR_RTOL of it: the floor's tolerance either way."""
+    floor = floor_density(weights)
+    return floor * (1.0 - FLOOR_RTOL), floor * (1.0 + FLOOR_RTOL)
+
+
 def floor_and_normalize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Values clamped to EPS_FLOOR and rescaled to unit total mass under the cell weights."""
+    """Values clamped to `floor_density` and rescaled to unit total mass under the cell weights."""
     v = np.asarray(values, dtype=float)
     _check_finite(v)
-    v = np.maximum(v, EPS_FLOOR)
+    v = np.maximum(v, floor_density(weights))
     total = float(np.sum(v * weights))
     if total <= 0:
         raise ValueError("density has no mass")

@@ -25,14 +25,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coupling import FEAS_TOL, FLOOR_RTOL, CouplingDensity, _sums_l1_error
+from .coupling import FEAS_TOL, CouplingDensity, _sums_l1_error
 from .density_io import read_json
-from .measures import (
-    EPS_FLOOR,
-    DiscreteDensity1D,
-    DiscreteDensity2D,
-    RampCache,
-)
+from .measures import DiscreteDensity1D, DiscreteDensity2D, RampCache, floor_band, floor_density
 from .reduction import conditional_quantile_field
 from .rng import Xoshiro256StarStar
 from .variational import ObjectivePass, QuantileFields, euler_lagrange_residual, objective_pass
@@ -133,17 +128,9 @@ def _marginal_residual(
 
 
 def _floor_tight(areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray) -> bool:
-    """Whether `_ipfp_core` may skip its re-floor passes on these cell areas and targets.
-
-    Both must hold: (a) some row or column target is at most its floor mass,
-    EPS_FLOOR times the line's area, to FLOOR_RTOL; and (b) the final bump
-    provably keeps FEAS_TOL. The bump lifts at most the floor's total mass
-    delta = EPS_FLOOR * areas.sum() and so moves the L1 marginal residual by
-    at most 2 delta, so (b) is 2 delta <= FEAS_TOL, a domain of area 5 at most.
-    """
-    floor = (1.0 + FLOOR_RTOL) * EPS_FLOOR
-    tight = (row_target <= floor * areas.sum(axis=1)).any() or (col_target <= floor * areas.sum(axis=0)).any()
-    return bool(tight) and 2.0 * EPS_FLOOR * float(areas.sum()) <= FEAS_TOL
+    """Whether `_ipfp_core` may skip its re-floor passes: a row or column target at its floor mass (`floor_band`)."""
+    floor = floor_band(areas)[1]
+    return bool((row_target <= floor * areas.sum(axis=1)).any() or (col_target <= floor * areas.sum(axis=0)).any())
 
 
 def _ipfp_core(
@@ -160,26 +147,20 @@ def _ipfp_core(
     array, and the sweep count runs on. The gate reads the column error only
     once the row error passes.
 
-    Scaling can shave floored cells below EPS_FLOOR. Up to three re-floor
-    passes then floor and re-converge; if a cell is still below the floor, a
-    final bump floors and rescales to unit mass, which leaves the _IPFP_TOL
-    gate and moves the marginals by up to twice the bumped mass. floor_tight
-    is `_floor_tight` of the areas and targets: when it holds, a line sits at
-    its floor mass, which scaling cannot keep at the floor, so the re-floors
-    are skipped and a shaved output goes straight to the bump.
-
-    EPS_FLOOR is a density, so the bump's reach grows with the domain's
-    area: it lifts at most delta = EPS_FLOOR * areas.sum() and moves the
-    residual by at most 2 delta, 2e-10 on the unit square, far inside
-    FEAS_TOL, but 5.1e-8 on [0, 16]^2, where criterion 4's seed-6 pair
-    shifted by (2, 2) ends a bump at 1.7e-9. A bump whose residual exceeds
-    FEAS_TOL raises IPFPConvergenceError.
+    The floor is `floor_density(areas)`, a mass of 1e-10 in all on any
+    domain. Scaling can shave floored cells below it; up to three re-floor
+    passes then floor and re-converge. A cell still below the floor gets a
+    final bump: floored and rescaled to unit mass, which leaves the _IPFP_TOL
+    gate and moves the residual by at most twice the lifted mass, 2e-10.
+    When floor_tight (`_floor_tight` of the areas and targets) holds, a line
+    sits at its floor mass, which scaling cannot keep, so a shaved output
+    skips the re-floors for the bump.
 
     Returns the values, their masses values * areas and their marginal
     residual (`_marginal_residual`), the same bits a caller would compute
     from the values. What every returned array keeps: an L1 marginal
-    residual, both sides, of at most FEAS_TOL, and a minimum of at least
-    EPS_FLOOR * (1 - FLOOR_RTOL); the _IPFP_TOL gate as well off the bump.
+    residual, both sides, of at most FEAS_TOL, and a minimum of at least the
+    low end of `floor_band(areas)`; the _IPFP_TOL gate as well off the bump.
     """
 
     def crawl(err: float) -> IPFPConvergenceError:
@@ -215,24 +196,22 @@ def _ipfp_core(
             err, kw = gate(masses)
         return v, masses, err
 
-    values, masses, err = alternate(np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR))
-    shaved = values.min() < EPS_FLOOR
+    floor = floor_density(areas)
+    values, masses, err = alternate(np.maximum(np.asarray(raw, dtype=float), floor))
+    shaved = values.min() < floor
     for _ in range(0 if floor_tight else 3):
         if not shaved:
             break
-        values, masses, err = alternate(np.maximum(values, EPS_FLOOR))
-        shaved = values.min() < EPS_FLOOR
+        values, masses, err = alternate(np.maximum(values, floor))
+        shaved = values.min() < floor
     if shaved:
-        values = np.maximum(values, EPS_FLOOR)
+        values = np.maximum(values, floor)
         values = values / float((values * areas).sum())
         masses = values * areas
         err = _marginal_residual(masses, row_target, col_target)[0]
+        # unreachable: the bump moves a residual below _IPFP_TOL by at most 2e-10
         if not err <= FEAS_TOL:
-            raise IPFPConvergenceError(
-                f"IPFP cannot keep the mass floor: its final bump leaves a marginal residual {err:.3e}"
-                f" above {FEAS_TOL}, since the floor holds {EPS_FLOOR * float(areas.sum()):.3e}"
-                " of mass on this domain"
-            )
+            raise IPFPConvergenceError(f"IPFP cannot keep the mass floor: its final bump leaves a residual {err:.3e}")
     return values, masses, err
 
 
@@ -246,12 +225,13 @@ def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) 
 def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
     """Alternating row/column rescaling onto the marginal targets.
 
-    raw holds density values on (f1.grid, f2.grid); values are floored before
-    scaling so every slice keeps positive mass. Already-feasible input is
-    returned unchanged. The result's L1 marginal residual is at most FEAS_TOL
-    and its minimum at least EPS_FLOOR * (1 - FLOOR_RTOL); it is below _IPFP_TOL
-    unless the final bump ran (see `_ipfp_core`). Raises after _IPFP_SWEEPS
-    sweeps with the residual, and when the bump cannot keep FEAS_TOL.
+    raw holds density values on (f1.grid, f2.grid); values are floored at
+    `floor_density` of the cell areas before scaling, so every slice keeps
+    positive mass. Already-feasible input is returned unchanged. The
+    result's L1 marginal residual is at most FEAS_TOL and its minimum at
+    least the low end of `floor_band`; it is below _IPFP_TOL unless the
+    final bump ran (see `_ipfp_core`). Raises after _IPFP_SWEEPS sweeps with
+    the residual.
     """
     return CouplingDensity(f1.grid, f2.grid, _ipfp_values(raw, f1, f2), f1, f2)
 
@@ -323,6 +303,7 @@ def _run_mirror_descent(
     row_target = f1.cell_masses
     col_target = f2.cell_masses
     floor_tight = _floor_tight(areas, row_target, col_target)
+    span = max(float(wx.sum()), float(wy.sum()))
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
     values = values0.copy()
@@ -338,9 +319,10 @@ def _run_mirror_descent(
     step = _STEP_INIT
 
     for it in range(config.max_iters):
-        # row/col sums of the direction must vanish (descent stays in the polytope)
+        # row/col sums of the direction must vanish (descent stays in the
+        # polytope), to roundoff on the gradient's scale in its own units
         marg = max(np.abs(pg @ wy).max(), np.abs(wx @ pg).max())
-        if not marg < 1e-10 * max(1.0, float(np.abs(pg).max())):
+        if not marg <= 1e-10 * float(np.abs(grad).max()) * span:
             raise RuntimeError(f"descent direction has marginal sums up to {marg:.3e}")
         gnorm = float(np.sqrt((pg**2 * areas).sum()))
         traces.grad_trace.append(gnorm)

@@ -299,16 +299,19 @@ def comonotone_plan_1d(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarra
 
     The northwest corner on the atoms stably sorted by position, which is
     the monotone plan and optimal for quadratic cost (Hoffman 1963); the LP
-    cross-checks it. Positions must be finite, and the masses pass the
-    checks of a `TransportInstance`.
+    cross-checks it. Positions must be finite, and so must their squared
+    distances; the masses pass the checks of a `TransportInstance`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or np.shape(a) != x.shape or y.ndim != 1 or np.shape(b) != y.shape:
         raise ValueError("atom positions and masses must be 1-D arrays of one length per side")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("atom positions must be finite")
-    instance = TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        cost = (x[:, None] - y[None, :]) ** 2
+    if not np.isfinite(cost).all():
+        raise ValueError(f"atom positions must be finite, and so must their squared distances: x in [{x.min()}, "
+                         f"{x.max()}], y in [{y.min()}, {y.max()}]")
+    instance = TransportInstance(a, b, cost)
     ox = np.argsort(x, kind="stable")
     oy = np.argsort(y, kind="stable")
     flows = np.zeros(instance.cost.shape)

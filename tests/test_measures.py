@@ -11,6 +11,8 @@ from planar_mk.measures import (
     Grid1D,
     QuantileTable,
     RampCache,
+    floor_and_normalize,
+    floor_density,
     marginals_2d,
     w2_squared_1d,
 )
@@ -99,6 +101,27 @@ class TestGrid:
                 arr[0] = 1.0
         assert np.array_equal(g.cell_widths, np.diff(g.nodes))
         assert np.array_equal(g.centers, 0.5 * (g.nodes[:-1] + g.nodes[1:]))
+
+
+class TestFloor:
+    @pytest.mark.parametrize("s", [2.0**-10, 16.0, 2.0**10])
+    def test_a_dilated_grid_floors_the_same_share_of_the_domain(self, s):
+        # a dilation by a power of two scales widths and values exactly, so
+        # the floored density on the dilated grid is the unit grid's times
+        # s^-2, bit for bit: the floor is a share of the domain, not a density
+        rng = np.random.default_rng(7)
+        gx, gy = (Grid1D(np.cumsum(np.r_[0.0, rng.uniform(0.2, 2.0, n)])) for n in (5, 4))
+        raw = rng.exponential(size=(5, 4))
+        raw[rng.random(raw.shape) < 0.5] = 0.0
+        areas = np.outer(gx.cell_widths, gy.cell_widths)
+        unit = floor_and_normalize(raw, areas)
+        assert unit.min() == floor_density(areas) / np.sum(np.maximum(raw, floor_density(areas)) * areas)
+        dilated_areas = np.outer(Grid1D(s * gx.nodes).cell_widths, Grid1D(s * gy.nodes).cell_widths)
+        assert floor_and_normalize(raw * s**-2, dilated_areas).tobytes() == (unit * s**-2).tobytes()
+        widths = Grid1D(s * gx.nodes).cell_widths
+        assert floor_and_normalize(raw[:, 0] / s, widths).tobytes() == (
+            floor_and_normalize(raw[:, 0], gx.cell_widths) / s
+        ).tobytes()
 
 
 class TestBuildCdf:

@@ -19,7 +19,15 @@ from planar_mk.instances import (
     shifted_density_2d,
     smooth_random_density_2d,
 )
-from planar_mk.measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, Grid1D, marginals_2d
+from planar_mk.measures import (
+    EPS_FLOOR,
+    FLOOR_RTOL,
+    DiscreteDensity1D,
+    DiscreteDensity2D,
+    Grid1D,
+    floor_density,
+    marginals_2d,
+)
 from planar_mk.optimizer import (
     IPFPConvergenceError,
     _ipfp_values,
@@ -40,18 +48,19 @@ def unit_marginal(values):
 def reference_ipfp_values(raw, f1, f2, max_iters=10_000, tol=1e-13):
     """The IPFP sweep with three products per sweep that `_ipfp_values` replaced.
 
-    Its re-floor rule is written out: the passes are skipped when a row or
-    column target is at most (1 + 1e-9) times its floor mass and twice the
-    floor's total mass is within FEAS_TOL. Returns the values, the sweeps run
-    in total and the re-floor passes.
+    Its floor rule is written out: the floor density is EPS_FLOOR over the
+    domain's area, and the re-floor passes are skipped when a row or column
+    target is at most (1 + 1e-9) times its floor mass. Returns the values,
+    the sweeps run in total and the re-floor passes.
     """
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     row_target, col_target = f1.cell_masses, f2.cell_masses
-    floor_mass = (1 + 1e-9) * EPS_FLOOR
+    floor = EPS_FLOOR / np.sum(areas)
+    floor_mass = (1 + 1e-9) * floor
     at_floor = np.any(row_target <= floor_mass * f2.grid.cell_widths.sum() * f1.grid.cell_widths) or np.any(
         col_target <= floor_mass * f1.grid.cell_widths.sum() * f2.grid.cell_widths
     )
-    refloor_passes = 0 if at_floor and 2 * EPS_FLOOR * np.sum(areas) <= FEAS_TOL else 3
+    refloor_passes = 0 if at_floor else 3
     sweeps_total = 0
 
     def residual(v):
@@ -70,16 +79,21 @@ def reference_ipfp_values(raw, f1, f2, max_iters=10_000, tol=1e-13):
         sweeps_total += sweeps
         return v
 
-    values = alternate(np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR))
+    values = alternate(np.maximum(np.asarray(raw, dtype=float), floor))
     refloors = 0
     for _ in range(refloor_passes):
-        if np.min(values) >= EPS_FLOOR:
+        if np.min(values) >= floor:
             break
-        values, refloors = alternate(np.maximum(values, EPS_FLOOR)), refloors + 1
-    if np.min(values) < EPS_FLOOR:
-        values = np.maximum(values, EPS_FLOOR)
+        values, refloors = alternate(np.maximum(values, floor)), refloors + 1
+    if np.min(values) < floor:
+        values = np.maximum(values, floor)
         values = values / float(np.sum(values * areas))
     return values, sweeps_total, refloors
+
+
+def dilate(d, s):
+    """The density d on its grids dilated by s about the origin, with the same cell masses."""
+    return DiscreteDensity2D(Grid1D(s * d.grid_x.nodes), Grid1D(s * d.grid_y.nodes), d.values * s**-2)
 
 
 def random_marginals(rng, seed):
@@ -103,7 +117,7 @@ def assert_gate_and_floor(values, f1, f2, label=None):
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     err, _ = optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses)
     assert err < optimizer._IPFP_TOL, label
-    assert np.min(values) >= EPS_FLOOR * (1 - 1e-9), label
+    assert np.min(values) >= floor_density(areas) * (1 - FLOOR_RTOL), label
 
 
 class TestIpfpMatchesMatrixForm:
@@ -269,6 +283,22 @@ class TestIpfp:
         p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
         assert np.min(p.values) >= 1e-10 * (1 - 1e-9)
 
+    @pytest.mark.parametrize("s", [2.0**-10, 16.0, 2.0**10])
+    def test_a_dilated_floor_tight_pair_gets_the_same_cell_masses(self, s):
+        # compare8's shift3_11, whose projections end on the final bump, and
+        # the same pair on grids dilated by a power of two: the floor and
+        # the values scale by s^-2 exactly, the cell masses not at all
+        f, f_tilde = shift_pair(3, 1, 1, 8)
+        raw = np.outer(f.marginals[0].values, f_tilde.marginals[1].values)
+        raw *= np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, size=raw.shape))
+        masses = []
+        for scale, (d, dt) in ((1.0, (f, f_tilde)), (s, (dilate(f, s), dilate(f_tilde, s)))):
+            f1, f2 = d.marginals[0], dt.marginals[1]
+            areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+            assert optimizer._floor_tight(areas, f1.cell_masses, f2.cell_masses)
+            masses.append(ipfp_project(raw * scale**-2, f1, f2).cell_masses)
+        assert masses[0].tobytes() == masses[1].tobytes()
+
     def test_final_bump_keeps_the_polytope_invariant(self, monkeypatch):
         # compare8's shift3_11: a column holds exactly its floor mass, so the
         # descent skips the re-floor passes and its projections end on the
@@ -307,7 +337,7 @@ class TestFloorTight:
         g = Grid1D.uniform(0.0, side, 4)
         areas = np.outer(g.cell_widths, g.cell_widths)
         targets = [areas.sum(axis=1) / areas.sum(), areas.sum(axis=0) / areas.sum()]
-        targets[axis][2] = scale * EPS_FLOOR * areas.sum(axis=1 - axis)[2]
+        targets[axis][2] = scale * floor_density(areas) * areas.sum(axis=1 - axis)[2]
         return areas, *targets
 
     @pytest.mark.parametrize("axis", [0, 1], ids=["row", "column"])
@@ -318,22 +348,30 @@ class TestFloorTight:
     def test_a_line_above_the_floor_tolerance_is_not(self, axis):
         assert not optimizer._floor_tight(*self.targets(1.0, axis, 1 + 2e-9))
 
-    def test_a_domain_too_large_for_the_bump_is_not(self):
-        # the floor holds 2.56e-8 of mass on [0, 16]^2, so a bump may leave FEAS_TOL
-        areas, row_target, col_target = self.targets(16.0, 1, 1.0)
-        assert 2 * EPS_FLOOR * areas.sum() > FEAS_TOL
-        assert not optimizer._floor_tight(areas, row_target, col_target)
+    def test_a_dilation_by_16_keeps_the_verdict(self):
+        # the floor is a share of the domain, so the rule is unit-free: the
+        # lines and compare8's pairs below get one verdict on [0, 1]^2 and on
+        # [0, 16]^2, whose floor density is 256 times smaller
+        for axis in (0, 1):
+            for scale in (1.0, 1 + 2e-9):
+                verdicts = {optimizer._floor_tight(*self.targets(side, axis, scale)) for side in (1.0, 16.0)}
+                assert verdicts == {scale == 1.0}, (axis, scale)
+        assert self.compare8_verdicts(16.0) == self.compare8_verdicts(1.0)
+
+    @staticmethod
+    def compare8_verdicts(side):
+        tight = []
+        for case in [(1, 1, 0), (2, 0, 1), (3, 1, 1), (4, 2, 1), (5, 1, 2), (6, 2, 2)]:
+            f, f_tilde = shift_pair(*case, 8, side)
+            f1, f2 = f.marginals[0], f_tilde.marginals[1]
+            areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+            tight.append(optimizer._floor_tight(areas, f1.cell_masses, f2.cell_masses))
+        return tight
 
     def test_compare8_pairs(self):
         # five of criterion 4's six shift pairs have a y-marginal line at its
         # floor mass; shift1_10's vacated row holds 1.18 times its floor mass
-        tight = []
-        for case in [(1, 1, 0), (2, 0, 1), (3, 1, 1), (4, 2, 1), (5, 1, 2), (6, 2, 2)]:
-            f, f_tilde = shift_pair(*case, 8)
-            f1, f2 = f.marginals[0], f_tilde.marginals[1]
-            areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-            tight.append(optimizer._floor_tight(areas, f1.cell_masses, f2.cell_masses))
-        assert tight == [False, True, True, True, True, True]
+        assert self.compare8_verdicts(1.0) == [False, True, True, True, True, True]
 
 
 class TestFeasibleDirection:
@@ -526,6 +564,19 @@ class TestSolve:
                         e = lo + invphi * (hi - lo)
                         Le = L_at(d, e)
                 assert min(Lc, Le, L_at(d, lo), L_at(d, hi)) > L_star - 1e-12
+
+    def test_direction_check_is_unit_free(self):
+        # the direction's marginal sums carry the cell widths' unit: a bound
+        # of 1e-10 * max(1, max|pg|) refused this pair on [0, 1e3]^2 and on
+        # [0, 1e4]^2 ("descent direction has marginal sums up to ...")
+        L = []
+        for side in (1e3, 1e4):
+            g = Grid1D.uniform(0.0, side, 4)
+            f, f_tilde = smooth_random_density_2d(g, g, seed=0), smooth_random_density_2d(g, g, seed=1)
+            report = solve(f, f_tilde, SolverConfig(max_iters=300))
+            assert report.termination_reason in ("grad_tol", "stalled"), side
+            L.append(report.L_final / side**2)
+        assert L[1] == pytest.approx(L[0], rel=1e-6)
 
     def test_perturbed_pair_converges_within_budget(self):
         # criterion 5's 16x16 perturbed pair: floor clipping used to stall the

@@ -511,8 +511,11 @@ class TestComonotone:
             ({"x": [np.nan, 1.0]}, "positions must be finite"),  # once an objective of NaN
             ({"y": [0.0, np.inf]}, "positions must be finite"),
             ({"b": [0.5, 0.6]}, "must each sum to 1"),
+            # finite positions, but (1e200 - 0)^2 overflows: once a numpy warning and an error about the cost
+            ({"x": [0.0, 1e200]}, r"so must their squared distances: x in \[0.0, 1e\+200\], y in \[0.0, 1.0\]"),
         ],
-        ids=["negative_mass", "nan_mass", "infinite_mass", "nan_position", "infinite_position", "unbalanced"],
+        ids=["negative_mass", "nan_mass", "infinite_mass", "nan_position", "infinite_position", "unbalanced",
+             "overflowing_distance"],
     )
     def test_bad_atoms_rejected(self, bad, match):
         atoms = {"x": [0.0, 1.0], "a": [0.5, 0.5], "y": [0.0, 1.0], "b": [0.5, 0.5], **bad}

@@ -4,8 +4,9 @@
 Runs `optimizer.solve` on compare8's six 8x8 whole-cell shifts and on the
 three pairs of solve16 and solve64 with their configs, all built by
 perfbench/workloads.py in the seed-0 image. A spy on `optimizer._ipfp_core`
-counts and times every projection of a solve (the descent's trials plus the
-projection of p*); a projection ended on the final bump when it called
+counts and times every projection of a solve: the descent's trials, plus
+p*'s projection after a start that took no step (p* is otherwise the last
+iterate as it stands); a projection ended on the final bump when it called
 `optimizer._marginal_residual` and returned. Prints one line per job: the
 projections, how many ended on the bump, the least IPFP milliseconds over
 --repeat solves, and those milliseconds per projection. Nothing under src/

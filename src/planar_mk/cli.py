@@ -105,8 +105,6 @@ def cmd_solve(args) -> int:
         "multistart": {
             "finals": report.start_finals,
             "best_start": report.best_start,
-            "within_tol_fraction": report.multistart_within_tol,
-            "nonconvexity_flag": report.nonconvexity_flag,
         },
     }
     _write_report(out_dir, body, time.perf_counter() - t0)
@@ -224,7 +222,7 @@ def cmd_compare(args) -> int:
     f_tilde = read_density(args.input_g)
     oracle_result = solve_full_2d(f, f_tilde)  # size check runs before the solve
     config, report = _solve_pair(f, f_tilde, args)
-    L_p_star = report.at_p_star.L_value  # L at p_star itself; L_final is the iterate's before re-projection
+    L_p_star = report.at_p_star.L_value  # L_final too, unless the descent took no step
     gap = abs(L_p_star - oracle_result.objective)
     body = {
         "command": "compare",

@@ -48,6 +48,7 @@ _BACKTRACK = 0.5     # step shrink factor per rejected trial
 _NOISE_SCALE = 0.5   # multistart log-perturbation amplitude
 _IPFP_SWEEPS = 10_000  # IPFP raises after this many sweeps of one alternation
 _IPFP_TOL = 1e-13    # IPFP stops when the L1 marginal error falls below
+_STALL_TOL = 1e-12   # the descent stops when L falls by less than this times max(1, |L|)
 
 
 def _is_int(v) -> bool:
@@ -64,7 +65,6 @@ class SolverConfig:
     max_iters: int = 10_000
     multistart: int = 1
     seed: int = 0
-    stall_tol: float = 1e-12            # stop when the L decrease falls below
 
     def __post_init__(self):
         rules = {  # each rule starts with the field it checks
@@ -73,7 +73,6 @@ class SolverConfig:
             "max_iters must be an integer >= 0": _is_int(self.max_iters) and self.max_iters >= 0,
             "multistart must be an integer >= 1": _is_int(self.multistart) and self.multistart >= 1,
             "seed must be an integer": _is_int(self.seed),
-            "stall_tol must be a finite number >= 0": _is_finite(self.stall_tol) and self.stall_tol >= 0,
         }
         for rule, ok in rules.items():
             if not ok:
@@ -110,8 +109,6 @@ class SolveReport:
     max_marginal_error: float
     start_finals: list[float] = field(default_factory=list)
     best_start: int = 0
-    multistart_within_tol: float = 1.0
-    nonconvexity_flag: bool = False
 
     @property
     def L_final(self) -> float:
@@ -337,22 +334,24 @@ def _run_mirror_descent(
         # the realized displacement; the accepted trial's pass carries on,
         # as do the masses and the marginal residual IPFP returns with it.
         s = step
-        accepted = None
+        accepted = ipfp_error = None
         while s > _MIN_STEP:
             z = -s * pg
-            cand, m, cand_err = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target, floor_tight)
-            predicted = float((grad * (cand - values) * areas).sum())
-            if predicted < 0.0:
-                trial = objective_pass(field_f, field_ft, m, grid_x, grid_y, caches)
-                if trial.L_value <= L_cur + _ARMIJO * predicted:
-                    accepted = trial
-                    break
+            try:
+                cand, m, cand_err = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target, floor_tight)
+            except IPFPConvergenceError as exc:  # rejected, like a trial that does not decrease L
+                ipfp_error = exc
+            else:
+                predicted = float((grad * (cand - values) * areas).sum())
+                if predicted < 0.0:
+                    trial = objective_pass(field_f, field_ft, m, grid_x, grid_y, caches)
+                    if trial.L_value <= L_cur + _ARMIJO * predicted:
+                        accepted = trial
+                        break
             s *= _BACKTRACK
         if accepted is None:
             if it == 0:
-                raise NoDescentError(
-                    "line search found no decrease at the first iteration"
-                )
+                raise NoDescentError("line search found no decrease at the first iteration") from ipfp_error
             traces.termination = "stalled"  # no achievable decrease
             break
 
@@ -373,7 +372,7 @@ def _run_mirror_descent(
         traces.L_trace.append(L_cur)
         traces.max_marginal_error = max(traces.max_marginal_error, cand_err)
         traces.iterations = it + 1
-        if decrease < config.stall_tol * max(1.0, abs(L_cur)):
+        if decrease < _STALL_TOL * max(1.0, abs(L_cur)):
             traces.termination = "stalled"
             break
 
@@ -389,11 +388,14 @@ def solve(
     """Minimize the reduced objective over couplings of (f1, f2).
 
     Each start runs entropic mirror descent (see the module docstring) until
-    the projected gradient norm reaches grad_tol, the decrease stalls, or
-    max_iters. Multistart: start 0 is the independent coupling f1 (x) f2;
-    further starts are IPFP-projected log-uniform perturbations of it, each
-    driven by a child stream of the seed so results are independent of
-    scheduling. Starts run one after another.
+    the projected gradient norm reaches grad_tol, the decrease falls below
+    _STALL_TOL * max(1, |L|), or max_iters. Multistart: start 0 is the
+    independent coupling f1 (x) f2; further starts are IPFP-projected
+    log-uniform perturbations of it, each driven by a child stream of the
+    seed so results are independent of scheduling. Starts run one after
+    another. p* is the best start's last iterate, an IPFP output; a start
+    that took no step is projected, since start 0 is the raw independent
+    coupling, which can sit below the coupling floor.
     """
     config = config or SolverConfig()
     f1, f2 = f.marginals[0], f_tilde.marginals[1]
@@ -415,9 +417,10 @@ def solve(
     finals = [r.L_trace[-1] for r in results]
     best = int(np.argmin(finals))
     best_result = results[best]
-    within = float(np.mean([Lk <= finals[best] + 1e-3 for Lk in finals]))
-
-    p_star = ipfp_project(best_result.values, f1, f2)
+    if best_result.iterations:
+        p_star = CouplingDensity(f1.grid, f2.grid, best_result.values, f1, f2)
+    else:
+        p_star = ipfp_project(best_result.values, f1, f2)
     el = euler_lagrange_residual(f, f_tilde, p_star, (field_f, field_ft))
     L_trace = np.asarray(best_result.L_trace)
     if not np.all(np.diff(L_trace) <= 0.0):
@@ -434,6 +437,4 @@ def solve(
         max_marginal_error=best_result.max_marginal_error,
         start_finals=[float(x) for x in finals],
         best_start=best,
-        multistart_within_tol=within,
-        nonconvexity_flag=bool(within < 0.8),
     )

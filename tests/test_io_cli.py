@@ -833,7 +833,8 @@ class TestCliCompare:
         assert report["gap"] <= 1e-3
 
     def test_L_p_star_is_L_at_p_star(self, tmp_path):
-        # solve() re-projects its final iterate, so L_final is not L at p*
+        # p* is the descent's last iterate, so L at p* is L_final bit for bit
+        # on this floor-tight pair
         f, f_tilde = shift_pair(3, 1, 1, 8)
         fa, fb = tmp_path / "f.json", tmp_path / "g.json"
         write_density_json(fa, f)
@@ -844,7 +845,7 @@ class TestCliCompare:
         f, f_tilde = read_density(fa), read_density(fb)
         solved = solve(f, f_tilde)
         assert report["L_p_star"] == evaluate_L(f, f_tilde, solved.p_star)
-        assert report["L_p_star"] != solved.L_final
+        assert report["L_p_star"] == solved.L_final
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_bad_tolerance_exits_1_before_solving(self, tmp_path, capsys, tolerance):

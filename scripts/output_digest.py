@@ -9,7 +9,9 @@ one line per output, sorted:
 
 The outputs are each report.json with its `timing` block removed, every
 other file a job writes (the CSVs), refine's g and h maps and both binned
-pushforward masses, and each job's exit code. Two checkouts, or two runs of
+pushforward masses, and each job's exit code. Each report.json also gets one
+line per top-level key (`compare8/shift1_10/report.json#gap`), so a diff of
+two runs names the report fields that moved. Two checkouts, or two runs of
 one, that print the same lines made the same bytes:
 
     python3 scripts/output_digest.py all --seed 0
@@ -38,12 +40,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _file_digest(path: Path) -> str:
+def _file_digests(path: Path) -> dict[str, str]:
+    """The file's digest under the suffix "", and a report's per top-level key under "#<key>"."""
     if path.name != "report.json":
-        return _sha(path.read_bytes())
+        return {"": _sha(path.read_bytes())}
     report = json.loads(path.read_text(encoding="utf-8"))
     report.pop("timing", None)  # wall time: the one field that differs between runs
-    return _sha(json.dumps(report, indent=1, sort_keys=True).encode())
+    parts = {"": report, **{f"#{key}": value for key, value in report.items()}}
+    return {suffix: _sha(json.dumps(part, indent=1, sort_keys=True).encode()) for suffix, part in parts.items()}
 
 
 def _array_digest(a) -> str:
@@ -59,7 +63,8 @@ def workload_digests(workload: str, seed: int, smoke: bool, work: Path) -> dict[
         prefix = f"{workload}/{job.name}"
         out[f"{prefix}/exit"] = _sha(str(job.run()).encode())
         for path in sorted(p for p in job.out_dir.rglob("*") if p.is_file()):
-            out[f"{prefix}/{path.relative_to(job.out_dir).as_posix()}"] = _file_digest(path)
+            name = f"{prefix}/{path.relative_to(job.out_dir).as_posix()}"
+            out.update((name + suffix, digest) for suffix, digest in _file_digests(path).items())
         if job.outputs:  # refine: the maps and the binned pushforward masses
             outputs = job.outputs
             arrays = {"g": outputs["g"], "h": outputs["h"], "push_g.binned_masses": outputs["push_g"].binned_masses,

@@ -3,7 +3,7 @@
 Subcommands: solve, oracle, check-el, check-lemmas, compare. Inputs are
 density files (JSON or CSV) or LP instance files; outputs are plot-ready CSV
 grids plus a versioned report.json whose timing fields are isolated so that
-reports from a fixed seed are byte-identical apart from timing.
+reports of the same inputs are byte-identical apart from timing.
 
 Exit codes: 0 success / converged, 1 usage, I/O or validation failure or a
 solver that gave up, 2 solver hit max_iters, 3 oracle size limit, 4 compare
@@ -61,19 +61,16 @@ def _grid_spec(d: DiscreteDensity2D) -> dict:
     return {"x": grid_spec(d.grid_x), "y": grid_spec(d.grid_y)}
 
 
-def _solve_pair(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, args) -> tuple:
-    config = SolverConfig.from_json(args.config) if args.config else SolverConfig()
-    if args.seed is not None:
-        config = SolverConfig(**{**config.to_dict(), "seed": args.seed})
-    report = solve(f, f_tilde, config)
-    return config, report
+def _config(args) -> SolverConfig:
+    return SolverConfig.from_json(args.config) if args.config else SolverConfig()
 
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     f = read_density(args.input_f)
     f_tilde = read_density(args.input_g)
-    config, report = _solve_pair(f, f_tilde, args)
+    config = _config(args)
+    report = solve(f, f_tilde, config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -88,7 +85,6 @@ def cmd_solve(args) -> int:
     body = {
         "command": "solve",
         "version": __version__,
-        "seed": config.seed,
         "config": config.to_dict(),
         "grid": _grid_spec(f),
         "L_final": report.L_final,
@@ -102,10 +98,6 @@ def cmd_solve(args) -> int:
         },
         "marginal_error": {"max_iterate_l1": report.max_marginal_error},
         "per_axis_w2_sum": per_axis_w2_sum(f, f_tilde),
-        "multistart": {
-            "finals": report.start_finals,
-            "best_start": report.best_start,
-        },
     }
     _write_report(out_dir, body, time.perf_counter() - t0)
     return 0 if report.termination_reason != "max_iters" else 2
@@ -221,12 +213,11 @@ def cmd_compare(args) -> int:
     f = read_density(args.input_f)
     f_tilde = read_density(args.input_g)
     oracle_result = solve_full_2d(f, f_tilde)  # size check runs before the solve
-    config, report = _solve_pair(f, f_tilde, args)
-    L_p_star = report.at_p_star.L_value  # L_final too, unless the descent took no step
+    report = solve(f, f_tilde, _config(args))
+    L_p_star = report.at_p_star.L_value  # L_final too
     gap = abs(L_p_star - oracle_result.objective)
     body = {
         "command": "compare",
-        "seed": config.seed,
         "grid": _grid_spec(f),
         "L_p_star": L_p_star,
         "oracle_optimum": oracle_result.objective,
@@ -262,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver(p):
         add_io(p)
-        p.add_argument("--seed", type=int, default=None, help="seed override (default 0 via config)")
         p.add_argument("--config", default=None, help="solver config JSON")
 
     p_solve = sub.add_parser("solve", help="minimize the reduced objective and export maps")

@@ -8,7 +8,9 @@ proportional fitting (IPFP), which is the KL projection onto the polytope,
 brings it back to both marginals. Positivity therefore holds by construction
 rather than by clipping. Each iteration opens its backtracking line search
 at a Barzilai-Borwein step (Barzilai & Borwein 1988) in the mass-weighted
-log metric. IPFP also projects arbitrary positive starts into the polytope.
+log metric. `solve` runs one descent, from the independent coupling f1 (x) f2,
+and draws no random numbers. IPFP also projects arbitrary positive couplings
+into the polytope.
 
 IPFP runs in Sinkhorn's scaling form (Peyre & Cuturi 2019, sec. 4.2): the
 masses stay fixed while a row and a column scaling vector alternate, two
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .coupling import FEAS_TOL, CouplingDensity, _sums_l1_error
 from .density_io import read_json
 from .measures import DiscreteDensity1D, DiscreteDensity2D, RampCache, floor_band, floor_density
 from .reduction import conditional_quantile_field
-from .rng import Xoshiro256StarStar
 from .variational import ObjectivePass, QuantileFields, euler_lagrange_residual, objective_pass
 
 
@@ -45,7 +46,6 @@ _STEP_INIT = 1.0     # the first iteration's opening step
 _MIN_STEP = 1e-14    # the line search gives up below this step
 _ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 _BACKTRACK = 0.5     # step shrink factor per rejected trial
-_NOISE_SCALE = 0.5   # multistart log-perturbation amplitude
 _IPFP_SWEEPS = 10_000  # IPFP raises after this many sweeps of one alternation
 _IPFP_TOL = 1e-13    # IPFP stops when the L1 marginal error falls below
 _STALL_TOL = 1e-12   # the descent stops when L falls by less than this times max(1, |L|)
@@ -63,16 +63,12 @@ def _is_finite(v) -> bool:
 class SolverConfig:
     grad_tol: float | None = None       # default: 1e-6 * number of cells
     max_iters: int = 10_000
-    multistart: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         rules = {  # each rule starts with the field it checks
             "grad_tol must be null or a finite number >= 0":
                 self.grad_tol is None or _is_finite(self.grad_tol) and self.grad_tol >= 0,
             "max_iters must be an integer >= 0": _is_int(self.max_iters) and self.max_iters >= 0,
-            "multistart must be an integer >= 1": _is_int(self.multistart) and self.multistart >= 1,
-            "seed must be an integer": _is_int(self.seed),
         }
         for rule, ok in rules.items():
             if not ok:
@@ -107,8 +103,6 @@ class SolveReport:
     iterations: int
     termination_reason: str
     max_marginal_error: float
-    start_finals: list[float] = field(default_factory=list)
-    best_start: int = 0
 
     @property
     def L_final(self) -> float:
@@ -277,7 +271,7 @@ def project_zero_marginals(fld: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> n
 
 
 @dataclass
-class _StartResult:
+class _Descent:
     values: np.ndarray
     L_trace: list[float]
     grad_trace: list[float]
@@ -293,7 +287,7 @@ def _run_mirror_descent(
     field_f,
     field_ft,
     config: SolverConfig,
-) -> _StartResult:
+) -> _Descent:
     grid_x, grid_y = f1.grid, f2.grid
     wx, wy = grid_x.cell_widths, grid_y.cell_widths
     areas = np.outer(wx, wy)
@@ -311,7 +305,7 @@ def _run_mirror_descent(
     L_cur, grad = out.L_value, out.phi + out.psi
     pg = project_zero_marginals(grad, wx, wy)
     marg_err = _marginal_residual(masses, row_target, col_target)[0]
-    traces = _StartResult(values, [L_cur], [], 0, "max_iters", marg_err)
+    traces = _Descent(values, [L_cur], [], 0, "max_iters", marg_err)
     log_values = np.log(values)
     step = _STEP_INIT
 
@@ -387,54 +381,35 @@ def solve(
 ) -> SolveReport:
     """Minimize the reduced objective over couplings of (f1, f2).
 
-    Each start runs entropic mirror descent (see the module docstring) until
-    the projected gradient norm reaches grad_tol, the decrease falls below
-    _STALL_TOL * max(1, |L|), or max_iters. Multistart: start 0 is the
-    independent coupling f1 (x) f2; further starts are IPFP-projected
-    log-uniform perturbations of it, each driven by a child stream of the
-    seed so results are independent of scheduling. Starts run one after
-    another. p* is the best start's last iterate, an IPFP output; a start
-    that took no step is projected, since start 0 is the raw independent
-    coupling, which can sit below the coupling floor.
+    One entropic mirror descent (see the module docstring) runs from the
+    independent coupling f1 (x) f2 until the projected gradient norm reaches
+    grad_tol, the decrease falls below _STALL_TOL * max(1, |L|), or
+    max_iters. It draws no random numbers. p* is the last iterate, an IPFP
+    output. A descent that took no step still holds the raw independent
+    coupling, which can sit below the coupling floor, so p* is then its
+    projection and the trace is the one value L(p*).
     """
     config = config or SolverConfig()
     f1, f2 = f.marginals[0], f_tilde.marginals[1]
     field_f = conditional_quantile_field(f, "x")
     field_ft = conditional_quantile_field(f_tilde, "y")
-    rng = Xoshiro256StarStar(config.seed)
-
-    independent = np.outer(f1.values, f2.values)
-
-    def run_start(k: int) -> _StartResult:
-        v0 = independent
-        if k > 0:  # log-uniform perturbation of the independent coupling
-            noise = rng.spawn(k).uniform(-1.0, 1.0, size=independent.shape)
-            v0 = _ipfp_values(independent * np.exp(_NOISE_SCALE * noise), f1, f2)
-        return _run_mirror_descent(v0, f1, f2, field_f, field_ft, config)
-
-    results = [run_start(k) for k in range(config.multistart)]
-
-    finals = [r.L_trace[-1] for r in results]
-    best = int(np.argmin(finals))
-    best_result = results[best]
-    if best_result.iterations:
-        p_star = CouplingDensity(f1.grid, f2.grid, best_result.values, f1, f2)
+    run = _run_mirror_descent(np.outer(f1.values, f2.values), f1, f2, field_f, field_ft, config)
+    if run.iterations:
+        p_star = CouplingDensity(f1.grid, f2.grid, run.values, f1, f2)
     else:
-        p_star = ipfp_project(best_result.values, f1, f2)
+        p_star = ipfp_project(run.values, f1, f2)
     el = euler_lagrange_residual(f, f_tilde, p_star, (field_f, field_ft))
-    L_trace = np.asarray(best_result.L_trace)
+    L_trace = np.asarray(run.L_trace if run.iterations else [el.at_p.L_value])
     if not np.all(np.diff(L_trace) <= 0.0):
         raise RuntimeError("descent trace must be nonincreasing")
     return SolveReport(
         p_star=p_star,
         L_trace=L_trace,
-        grad_norm_trace=np.asarray(best_result.grad_trace),
+        grad_norm_trace=np.asarray(run.grad_trace),
         el_residual_final=el.interior_l2,
         at_p_star=el.at_p,
         fields=(field_f, field_ft),
-        iterations=best_result.iterations,
-        termination_reason=best_result.termination,
-        max_marginal_error=best_result.max_marginal_error,
-        start_finals=[float(x) for x in finals],
-        best_start=best,
+        iterations=run.iterations,
+        termination_reason=run.termination,
+        max_marginal_error=run.max_marginal_error,
     )

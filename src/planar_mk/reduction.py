@@ -129,7 +129,6 @@ class PushforwardReport:
     l1_deviation: float
     max_deviation: float
     binned_masses: np.ndarray
-    reference_masses: np.ndarray
 
 
 def _binned_pushforward(
@@ -161,7 +160,6 @@ def _pushforward_report(binned: np.ndarray, ref: np.ndarray) -> PushforwardRepor
         l1_deviation=float(np.sum(np.abs(binned - ref))),
         max_deviation=float(np.max(np.abs(binned - ref))),
         binned_masses=binned,
-        reference_masses=ref,
     )
 
 
@@ -198,8 +196,6 @@ def pushforward_check_h(
 @dataclass(frozen=True)
 class CouplingCost:
     total: float
-    term_x: float
-    term_y: float
 
 
 def coupling_cost(
@@ -211,12 +207,12 @@ def coupling_cost(
 ) -> CouplingCost:
     """Expected squared distance of the reconstructed coupling.
 
-    term_y integrates (y - g)^2 against p, term_x integrates (x - h)^2; on
-    p's own maps the total equals `objective_pass(...).L_value` bit for bit.
+    The total integrates (y - g)^2 + (x - h)^2 against p; on p's own maps it
+    equals `objective_pass(...).L_value` bit for bit.
     """
     masses = p.cell_masses
     if g.shape != masses.shape or h.shape != masses.shape:
         raise ValueError("maps must live on p's grid")
     term_y = float(_slice_costs(p.grid_y.centers - g, masses).sum())
     term_x = float(_slice_costs(p.grid_x.centers - h.T, masses.T).sum())
-    return CouplingCost(total=term_x + term_y, term_x=term_x, term_y=term_y)
+    return CouplingCost(total=term_x + term_y)

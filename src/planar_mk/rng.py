@@ -1,10 +1,10 @@
-"""Deterministic pseudo-random numbers for reproducible reports.
+"""Deterministic pseudo-random numbers for reproducible test instances.
 
-All randomness in the solver and CLI flows through xoshiro256** (Blackman &
-Vigna), seeded via splitmix64. Both algorithms are fixed by their published
-constants, so a report produced from a given seed is reproducible bit-for-bit
-by any conforming implementation, independent of the host platform's default
-RNG.
+The random densities and couplings of `instances.py` draw from xoshiro256**
+(Blackman & Vigna), seeded via splitmix64. Both algorithms are fixed by their
+published constants, so an instance built from a given seed is reproducible
+bit for bit by any conforming implementation, independent of the host
+platform's default RNG. The solver and the CLI draw no random numbers.
 """
 
 from __future__ import annotations
@@ -36,16 +36,12 @@ class Xoshiro256StarStar:
     """xoshiro256** generator; 64-bit output, 256-bit state.
 
     State is initialized from `seed` by four splitmix64 draws, per the
-    authors' recommendation. `spawn(k)` derives an independent child stream
-    (the k-th splitmix64 output of the parent seed reseeds a fresh
-    generator), used for multistart workers so results do not depend on
-    scheduling order.
+    authors' recommendation.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
         s = []
-        state = self.seed
+        state = int(seed) & _MASK64
         for _ in range(4):
             z, state = _splitmix64_next(state)
             s.append(z)
@@ -80,10 +76,3 @@ class Xoshiro256StarStar:
         if n <= 0:
             raise ValueError("n must be positive")
         return int(self.random() * n) % n
-
-    def spawn(self, k: int) -> "Xoshiro256StarStar":
-        state = self.seed
-        z = self.seed
-        for _ in range(int(k) + 1):
-            z, state = _splitmix64_next(state)
-        return Xoshiro256StarStar(z)

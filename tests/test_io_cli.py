@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -407,7 +409,7 @@ class TestCliSolve:
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"multistart": 2, "max_iters": 2000, "seed": 11}))
+        cfg.write_text(json.dumps({"max_iters": 2000}))
         assert main(["solve", "--input-f", fa, "--input-g", fb, "--config", str(cfg), "--out-dir", str(out1)]) == 0
         assert main(["solve", "--input-f", fa, "--input-g", fb, "--config", str(cfg), "--out-dir", str(out2)]) == 0
         assert report_without_timing(out1 / "report.json") == report_without_timing(out2 / "report.json")
@@ -428,15 +430,6 @@ class TestCliSolve:
         assert main(["solve", "--input-f", str(fa), "--input-g", str(fb), "--out-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["L_final"] == pytest.approx(report["per_axis_w2_sum"], rel=0.02)
-
-    def test_seed_flag_overrides_config(self, tmp_path):
-        fa, fb = write_pair(tmp_path, seed=4)
-        out = tmp_path / "out"
-        code = main(["solve", "--input-f", fa, "--input-g", fb, "--out-dir", str(out), "--seed", "7"])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["seed"] == 7
-        assert report["config"]["seed"] == 7
 
 
 _TWO = {"min": 0, "max": 1, "n": 2}
@@ -553,8 +546,12 @@ def test_infinite_csv_edge_is_not_a_density(tmp_path):
         ["solve", "--input-f", "F", "--input-g", "G", "--bogus"],
         # check-el reads no solver config, so it takes neither flag
         ["check-el", "--input-f", "F", "--input-g", "G", "--config", "missing.json", "--seed", "5"],
+        # the solver draws no random numbers, so no command takes a seed
+        ["solve", "--input-f", "F", "--input-g", "G", "--seed", "4"],
+        ["compare", "--input-f", "F", "--input-g", "G", "--seed", "4"],
     ],
-    ids=["missing_input_g", "oracle_without_inputs", "unknown_flag", "check_el_solver_flags"],
+    ids=["missing_input_g", "oracle_without_inputs", "unknown_flag", "check_el_solver_flags", "solve_seed",
+         "compare_seed"],
 )
 def test_usage_error_exits_1_in_one_line(tmp_path, capsys, argv):
     # exit 2 means the solver hit max_iters, so a usage error must not use it
@@ -571,6 +568,18 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--help"])
     assert exc.value.code == 0 and "--input-g" in capsys.readouterr().out
+
+
+def test_readme_synopsis_lists_each_commands_flags():
+    # the README's "Command line" block is the user-facing record of every subcommand's options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+                for line in block.splitlines() if line.startswith("planar-mk ")}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+               for name, sub in commands.items()}
+    assert synopsis == options
 
 
 class TestCliOracleAndChecks:

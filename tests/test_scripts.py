@@ -41,4 +41,6 @@ def test_output_digests_repeat_for_a_fixed_seed(tmp_path):
     assert runs[1].stdout.splitlines() == lines
     outputs = {line.split()[0] for line in lines}
     assert {"compare8/shift1_10/report.json", "refine256/refine/g", "solve64/gauss/exit"} <= outputs
+    # one line per top-level report key, so a diff of two runs names the fields that moved
+    assert {"compare8/shift1_10/report.json#gap", "solve64/gauss/report.json#L_trace"} <= outputs
     assert all(len(line.split()[1]) == 64 for line in lines)

@@ -4,13 +4,11 @@
 Runs `optimizer.solve` on compare8's six 8x8 whole-cell shifts and on the
 three pairs of solve16 and solve64 with their configs, all built by
 perfbench/workloads.py in the seed-0 image. A spy on `optimizer._ipfp_core`
-counts and times every projection of a solve: the descent's trials, plus
-p*'s projection after a start that took no step (p* is otherwise the last
-iterate as it stands); a projection ended on the final bump when it called
-`optimizer._marginal_residual` and returned. Prints one line per job: the
-projections, how many ended on the bump, the least IPFP milliseconds over
---repeat solves, and those milliseconds per projection. Nothing under src/
-is changed; the spy is removed after each solve.
+counts and times every projection of a solve, that is, every line-search
+trial of its descent. Prints one line per job: the projections, the least
+IPFP milliseconds over --repeat solves, and those milliseconds per
+projection. Nothing under src/ is changed; the spy is removed after each
+solve.
 
     python3 scripts/ipfp_timing.py
     python3 scripts/ipfp_timing.py --repeat 1 --workloads compare8
@@ -42,36 +40,27 @@ def build_jobs(workload):
 
 
 def spied_solve(f, f_tilde, config):
-    """Projections, bumped projections and IPFP seconds of one solve."""
-    core, residual = optimizer._ipfp_core, optimizer._marginal_residual
-    projections = bumped = 0
+    """Projections and IPFP seconds of one solve."""
+    core = optimizer._ipfp_core
+    projections = 0
     seconds = 0.0
-    inside = bump = False
-
-    def counted_residual(*args):
-        nonlocal bump
-        bump = bump or inside
-        return residual(*args)
 
     def timed_core(*args):
-        nonlocal projections, bumped, seconds, inside, bump
-        inside, bump = True, False
+        nonlocal projections, seconds
         start = time.perf_counter()
         try:
             out = core(*args)
         finally:
             seconds += time.perf_counter() - start
-            inside = False
         projections += 1
-        bumped += bump
         return out
 
-    optimizer._ipfp_core, optimizer._marginal_residual = timed_core, counted_residual
+    optimizer._ipfp_core = timed_core
     try:
         optimizer.solve(f, f_tilde, config)
     finally:
-        optimizer._ipfp_core, optimizer._marginal_residual = core, residual
-    return projections, bumped, seconds
+        optimizer._ipfp_core = core
+    return projections, seconds
 
 
 def main() -> None:
@@ -82,14 +71,14 @@ def main() -> None:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
 
-    print(f"{'job':<20} {'projections':>11} {'bumped':>6} {'ipfp ms':>9} {'ms/proj':>8}")
+    print(f"{'job':<20} {'projections':>11} {'ipfp ms':>9} {'ms/proj':>8}")
     for workload in args.workloads:
         for name, f, f_tilde, config in build_jobs(workload):
             runs = [spied_solve(f, f_tilde, config) for _ in range(args.repeat)]
-            projections, bumped, _ = runs[0]
-            best = min(seconds for _, _, seconds in runs)
+            projections = runs[0][0]
+            best = min(seconds for _, seconds in runs)
             per = 1e3 * best / max(projections, 1)
-            print(f"{workload + ' ' + name:<20} {projections:>11} {bumped:>6} {1e3 * best:>9.3f} {per:>8.4f}")
+            print(f"{workload + ' ' + name:<20} {projections:>11} {1e3 * best:>9.3f} {per:>8.4f}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D, floor_band
+from .measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
 
 # L1 tolerance for membership in the constraint polytope.
 FEAS_TOL = 1e-9
@@ -61,6 +61,8 @@ def check_coupling_side(p: DiscreteDensity2D, target: DiscreteDensity1D, axis: i
 
 @dataclass(frozen=True)
 class CouplingDensity(DiscreteDensity2D):
+    """A 2-D density that passes the coupling check on both sides; its cells may be zero."""
+
     target_row_marginal: DiscreteDensity1D  # x-marginal of the source density
     target_col_marginal: DiscreteDensity1D  # y-marginal of the target density
 
@@ -68,9 +70,6 @@ class CouplingDensity(DiscreteDensity2D):
         super().__post_init__()
         check_coupling_side(self, self.target_row_marginal, 0)
         check_coupling_side(self, self.target_col_marginal, 1)
-        # unit-mass rescaling after the floor bump can shave a relative sliver
-        if np.min(self.values) < floor_band(self.cell_areas)[0]:
-            raise ValueError("coupling density dips below the positivity floor")
 
     @property
     def density(self) -> "CouplingDensity":

@@ -21,9 +21,6 @@ import numpy as np
 # its share of the domain (`floor_density`).
 EPS_FLOOR = 1e-10
 
-# Relative tolerance on the mass floor: a coupling's cells may sit this far below it.
-FLOOR_RTOL = 1e-9
-
 # Total-mass validation tolerance.
 MASS_TOL = 1e-12
 
@@ -80,12 +77,6 @@ def _check_finite(values: np.ndarray) -> None:
 def floor_density(weights: np.ndarray) -> float:
     """EPS_FLOOR over the cell weights' total: each cell's floor mass is EPS_FLOOR times its share of the domain."""
     return EPS_FLOOR / float(weights.sum())
-
-
-def floor_band(weights: np.ndarray) -> tuple[float, float]:
-    """`floor_density` of the weights less and plus FLOOR_RTOL of it: the floor's tolerance either way."""
-    floor = floor_density(weights)
-    return floor * (1.0 - FLOOR_RTOL), floor * (1.0 + FLOOR_RTOL)
 
 
 def floor_and_normalize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -5,18 +5,19 @@ entropic mirror descent (Beck & Teboulle 2003): the variation kernel
 phi + psi is double-centered into the constraint tangent space, the coupling
 takes the multiplicative step p * exp(-s * kernel), and iterative
 proportional fitting (IPFP), which is the KL projection onto the polytope,
-brings it back to both marginals. Positivity therefore holds by construction
-rather than by clipping. Each iteration opens its backtracking line search
-at a Barzilai-Borwein step (Barzilai & Borwein 1988) in the mass-weighted
-log metric. `solve` runs one descent, from the independent coupling f1 (x) f2,
-and draws no random numbers. IPFP also projects arbitrary positive couplings
-into the polytope.
+brings it back to both marginals. Each iteration opens its backtracking line
+search at a Barzilai-Borwein step (Barzilai & Borwein 1988) in the
+mass-weighted log metric. `solve` runs one descent, from the independent
+coupling f1 (x) f2, and draws no random numbers. IPFP also projects arbitrary
+nonnegative arrays into the polytope.
 
 IPFP runs in Sinkhorn's scaling form (Peyre & Cuturi 2019, sec. 4.2): the
 masses stay fixed while a row and a column scaling vector alternate, two
 matrix-vector products per sweep, and the coupling is built once per
 alternation. It is accepted when the built array's own marginal residual,
-both sides, is below the tolerance.
+both sides, is below the tolerance. Scaling needs every row and column to
+hold mass (sec. 4.2), so IPFP floors its input at a mass of 1e-20 in all;
+what it returns carries no floor.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coupling import FEAS_TOL, CouplingDensity, _sums_l1_error
+from .coupling import CouplingDensity, _sums_l1_error
 from .density_io import read_json
-from .measures import DiscreteDensity1D, DiscreteDensity2D, RampCache, floor_band, floor_density
+from .measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, RampCache, floor_density
 from .reduction import conditional_quantile_field
 from .variational import ObjectivePass, QuantileFields, euler_lagrange_residual, objective_pass
 
@@ -109,49 +110,32 @@ class SolveReport:
         return float(self.L_trace[-1])
 
 
-def _marginal_residual(
-    masses: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The larger of the two L1 marginal errors of cell masses, and the row sums it read."""
-    row_sums = np.add.reduce(masses, axis=1)
-    err = max(_sums_l1_error(row_sums, row_target), _sums_l1_error(np.add.reduce(masses, axis=0), col_target))
-    return err, row_sums
-
-
-def _floor_tight(areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray) -> bool:
-    """Whether `_ipfp_core` may skip its re-floor passes: a row or column target at its floor mass (`floor_band`)."""
-    floor = floor_band(areas)[1]
-    return bool((row_target <= floor * areas.sum(axis=1)).any() or (col_target <= floor * areas.sum(axis=0)).any())
+def _marginal_residual(masses: np.ndarray, row_target: np.ndarray, col_target: np.ndarray) -> float:
+    """The larger of the two L1 marginal errors of cell masses."""
+    rows = _sums_l1_error(np.add.reduce(masses, axis=1), row_target)
+    return max(rows, _sums_l1_error(np.add.reduce(masses, axis=0), col_target))
 
 
 def _ipfp_core(
-    raw: np.ndarray, areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray, floor_tight: bool
+    raw: np.ndarray, areas: np.ndarray, row_target: np.ndarray, col_target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """IPFP on plain value arrays; raises after _IPFP_SWEEPS sweeps with the residual.
 
-    The input is floored first; below _IPFP_TOL it is returned as floored.
-    Each alternation holds the masses v * areas fixed and iterates the
-    Sinkhorn scaling vectors u (rows) and w (columns), two matrix-vector
-    products per sweep, until their row error falls below _IPFP_TOL. Then it
-    builds v * u * w once and keeps it if that array's own residual, both
-    sides, is below _IPFP_TOL too; else the vectors start over from the built
-    array, and the sweep count runs on. The gate reads the column error only
-    once the row error passes.
-
-    The floor is `floor_density(areas)`, a mass of 1e-10 in all on any
-    domain. Scaling can shave floored cells below it; up to three re-floor
-    passes then floor and re-converge. A cell still below the floor gets a
-    final bump: floored and rescaled to unit mass, which leaves the _IPFP_TOL
-    gate and moves the residual by at most twice the lifted mass, 2e-10.
-    When floor_tight (`_floor_tight` of the areas and targets) holds, a line
-    sits at its floor mass, which scaling cannot keep, so a shaved output
-    skips the re-floors for the bump.
+    The input is floored first, at EPS_FLOOR times `floor_density(areas)`: a
+    mass of 1e-20 in all on any domain, whose only job is to give every row
+    and column mass to scale. Below _IPFP_TOL the floored input is returned
+    as it stands. Each alternation holds the masses v * areas fixed and
+    iterates the Sinkhorn scaling vectors u (rows) and w (columns), two
+    matrix-vector products per sweep, until their row error falls below
+    _IPFP_TOL. Then it builds v * u * w once and keeps it if that array's own
+    residual, both sides, is below _IPFP_TOL too; else the vectors start over
+    from the built array, and the sweep count runs on. The gate reads the
+    column error only once the row error passes.
 
     Returns the values, their masses values * areas and their marginal
     residual (`_marginal_residual`), the same bits a caller would compute
-    from the values. What every returned array keeps: an L1 marginal
-    residual, both sides, of at most FEAS_TOL, and a minimum of at least the
-    low end of `floor_band(areas)`; the _IPFP_TOL gate as well off the bump.
+    from the values. Every returned array passes the _IPFP_TOL gate; scaling
+    may take its cells below the input floor.
     """
 
     def crawl(err: float) -> IPFPConvergenceError:
@@ -165,64 +149,51 @@ def _ipfp_core(
             err = max(err, _sums_l1_error(np.add.reduce(masses, axis=0), col_target))
         return err, row_sums
 
-    def alternate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    v = np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR * floor_density(areas))
+    masses = v * areas
+    err, kw = gate(masses)
+    sweeps = 0
+    while not err < _IPFP_TOL:
+        if sweeps == _IPFP_SWEEPS:  # name the residual of both sides
+            raise crawl(_marginal_residual(masses, row_target, col_target))
+        while True:
+            u = row_target / kw
+            w = col_target / (u @ masses)
+            kw = masses @ w
+            err = _sums_l1_error(u * kw, row_target)
+            sweeps += 1
+            if err < _IPFP_TOL:
+                break
+            if sweeps == _IPFP_SWEEPS:
+                raise crawl(err)
+        v = v * u[:, None] * w
         masses = v * areas
         err, kw = gate(masses)
-        sweeps = 0
-        while not err < _IPFP_TOL:
-            if sweeps == _IPFP_SWEEPS:  # name the residual of both sides
-                raise crawl(_marginal_residual(masses, row_target, col_target)[0])
-            while True:
-                u = row_target / kw
-                w = col_target / (u @ masses)
-                kw = masses @ w
-                err = _sums_l1_error(u * kw, row_target)
-                sweeps += 1
-                if err < _IPFP_TOL:
-                    break
-                if sweeps == _IPFP_SWEEPS:
-                    raise crawl(err)
-            v = v * u[:, None] * w
-            masses = v * areas
-            err, kw = gate(masses)
-        return v, masses, err
-
-    floor = floor_density(areas)
-    values, masses, err = alternate(np.maximum(np.asarray(raw, dtype=float), floor))
-    shaved = values.min() < floor
-    for _ in range(0 if floor_tight else 3):
-        if not shaved:
-            break
-        values, masses, err = alternate(np.maximum(values, floor))
-        shaved = values.min() < floor
-    if shaved:
-        values = np.maximum(values, floor)
-        values = values / float((values * areas).sum())
-        masses = values * areas
-        err = _marginal_residual(masses, row_target, col_target)[0]
-        # unreachable: the bump moves a residual below _IPFP_TOL by at most 2e-10
-        if not err <= FEAS_TOL:
-            raise IPFPConvergenceError(f"IPFP cannot keep the mass floor: its final bump leaves a residual {err:.3e}")
-    return values, masses, err
+    return v, masses, err
 
 
 def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
-    """The values `_ipfp_core` returns on the cell areas and cell masses of the marginals f1 and f2."""
+    """`_ipfp_core`'s values on the cell areas and cell masses of the marginals f1 and f2.
+
+    A nonnegative raw that already passes the _IPFP_TOL gate is returned as
+    it stands, so a projection's output projects to itself bit for bit.
+    """
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     row_target, col_target = f1.cell_masses, f2.cell_masses
-    return _ipfp_core(raw, areas, row_target, col_target, _floor_tight(areas, row_target, col_target))[0]
+    raw = np.asarray(raw, dtype=float)
+    if raw.min() >= 0.0 and _marginal_residual(raw * areas, row_target, col_target) < _IPFP_TOL:
+        return raw
+    return _ipfp_core(raw, areas, row_target, col_target)[0]
 
 
 def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
-    """Alternating row/column rescaling onto the marginal targets.
+    """Alternating row/column rescaling onto the marginal targets (`_ipfp_values`).
 
-    raw holds density values on (f1.grid, f2.grid); values are floored at
-    `floor_density` of the cell areas before scaling, so every slice keeps
-    positive mass. Already-feasible input is returned unchanged. The
-    result's L1 marginal residual is at most FEAS_TOL and its minimum at
-    least the low end of `floor_band`; it is below _IPFP_TOL unless the
-    final bump ran (see `_ipfp_core`). Raises after _IPFP_SWEEPS sweeps with
-    the residual.
+    raw holds nonnegative density values on (f1.grid, f2.grid). Input that
+    already passes the _IPFP_TOL gate is returned unchanged; other input is
+    floored at a mass of 1e-20 in all before scaling, so that every row and
+    column has mass, and the result's L1 marginal residual is below
+    _IPFP_TOL. Raises after _IPFP_SWEEPS sweeps with the residual.
     """
     return CouplingDensity(f1.grid, f2.grid, _ipfp_values(raw, f1, f2), f1, f2)
 
@@ -293,7 +264,6 @@ def _run_mirror_descent(
     areas = np.outer(wx, wy)
     row_target = f1.cell_masses
     col_target = f2.cell_masses
-    floor_tight = _floor_tight(areas, row_target, col_target)
     span = max(float(wx.sum()), float(wy.sum()))
     grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
 
@@ -304,7 +274,7 @@ def _run_mirror_descent(
     out = objective_pass(field_f, field_ft, masses, grid_x, grid_y, caches)
     L_cur, grad = out.L_value, out.phi + out.psi
     pg = project_zero_marginals(grad, wx, wy)
-    marg_err = _marginal_residual(masses, row_target, col_target)[0]
+    marg_err = _marginal_residual(masses, row_target, col_target)
     traces = _Descent(values, [L_cur], [], 0, "max_iters", marg_err)
     log_values = np.log(values)
     step = _STEP_INIT
@@ -332,7 +302,7 @@ def _run_mirror_descent(
         while s > _MIN_STEP:
             z = -s * pg
             try:
-                cand, m, cand_err = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target, floor_tight)
+                cand, m, cand_err = _ipfp_core(values * np.exp(z - z.max()), areas, row_target, col_target)
             except IPFPConvergenceError as exc:  # rejected, like a trial that does not decrease L
                 ipfp_error = exc
             else:
@@ -384,22 +354,18 @@ def solve(
     One entropic mirror descent (see the module docstring) runs from the
     independent coupling f1 (x) f2 until the projected gradient norm reaches
     grad_tol, the decrease falls below _STALL_TOL * max(1, |L|), or
-    max_iters. It draws no random numbers. p* is the last iterate, an IPFP
-    output. A descent that took no step still holds the raw independent
-    coupling, which can sit below the coupling floor, so p* is then its
-    projection and the trace is the one value L(p*).
+    max_iters. It draws no random numbers. p* is the last iterate as it
+    stands: an IPFP output, or after no step the raw independent coupling,
+    whose marginals are f1's and f2's to roundoff.
     """
     config = config or SolverConfig()
     f1, f2 = f.marginals[0], f_tilde.marginals[1]
     field_f = conditional_quantile_field(f, "x")
     field_ft = conditional_quantile_field(f_tilde, "y")
     run = _run_mirror_descent(np.outer(f1.values, f2.values), f1, f2, field_f, field_ft, config)
-    if run.iterations:
-        p_star = CouplingDensity(f1.grid, f2.grid, run.values, f1, f2)
-    else:
-        p_star = ipfp_project(run.values, f1, f2)
+    p_star = CouplingDensity(f1.grid, f2.grid, run.values, f1, f2)
     el = euler_lagrange_residual(f, f_tilde, p_star, (field_f, field_ft))
-    L_trace = np.asarray(run.L_trace if run.iterations else [el.at_p.L_value])
+    L_trace = np.asarray(run.L_trace)
     if not np.all(np.diff(L_trace) <= 0.0):
         raise RuntimeError("descent trace must be nonincreasing")
     return SolveReport(

@@ -6,7 +6,8 @@ pair runs `solve`, `compare` and `check-el` with every warning raised as an
 error. Nothing may escape `main`; every exit code must be one the command
 documents; an exit 1 must print one `error:` line whose message is on
 `_ALLOWED_REFUSALS`; and what a run writes must hold up: p*'s marginals within
-FEAS_TOL, and only finite numbers in report.json.
+FEAS_TOL, every iterate of a `solve` that exits 0 through IPFP's 1e-13 gate,
+and only finite numbers in report.json.
 """
 
 import contextlib
@@ -94,6 +95,8 @@ def test_valid_pairs_solve_or_are_refused_in_words(pair):
             report = json.loads((out / "report.json").read_text())
             assert finite_numbers(report), (command, report)
             if command == "solve":
+                if code == 0:
+                    assert report["marginal_error"]["max_iterate_l1"] < 1e-13, report["marginal_error"]
                 grid_x, grid_y, values = read_grid_csv(out / "p_star.csv")
                 masses = values * np.outer(grid_x.cell_widths, grid_y.cell_widths)
                 assert marginal_l1_error(masses, f.marginals[0].cell_masses, 0) <= FEAS_TOL

@@ -225,9 +225,9 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("side", [4.0, 16.0, 64.0])
     def test_floor_bump_keeps_feas_tol_or_fails_in_words(self, tmp_path, capsys, side):
-        # criterion 4's seed-6 pair shifted by (2, 2) on [0, side]^2, whose
-        # projections end on IPFP's final bump. The floor holds 1e-10 of mass
-        # on any domain, so the bump keeps FEAS_TOL and its error is unreachable
+        # criterion 4's seed-6 pair shifted by (2, 2) on [0, side]^2, which
+        # has a column at the density floor's mass: its projections pass
+        # IPFP's gate on any domain
         f, f_tilde = shift_pair(6, 2, 2, 8, side)
         write_density_json(tmp_path / "f.json", f)
         write_density_json(tmp_path / "g.json", f_tilde)
@@ -782,24 +782,35 @@ class TestCliOracleAndChecks:
         assert err.startswith("error:") and "finite and nonnegative" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "coupling, marginal",
-        [([[1.0, 0.0], [0.0, 0.0]], [0.5, 0.5]), ([[1.0, 0.0], [0.0, 1.0]], [1 / 3, 2 / 3])],
-        ids=["no_coupling_on_support", "split_support"],
-    )
-    def test_check_el_exits_in_words_when_ipfp_crawls(self, tmp_path, capsys, coupling, marginal):
-        # only the floored cells can move mass, so IPFP runs out of sweeps
+    @staticmethod
+    def check_el_on_2x2(tmp_path, coupling, marginal):
+        """`check-el` of a 2x2 coupling against f = f~ = the product of marginal with itself."""
         g = Grid1D.uniform(0.0, 1.0, 2)
         fa = tmp_path / "f.json"
         write_density_json(fa, DiscreteDensity2D.from_values(g, g, np.outer(marginal, marginal)))
         p_csv = tmp_path / "p.csv"
         write_grid_csv(p_csv, g, g, np.array(coupling))
-        code = main(["check-el", "--input-f", str(fa), "--input-g", str(fa), "--input-p", str(p_csv),
+        return main(["check-el", "--input-f", str(fa), "--input-g", str(fa), "--input-p", str(p_csv),
                      "--out-dir", str(tmp_path / "out")])
-        assert code == 1
+
+    @pytest.mark.parametrize(
+        "coupling, marginal", [([[1.0, 0.0], [0.0, 0.0]], [0.5, 0.5])], ids=["no_coupling_on_support"]
+    )
+    def test_check_el_exits_in_words_when_ipfp_crawls(self, tmp_path, capsys, coupling, marginal):
+        # no coupling lives on the support: only the floored cells can move
+        # mass, so IPFP runs out of sweeps
+        assert self.check_el_on_2x2(tmp_path, coupling, marginal) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: IPFP residual") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_check_el_projects_a_split_support_coupling(self, tmp_path, capsys):
+        # the support splits into two blocks, each of which scales onto its
+        # marginals alone; the floored cells hold too little mass to hold
+        # IPFP off its gate
+        assert self.check_el_on_2x2(tmp_path, [[1.0, 0.0], [0.0, 1.0]], [1 / 3, 2 / 3]) == 0
+        assert not capsys.readouterr().err
+        assert (tmp_path / "out" / "report.json").exists()
 
     def test_check_lemmas_hits_analytic_values(self, tmp_path):
         out = tmp_path / "out"

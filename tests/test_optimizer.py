@@ -21,11 +21,9 @@ from planar_mk.instances import (
 )
 from planar_mk.measures import (
     EPS_FLOOR,
-    FLOOR_RTOL,
     DiscreteDensity1D,
     DiscreteDensity2D,
     Grid1D,
-    floor_band,
     floor_density,
     marginals_2d,
 )
@@ -49,47 +47,27 @@ def unit_marginal(values):
 def reference_ipfp_values(raw, f1, f2, max_iters=10_000, tol=1e-13):
     """The IPFP sweep with three products per sweep that `_ipfp_values` replaced.
 
-    Its floor rule is written out: the floor density is EPS_FLOOR over the
-    domain's area, and the re-floor passes are skipped when a row or column
-    target is at most (1 + 1e-9) times its floor mass. Returns the values,
-    the sweeps run in total and the re-floor passes.
+    Its floor rule is written out: the input is floored at EPS_FLOOR times
+    the density EPS_FLOOR over the domain's area, a mass of 1e-20 in all,
+    and the scaled output is returned with no floor. Returns the values and
+    the sweeps run.
     """
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     row_target, col_target = f1.cell_masses, f2.cell_masses
-    floor = EPS_FLOOR / np.sum(areas)
-    floor_mass = (1 + 1e-9) * floor
-    at_floor = np.any(row_target <= floor_mass * f2.grid.cell_widths.sum() * f1.grid.cell_widths) or np.any(
-        col_target <= floor_mass * f1.grid.cell_widths.sum() * f2.grid.cell_widths
-    )
-    refloor_passes = 0 if at_floor else 3
-    sweeps_total = 0
 
     def residual(v):
         rows = float(np.sum(np.abs((v * areas).sum(axis=1) - row_target)))
         return max(rows, float(np.sum(np.abs((v * areas).sum(axis=0) - col_target))))
 
-    def alternate(v):
-        nonlocal sweeps_total
-        err, sweeps = residual(v), 0
-        while not err < tol:
-            if sweeps == max_iters:
-                raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {max_iters} iterations")
-            v = v * (row_target / (v * areas).sum(axis=1))[:, None]
-            v = v * (col_target / (v * areas).sum(axis=0))[None, :]
-            err, sweeps = residual(v), sweeps + 1
-        sweeps_total += sweeps
-        return v
-
-    values = alternate(np.maximum(np.asarray(raw, dtype=float), floor))
-    refloors = 0
-    for _ in range(refloor_passes):
-        if np.min(values) >= floor:
-            break
-        values, refloors = alternate(np.maximum(values, floor)), refloors + 1
-    if np.min(values) < floor:
-        values = np.maximum(values, floor)
-        values = values / float(np.sum(values * areas))
-    return values, sweeps_total, refloors
+    v = np.maximum(np.asarray(raw, dtype=float), EPS_FLOOR * EPS_FLOOR / np.sum(areas))
+    err, sweeps = residual(v), 0
+    while not err < tol:
+        if sweeps == max_iters:
+            raise IPFPConvergenceError(f"IPFP residual {err:.3e} after {max_iters} iterations")
+        v = v * (row_target / (v * areas).sum(axis=1))[:, None]
+        v = v * (col_target / (v * areas).sum(axis=0))[None, :]
+        err, sweeps = residual(v), sweeps + 1
+    return v, sweeps
 
 
 def dilate(d, s):
@@ -109,16 +87,15 @@ def random_marginals(rng, seed):
 
 
 def assert_matches_matrix_form(got, expected, f1, f2, label=None):
-    """Equal to the matrix form to 1e-13 relative, through the gate and above the floor."""
+    """Equal to the matrix form to 1e-13 relative, nonnegative and through the gate."""
     assert np.max(np.abs(got - expected) / expected) <= 1e-13, label
-    assert_gate_and_floor(got, f1, f2, label)
+    assert_gate_and_nonnegative(got, f1, f2, label)
 
 
-def assert_gate_and_floor(values, f1, f2, label=None):
+def assert_gate_and_nonnegative(values, f1, f2, label=None):
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-    err, _ = optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses)
-    assert err < optimizer._IPFP_TOL, label
-    assert np.min(values) >= floor_density(areas) * (1 - FLOOR_RTOL), label
+    assert optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses) < optimizer._IPFP_TOL, label
+    assert np.min(values) >= 0.0, label
 
 
 class TestIpfpMatchesMatrixForm:
@@ -133,43 +110,45 @@ class TestIpfpMatchesMatrixForm:
         for seed in range(30):
             f1, f2 = random_marginals(rng, 10 * seed)
             raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
-            expected, sweeps, _ = reference_ipfp_values(raw, f1, f2)
+            expected, sweeps = reference_ipfp_values(raw, f1, f2)
             assert sweeps > 0
             assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2, seed)
 
     def test_sparse_inputs_through_the_refloor_loop(self):
-        # zeros are floored, and scaling a row down shaves its floored cells
+        # zeros are floored at the input floor, and scaling a row down
+        # shaves its floored cells below it: they are returned as scaled
         for seed in range(8):
             rng = np.random.default_rng(seed)
             f1, f2 = random_marginals(rng, seed)
             raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
             raw[rng.random(raw.shape) < 0.5] = 0.0
-            expected, _, refloors = reference_ipfp_values(raw, f1, f2)
-            assert refloors > 0, seed
-            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2, seed)
+            expected, _ = reference_ipfp_values(raw, f1, f2)
+            got = _ipfp_values(raw, f1, f2)
+            areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+            assert np.min(got) < EPS_FLOOR * floor_density(areas), seed
+            assert_matches_matrix_form(got, expected, f1, f2, seed)
 
     @pytest.mark.parametrize("case", [(3, 1, 1), (6, 2, 2)], ids=["shift3_11", "shift6_22"])
     def test_floor_tight_inputs_skip_the_refloor_loop(self, case):
-        # a column of these pairs holds exactly its floor mass, so scaling
-        # shaves its cells and the projection ends on the final bump
+        # a column of these pairs holds exactly the density floor's mass,
+        # which scaling cannot keep; the projection passes the gate anyway
         f, f_tilde = shift_pair(*case, 8)
         f1, f2 = f.marginals[0], f_tilde.marginals[1]
         rng = np.random.default_rng(5)
         for trial in range(5):
             raw = np.outer(f1.values, f2.values) * np.exp(rng.uniform(-1.0, 1.0, size=(8, 8)))
-            expected, sweeps, refloors = reference_ipfp_values(raw, f1, f2)
-            assert sweeps > 0 and refloors == 0, trial
+            expected, sweeps = reference_ipfp_values(raw, f1, f2)
+            assert sweeps > 0, trial
             got = _ipfp_values(raw, f1, f2)
-            assert np.max(np.abs(got - expected) / expected) <= 1e-13, trial
-            assert np.min(got) < EPS_FLOOR, trial  # the bump's rescale, below the floor by a sliver
-            p = ipfp_project(raw, f1, f2)  # the coupling check: FEAS_TOL and the floor's tolerance
+            assert_matches_matrix_form(got, expected, f1, f2, trial)
+            p = ipfp_project(raw, f1, f2)  # the coupling check
             assert np.array_equal(p.values, got)
 
     def test_raises_at_the_same_sweep_budget(self, monkeypatch):
         rng = np.random.default_rng(43)
         f1, f2 = random_marginals(rng, 7)
         raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
-        _, needed, _ = reference_ipfp_values(raw, f1, f2)
+        _, needed = reference_ipfp_values(raw, f1, f2)
         for budget in (0, 1, needed - 1):
             monkeypatch.setattr(optimizer, "_IPFP_SWEEPS", budget)
             with pytest.raises(IPFPConvergenceError) as ref_exc:
@@ -178,7 +157,7 @@ class TestIpfpMatchesMatrixForm:
                 _ipfp_values(raw, f1, f2)
             assert str(exc.value) == str(ref_exc.value)
         monkeypatch.setattr(optimizer, "_IPFP_SWEEPS", needed)
-        expected, _, _ = reference_ipfp_values(raw, f1, f2, max_iters=needed)
+        expected, _ = reference_ipfp_values(raw, f1, f2, max_iters=needed)
         assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2)
 
 
@@ -190,8 +169,8 @@ def ipfp_problem(draw, zeros):
     row and column, so the support links every row to every column. The
     marginals are those of a second array with the same zero pattern, so a
     coupling on that support exists. Where none exists ([[1, 0], [0, 0]]
-    against uniform marginals), or the support splits into blocks
-    ([[1, 0], [0, 1]]), only the floored cells can move mass and IPFP crawls.
+    against uniform marginals), only the floored cells can move mass and
+    IPFP crawls.
     """
     shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     grids = [
@@ -217,7 +196,7 @@ class TestIpfpProperties:
     @given(data=st.data())
     def test_output_passes_the_gate_above_the_floor(self, zeros, data):
         raw, f1, f2 = data.draw(ipfp_problem(zeros))
-        assert_gate_and_floor(_ipfp_values(raw, f1, f2), f1, f2)
+        assert_gate_and_nonnegative(_ipfp_values(raw, f1, f2), f1, f2)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -226,9 +205,9 @@ class TestIpfpProperties:
         raw, f1, f2 = data.draw(ipfp_problem(zeros))
         areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
         targets = f1.cell_masses, f2.cell_masses
-        values, masses, residual = optimizer._ipfp_core(raw, areas, *targets, optimizer._floor_tight(areas, *targets))
+        values, masses, residual = optimizer._ipfp_core(raw, areas, *targets)
         assert masses.tobytes() == (values * areas).tobytes()
-        assert residual == optimizer._marginal_residual(values * areas, f1.cell_masses, f2.cell_masses)[0]
+        assert residual == optimizer._marginal_residual(values * areas, *targets)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -286,93 +265,41 @@ class TestIpfp:
 
     @pytest.mark.parametrize("s", [2.0**-10, 16.0, 2.0**10])
     def test_a_dilated_floor_tight_pair_gets_the_same_cell_masses(self, s):
-        # compare8's shift3_11, whose projections end on the final bump, and
-        # the same pair on grids dilated by a power of two: the floor and
-        # the values scale by s^-2 exactly, the cell masses not at all
+        # compare8's shift3_11, a pair with a column at the density floor's
+        # mass, and the same pair on grids dilated by a power of two: the
+        # input floor and the values scale by s^-2 exactly, the cell masses
+        # not at all
         f, f_tilde = shift_pair(3, 1, 1, 8)
         raw = np.outer(f.marginals[0].values, f_tilde.marginals[1].values)
         raw *= np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, size=raw.shape))
         masses = []
         for scale, (d, dt) in ((1.0, (f, f_tilde)), (s, (dilate(f, s), dilate(f_tilde, s)))):
             f1, f2 = d.marginals[0], dt.marginals[1]
-            areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-            assert optimizer._floor_tight(areas, f1.cell_masses, f2.cell_masses)
             masses.append(ipfp_project(raw * scale**-2, f1, f2).cell_masses)
         assert masses[0].tobytes() == masses[1].tobytes()
 
     def test_final_bump_keeps_the_polytope_invariant(self, monkeypatch):
-        # compare8's shift3_11: a column holds exactly its floor mass, so the
-        # descent skips the re-floor passes and its projections end on the
-        # final bump and rescale. That path keeps residual <= FEAS_TOL and
-        # min >= EPS_FLOOR * (1 - 1e-9), not the _IPFP_TOL gate.
+        # compare8's shift3_11: a column holds exactly the density floor's
+        # mass, which scaling cannot keep. Every projection of its descent
+        # passes the _IPFP_TOL gate all the same, nonnegative, and returns
+        # the masses and residual of its values, bit for bit
         returned = []
         core = optimizer._ipfp_core
 
-        def spy(raw, areas, row_target, col_target, *rest):
-            out = core(raw, areas, row_target, col_target, *rest)
-            returned.append((out, areas, row_target, col_target))
-            passed.append(rest)
+        def spy(*args):
+            out = core(*args)
+            returned.append((out, *args[1:]))
             return out
 
-        passed = []
         monkeypatch.setattr(optimizer, "_ipfp_core", spy)
         solve(*shift_pair(3, 1, 1, 8), SolverConfig())
-        assert set(passed) == {(True,)}  # every projection is told the pair is floor-tight
-        # only the bump path returns cells below the floor: it divides by a total mass above 1
-        assert any(np.min(values) < EPS_FLOOR for (values, _, _), *_ in returned)
+        assert returned
         for (values, masses, residual), areas, row_target, col_target in returned:
-            err, _ = optimizer._marginal_residual(values * areas, row_target, col_target)
-            assert err <= FEAS_TOL
-            assert np.min(values) >= EPS_FLOOR * (1 - 1e-9)
-            # the masses and residual returned with the values are theirs, bit for bit
+            err = optimizer._marginal_residual(values * areas, row_target, col_target)
+            assert err < optimizer._IPFP_TOL
+            assert np.min(values) >= 0.0
             assert masses.tobytes() == (values * areas).tobytes()
             assert residual == err
-
-
-class TestFloorTight:
-    """The rule that lets `_ipfp_core` skip its re-floor passes."""
-
-    @staticmethod
-    def targets(side, axis, scale):
-        # 4x4 cells over [0, side]^2; line 2 along axis holds scale times its floor mass
-        g = Grid1D.uniform(0.0, side, 4)
-        areas = np.outer(g.cell_widths, g.cell_widths)
-        targets = [areas.sum(axis=1) / areas.sum(), areas.sum(axis=0) / areas.sum()]
-        targets[axis][2] = scale * floor_density(areas) * areas.sum(axis=1 - axis)[2]
-        return areas, *targets
-
-    @pytest.mark.parametrize("axis", [0, 1], ids=["row", "column"])
-    def test_a_line_at_its_floor_mass_is_tight(self, axis):
-        assert optimizer._floor_tight(*self.targets(1.0, axis, 1.0))
-
-    @pytest.mark.parametrize("axis", [0, 1], ids=["row", "column"])
-    def test_a_line_above_the_floor_tolerance_is_not(self, axis):
-        assert not optimizer._floor_tight(*self.targets(1.0, axis, 1 + 2e-9))
-
-    def test_a_dilation_by_16_keeps_the_verdict(self):
-        # the floor is a share of the domain, so the rule is unit-free: the
-        # lines and compare8's pairs below get one verdict on [0, 1]^2 and on
-        # [0, 16]^2, whose floor density is 256 times smaller
-        for axis in (0, 1):
-            for scale in (1.0, 1 + 2e-9):
-                verdicts = {optimizer._floor_tight(*self.targets(side, axis, scale)) for side in (1.0, 16.0)}
-                assert verdicts == {scale == 1.0}, (axis, scale)
-        assert self.compare8_verdicts(16.0) == self.compare8_verdicts(1.0)
-
-    @staticmethod
-    def compare8_verdicts(side):
-        tight = []
-        for case in [(1, 1, 0), (2, 0, 1), (3, 1, 1), (4, 2, 1), (5, 1, 2), (6, 2, 2)]:
-            f, f_tilde = shift_pair(*case, 8, side)
-            f1, f2 = f.marginals[0], f_tilde.marginals[1]
-            areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-            tight.append(optimizer._floor_tight(areas, f1.cell_masses, f2.cell_masses))
-        return tight
-
-    def test_compare8_pairs(self):
-        # five of criterion 4's six shift pairs have a y-marginal line at its
-        # floor mass; shift1_10's vacated row holds 1.18 times its floor mass
-        assert self.compare8_verdicts(1.0) == [False, True, True, True, True, True]
 
 
 class TestFeasibleDirection:
@@ -514,9 +441,9 @@ class TestSolve:
     def test_a_start_that_takes_no_step_is_projected(self):
         from planar_mk.variational import evaluate_L
 
-        # compare8's shift3_11: the raw independent start sits below the
-        # coupling floor, so p* after no step is its IPFP projection, and
-        # the trace is L at p* (L at the raw start is 4.3e-12 relative off)
+        # compare8's shift3_11: after no step p* is the raw independent
+        # coupling as it stands (feasible to roundoff, with cells below the
+        # density floor), and both traces are read at p*
         f, f_tilde = shift_pair(3, 1, 1, 8)
         f1, f2 = f.marginals[0], f_tilde.marginals[1]
         independent = np.outer(f1.values, f2.values)
@@ -524,12 +451,13 @@ class TestSolve:
         for config, reason in ((SolverConfig(max_iters=0), "max_iters"), (SolverConfig(grad_tol=1e9), "grad_tol")):
             report = solve(f, f_tilde, config)
             assert report.iterations == 0 and report.termination_reason == reason
-            p = report.p_star
-            assert np.array_equal(p.values, _ipfp_values(independent, f1, f2))
-            assert optimizer._marginal_residual(p.cell_masses, f1.cell_masses, f2.cell_masses)[0] <= FEAS_TOL
-            assert np.min(p.values) >= floor_band(p.cell_areas)[0]
-            assert report.at_p_star.L_value == evaluate_L(f, f_tilde, p)
-            assert report.L_trace.tolist() == [report.at_p_star.L_value]
+            p, at = report.p_star, report.at_p_star
+            assert np.array_equal(p.values, independent)
+            assert at.L_value == evaluate_L(f, f_tilde, p)
+            assert report.L_trace.tolist() == [at.L_value]
+            pg = project_zero_marginals(at.phi + at.psi, f1.grid.cell_widths, f2.grid.cell_widths)
+            gnorm = float(np.sqrt((pg**2 * p.cell_areas).sum()))
+            assert report.grad_norm_trace.tolist() == ([gnorm] if reason == "grad_tol" else [])
 
     def test_first_order_condition_and_alternating_sums_at_optimum(self, monkeypatch):
         # deep convergence: at the optimum the variation kernel pairs to ~0

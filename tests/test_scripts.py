@@ -11,6 +11,7 @@ import planar_mk
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 RUNS = {
+    "fuzz_solve.py": ["--count", "5"],
     "ipfp_timing.py": ["--repeat", "1"],
     "lp_timing.py": ["--repeat", "1"],
     "make_demo_densities.py": ["--n", "4"],  # writes demo/ under the working directory

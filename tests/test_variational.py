@@ -147,12 +147,12 @@ class TestCouplingIsADensity:
         for call in calls:
             assert _bytes(call(p)) == _bytes(call(q))
 
-    def test_floor_dip_rejected(self):
+    def test_cells_may_be_zero(self):
+        # feasible: both marginals are uniform, and two cells carry nothing
         g = Grid1D.uniform(0.0, 1.0, 2)
         uniform = DiscreteDensity1D(g, np.ones(2))
-        # feasible: both marginals are uniform, but two cells carry nothing
-        with pytest.raises(ValueError, match="below the positivity floor"):
-            CouplingDensity(g, g, np.array([[2.0, 0.0], [0.0, 2.0]]), uniform, uniform)
+        p = CouplingDensity(g, g, np.array([[2.0, 0.0], [0.0, 2.0]]), uniform, uniform)
+        assert p.values.min() == 0.0
 
 
 class TestFirstVariation:

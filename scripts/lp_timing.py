@@ -67,12 +67,11 @@ def main() -> None:
         best = float("inf")
         for _ in range(args.repeat):
             start = time.perf_counter()
-            result = oracle.solve_full_2d(f, f_tilde)
+            plan = oracle.solve_full_2d(f, f_tilde)
             best = min(best, time.perf_counter() - start)
-        plan, a, b = result.plan, result.instance.supply, result.instance.demand
         print(
             f"{name:<28} {pivots:>6} {best:>9.4f} {1e3 * best / max(pivots, 1):>9.4f} "
-            f"{max(plan.marginal_errors(a, b)):>9.2g} {plan.duality_gap(a, b):>9.2g} {result.objective:>20.15g}"
+            f"{max(plan.marginal_errors()):>9.2g} {plan.duality_gap():>9.2g} {plan.objective:>20.15g}"
         )
 
 

@@ -93,7 +93,7 @@ class TransportInstance:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A transport plan; `solve_lp` also sets the dual potentials u, v.
+    """A transport plan on its instance; `solve_lp` also sets the dual potentials u, v.
 
     The potentials satisfy u_i + v_j = C_ij on the final basis and
     u_i + v_j <= C_ij elsewhere, to the reduced-cost tolerance 1e-11 max(1, max C),
@@ -101,18 +101,22 @@ class TransportPlan:
     """
 
     flows: np.ndarray
-    objective: float
+    instance: TransportInstance
     u: np.ndarray | None = None
     v: np.ndarray | None = None
 
-    def marginal_errors(self, supply: np.ndarray, demand: np.ndarray) -> tuple[float, float]:
-        r = float(np.max(np.abs(self.flows.sum(axis=1) - supply)))
-        c = float(np.max(np.abs(self.flows.sum(axis=0) - demand)))
+    @property
+    def objective(self) -> float:
+        return float(np.sum(self.flows * self.instance.cost))
+
+    def marginal_errors(self) -> tuple[float, float]:
+        r = float(np.max(np.abs(self.flows.sum(axis=1) - self.instance.supply)))
+        c = float(np.max(np.abs(self.flows.sum(axis=0) - self.instance.demand)))
         return r, c
 
-    def duality_gap(self, supply: np.ndarray, demand: np.ndarray) -> float:
+    def duality_gap(self) -> float:
         """|u.a + v.b - objective|: the dual value's distance from the primal one."""
-        return abs(float(self.u @ supply + self.v @ demand) - self.objective)
+        return abs(float(self.u @ self.instance.supply + self.v @ self.instance.demand) - self.objective)
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
@@ -214,9 +218,9 @@ def solve_lp(instance: TransportInstance) -> TransportPlan:
     flows[np.ix_(rows, cols)], u[rows], v[cols] = _simplex(a[rows], b[cols], cost[np.ix_(rows, cols)])
     u[~rows] = np.min(cost[~rows][:, cols] - v[cols], axis=1)
     v[~cols] = np.min(cost[:, ~cols] - u[:, None], axis=0)
-    plan = TransportPlan(flows, float(np.sum(flows * cost)), u, v)
-    if max(plan.marginal_errors(a, b)) > 1e-10:
-        raise RuntimeError(f"plan marginals off by {max(plan.marginal_errors(a, b))}")
+    plan = TransportPlan(flows, instance, u, v)
+    if max(plan.marginal_errors()) > 1e-10:
+        raise RuntimeError(f"plan marginals off by {max(plan.marginal_errors())}")
     return plan
 
 
@@ -318,7 +322,7 @@ def comonotone_plan_1d(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarra
     for node, par, step in _northwest_corner(instance.supply[ox], instance.demand[oy]):
         i, j = _arc(node, par, x.size)
         flows[ox[i], oy[j]] = step
-    return TransportPlan(flows, float(np.sum(flows * instance.cost)))
+    return TransportPlan(flows, instance)
 
 
 def atoms_from_density_2d(d: DiscreteDensity2D) -> tuple[np.ndarray, np.ndarray]:
@@ -329,17 +333,7 @@ def atoms_from_density_2d(d: DiscreteDensity2D) -> tuple[np.ndarray, np.ndarray]
     return points, masses
 
 
-@dataclass(frozen=True)
-class Planar2DPlan:
-    plan: TransportPlan
-    instance: TransportInstance
-
-    @property
-    def objective(self) -> float:
-        return self.plan.objective
-
-
-def solve_full_2d(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> Planar2DPlan:
+def solve_full_2d(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> TransportPlan:
     """Exact planar optimum: both densities flattened to cell-center atoms.
 
     The flow matrix has (n_x*n_y)^2 entries; the MAX_ATOMS_PER_SIDE cap keeps
@@ -357,5 +351,4 @@ def solve_full_2d(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D) -> Planar2DP
     pt, mt = atoms_from_density_2d(f_tilde)
     cost = np.sum((ps[:, None, :] - pt[None, :, :]) ** 2, axis=2)
     # renormalize away float drift so the instance passes balance validation
-    instance = TransportInstance(ms / ms.sum(), mt / mt.sum(), cost)
-    return Planar2DPlan(solve_lp(instance), instance)
+    return solve_lp(TransportInstance(ms / ms.sum(), mt / mt.sum(), cost))

@@ -18,16 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import check_coupling_side
-from .measures import DiscreteDensity2D, Grid1D, QuantileTable, RampCache
+from .measures import DiscreteDensity2D, QuantileTable, RampCache
 
 
 class DegenerateSliceError(ValueError):
     pass
 
 
-def _conditional_cums(d: DiscreteDensity2D, condition_axis: str) -> tuple[Grid1D, np.ndarray]:
-    """Conditional CDFs at the free axis' nodes, one row per conditioning cell.
+def conditional_quantile_field(d: DiscreteDensity2D, condition_axis: str) -> QuantileTable:
+    """Every conditional quantile function of a density as one stacked table.
 
+    Conditioned on x, table row i inverts the conditional CDF along y given
+    x-cell i; conditioned on y, row j inverts the one along x given y-cell j.
     Each row is normalized by its own slice mass. The row masses are summed
     on a C-contiguous copy so that every row sums pairwise, exactly like a
     1-D slice sum.
@@ -46,61 +48,40 @@ def _conditional_cums(d: DiscreteDensity2D, condition_axis: str) -> tuple[Grid1D
     np.cumsum(masses, axis=1, out=cums[:, 1:])
     cums[:, 1:] /= totals[:, None]
     cums[:, -1] = 1.0
-    return grid, cums
+    return QuantileTable(cums, np.broadcast_to(grid.nodes, cums.shape))
 
 
-@dataclass(frozen=True)
-class ConditionalQuantileField:
-    """Every conditional quantile function of a density as one stacked table.
+def _at_centers(
+    table: QuantileTable, rows: np.ndarray, cache: RampCache | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantiles and ramp slopes at the cell-center levels of coupling masses.
 
-    Conditioned on x, table row i inverts the conditional CDF along y given
-    x-cell i; conditioned on y, row j inverts the one along x given y-cell j.
+    rows holds one row of coupling masses along the free axis per table row.
+    A center's level counts half of its own cell; each row is normalized by
+    its mass, summed as in `conditional_quantile_field`. Returns the
+    quantiles, the slopes and the row masses. cache goes to the table's
+    `value_and_slope`.
     """
-
-    table: QuantileTable
-
-    def at_centers(
-        self, rows: np.ndarray, cache: RampCache | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Quantiles and ramp slopes at the cell-center levels of coupling masses.
-
-        rows holds one row of coupling masses along the free axis per table
-        row. A center's level counts half of its own cell; each row is
-        normalized by its mass, summed as in `_conditional_cums`. Returns the
-        quantiles, the slopes and the row masses. cache goes to the table's
-        `value_and_slope`.
-        """
-        totals = np.ascontiguousarray(rows).sum(axis=1)
-        levels = np.add.accumulate(rows, axis=1)
-        levels -= 0.5 * rows
-        levels /= totals[:, None]
-        # the clip to [1e-15, 1] in two ufunc calls; NaN passes through to the level check
-        np.maximum(levels, 1e-15, out=levels)
-        val, slope = self.table.value_and_slope(np.minimum(levels, 1.0, out=levels), cache)
-        return val, slope, totals
+    totals = np.ascontiguousarray(rows).sum(axis=1)
+    levels = np.add.accumulate(rows, axis=1)
+    levels -= 0.5 * rows
+    levels /= totals[:, None]
+    # the clip to [1e-15, 1] in two ufunc calls; NaN passes through to the level check
+    np.maximum(levels, 1e-15, out=levels)
+    val, slope = table.value_and_slope(np.minimum(levels, 1.0, out=levels), cache)
+    return val, slope, totals
 
 
-def conditional_quantile_field(d: DiscreteDensity2D, condition_axis: str) -> ConditionalQuantileField:
-    grid, cums = _conditional_cums(d, condition_axis)
-    table = QuantileTable(cums, np.broadcast_to(grid.nodes, cums.shape))
-    return ConditionalQuantileField(table)
-
-
-def _slice_costs(resid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _slice_costs(sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-slice sum of mass x squared residual; every cost of L sums here.
 
     One batched matmul of (S, 1, K) by (S, K, 1): numpy runs each 1x1
     product as one BLAS dot on the caller's own strides, the dot `np.dot`
-    makes on one slice. The squares are C-ordered and the rows keep their
-    strides, because BLAS sums a strided vector in an order that depends on
-    the stride. `einsum` and a multiply-then-sum add in other orders, so
-    they would move the last bits of L.
+    makes on one slice. The squares sq must be C-ordered and the rows keep
+    their strides, because BLAS sums a strided vector in an order that
+    depends on the stride. `einsum` and a multiply-then-sum add in other
+    orders, so they would move the last bits of L.
     """
-    return _square_costs(np.square(resid, order="C"), rows)
-
-
-def _square_costs(sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`_slice_costs` on residuals the caller has squared already, C-ordered."""
     return np.matmul(sq[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
@@ -110,7 +91,7 @@ def build_g_map(f: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
     p must couple f's x-marginal (`check_coupling_side`, axis 0).
     """
     check_coupling_side(p, f.marginals[0], 0)
-    return conditional_quantile_field(f, "x").at_centers(p.cell_masses)[0]
+    return _at_centers(conditional_quantile_field(f, "x"), p.cell_masses)[0]
 
 
 def build_h_map(f_tilde: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
@@ -119,9 +100,9 @@ def build_h_map(f_tilde: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
     p must couple f~'s y-marginal (`check_coupling_side`, axis 1).
     """
     check_coupling_side(p, f_tilde.marginals[1], 1)
-    field = conditional_quantile_field(f_tilde, "y")
+    table = conditional_quantile_field(f_tilde, "y")
     # C order like g, so that sums over h run in the same order as over g
-    return np.ascontiguousarray(field.at_centers(p.cell_masses.T)[0].T)
+    return np.ascontiguousarray(_at_centers(table, p.cell_masses.T)[0].T)
 
 
 @dataclass(frozen=True)
@@ -132,21 +113,21 @@ class PushforwardReport:
 
 
 def _binned_pushforward(
-    field: ConditionalQuantileField, rows: np.ndarray, maps: np.ndarray, edges: np.ndarray, name: str
+    table: QuantileTable, rows: np.ndarray, maps: np.ndarray, edges: np.ndarray, name: str
 ) -> np.ndarray:
     """Law of the free coordinate under p, slice by slice, binned onto edges.
 
-    rows holds p's masses with one row per table row of the field, maps the
-    map values on the same layout. Each cell's mass is spread uniformly over
-    the image of the cell, whose edges are recomputed from the field and p.
-    The deposited mass is then piecewise linear in position between the
-    image edges, so a bin receives the difference of its values at the bin
-    edges.
+    rows holds p's masses with one row per row of the conditional-quantile
+    table, maps the map values on the same layout. Each cell's mass is spread
+    uniformly over the image of the cell, whose edges are recomputed from the
+    table and p. The deposited mass is then piecewise linear in position
+    between the image edges, so a bin receives the difference of its values
+    at the bin edges.
     """
     deposited = np.zeros((rows.shape[0], rows.shape[1] + 1))
     cum = np.cumsum(rows, axis=1, out=deposited[:, 1:])
     levels = np.clip(cum / np.ascontiguousarray(rows).sum(axis=1)[:, None], 1e-15, 1.0)
-    image_edges = np.concatenate([field.table.values[:, :1], field.table(levels)], axis=1)
+    image_edges = np.concatenate([table.values[:, :1], table(levels)], axis=1)
     if np.any(maps < image_edges[:, :-1] - 1e-9) or np.any(maps > image_edges[:, 1:] + 1e-9):
         raise ValueError(f"{name} is inconsistent with its density and p; rebuild it with build_{name}_map")
     binned = np.empty((rows.shape[0], edges.size - 1))
@@ -176,8 +157,8 @@ def pushforward_check(
     refinement; identically zero when p matches f's conditional structure.
     """
     masses = p.cell_masses
-    field = conditional_quantile_field(f, "x")
-    binned = _binned_pushforward(field, masses, g, f.grid_y.nodes, "g")
+    table = conditional_quantile_field(f, "x")
+    binned = _binned_pushforward(table, masses, g, f.grid_y.nodes, "g")
     return _pushforward_report(binned, f.cell_masses)
 
 
@@ -188,8 +169,8 @@ def pushforward_check_h(
 ) -> PushforwardReport:
     """Law of (h(X1, Y2), Y2) under p against f~ (transpose of the g check)."""
     masses = p.cell_masses
-    field = conditional_quantile_field(f_tilde, "y")
-    binned = _binned_pushforward(field, masses.T, h.T, f_tilde.grid_x.nodes, "h")
+    table = conditional_quantile_field(f_tilde, "y")
+    binned = _binned_pushforward(table, masses.T, h.T, f_tilde.grid_x.nodes, "h")
     return _pushforward_report(binned.T, f_tilde.cell_masses)
 
 
@@ -213,6 +194,6 @@ def coupling_cost(
     masses = p.cell_masses
     if g.shape != masses.shape or h.shape != masses.shape:
         raise ValueError("maps must live on p's grid")
-    term_y = float(_slice_costs(p.grid_y.centers - g, masses).sum())
-    term_x = float(_slice_costs(p.grid_x.centers - h.T, masses.T).sum())
+    term_y = float(_slice_costs(np.square(p.grid_y.centers - g, order="C"), masses).sum())
+    term_x = float(_slice_costs(np.square(p.grid_x.centers - h.T, order="C"), masses.T).sum())
     return CouplingCost(total=term_x + term_y)

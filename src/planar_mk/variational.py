@@ -35,21 +35,21 @@ from typing import Callable
 import numpy as np
 
 from .coupling import check_coupling_side
-from .measures import DiscreteDensity2D, Grid1D, RampCache
-from .reduction import ConditionalQuantileField, _square_costs, conditional_quantile_field
+from .measures import DiscreteDensity2D, Grid1D, QuantileTable, RampCache
+from .reduction import _at_centers, _slice_costs, conditional_quantile_field
 
 
 def _term_pass(
-    field: ConditionalQuantileField, rows: np.ndarray, centers: np.ndarray, cache: RampCache | None
+    table: QuantileTable, rows: np.ndarray, centers: np.ndarray, cache: RampCache | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-slice cost, map values and variation kernel for one L term.
 
     rows is (n_slices, n_along): row s holds the coupling masses along the
-    integration axis for conditioning slice s; table row s of the field
-    inverts the matching conditional CDF of the fixed density. cache goes to
-    `at_centers`.
+    integration axis for conditioning slice s; table row s inverts the
+    matching conditional CDF of the fixed density. cache goes to
+    `_at_centers`.
     """
-    val, slope, totals = field.at_centers(rows, cache)
+    val, slope, totals = _at_centers(table, rows, cache)
     resid = np.subtract(centers, val, order="C")  # C order, so that its squares are too
     # tail integrand x cell mass: 2 (t - G)(-G_y) p w / f1, built in place
     # so that few (S, K) temporaries are alive at once on large grids
@@ -62,7 +62,7 @@ def _term_pass(
     tail -= b
     sq = np.square(resid, out=resid)  # squared once, for the costs and the tail
     tail += sq
-    return _square_costs(sq, rows), val, tail
+    return _slice_costs(sq, rows), val, tail
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class ObjectivePass:
 
 
 def objective_pass(
-    field_f: ConditionalQuantileField,
-    field_ft: ConditionalQuantileField,
+    field_f: QuantileTable,
+    field_ft: QuantileTable,
     masses: np.ndarray,
     grid_x: Grid1D,
     grid_y: Grid1D,
@@ -102,7 +102,7 @@ def objective_pass(
 
 
 # f's conditional-quantile field along y given x, and f~'s along x given y
-QuantileFields = tuple[ConditionalQuantileField, ConditionalQuantileField]
+QuantileFields = tuple[QuantileTable, QuantileTable]
 
 
 def _checked_pass(

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import planar_mk
 
@@ -18,3 +20,21 @@ def test_every_public_class_and_function_is_listed():
     }
     assert public, "the package binds no public class or function"
     assert public <= set(planar_mk.__all__), f"not in __all__: {sorted(public - set(planar_mk.__all__))}"
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    # no linter guards the package, so an import a refactor leaves unread would stay
+    unread = []
+    for path in sorted(Path(planar_mk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in sorted(bound - read)]
+    assert not unread, f"imported and never read: {unread}"

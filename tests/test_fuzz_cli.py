@@ -19,7 +19,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from planar_mk.cli import main
@@ -70,7 +70,14 @@ def finite_numbers(doc) -> bool:
     return not isinstance(doc, float) or math.isfinite(doc)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+# The seed that `derandomize=True` derived from this test's source (the int
+# of its `function_digest`, Hypothesis 6.155) before the draws were pinned:
+# the same 30 pairs, and an edit to the body no longer swaps them.
+_SEED = 15294053015531163338903864084105713144268117011127331688740035746594181873911245740120838161614559297968751824483492
+
+
+@seed(_SEED)
+@settings(max_examples=30, database=None, deadline=None)
 @given(pair=density_pair())
 def test_valid_pairs_solve_or_are_refused_in_words(pair):
     with tempfile.TemporaryDirectory() as tmp:

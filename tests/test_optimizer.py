@@ -114,7 +114,7 @@ class TestIpfpMatchesMatrixForm:
             assert sweeps > 0
             assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2, seed)
 
-    def test_sparse_inputs_through_the_refloor_loop(self):
+    def test_sparse_inputs_are_floored_then_scaled(self):
         # zeros are floored at the input floor, and scaling a row down
         # shaves its floored cells below it: they are returned as scaled
         for seed in range(8):
@@ -278,7 +278,7 @@ class TestIpfp:
             masses.append(ipfp_project(raw * scale**-2, f1, f2).cell_masses)
         assert masses[0].tobytes() == masses[1].tobytes()
 
-    def test_final_bump_keeps_the_polytope_invariant(self, monkeypatch):
+    def test_every_descent_projection_passes_the_gate(self, monkeypatch):
         # compare8's shift3_11: a column holds exactly the density floor's
         # mass, which scaling cannot keep. Every projection of its descent
         # passes the _IPFP_TOL gate all the same, nonnegative, and returns
@@ -389,7 +389,7 @@ class TestSolve:
         assert report.max_marginal_error < 1e-9
         assert report.termination_reason in ("grad_tol", "max_iters", "stalled")
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         # the instance's densities come from seeds; solve itself draws no random numbers
         g = Grid1D.uniform(0.0, 1.0, 5)
         f = smooth_random_density_2d(g, g, seed=71)
@@ -438,7 +438,7 @@ class TestSolve:
         assert report.termination_reason == "grad_tol" and report.iterations == 10
         assert report.max_marginal_error <= FEAS_TOL
 
-    def test_a_start_that_takes_no_step_is_projected(self):
+    def test_a_start_that_takes_no_step_is_p_star(self):
         from planar_mk.variational import evaluate_L
 
         # compare8's shift3_11: after no step p* is the raw independent

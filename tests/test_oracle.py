@@ -9,7 +9,6 @@ from planar_mk import oracle
 from planar_mk.instances import smooth_random_density_2d
 from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
 from planar_mk.oracle import (
-    Planar2DPlan,
     SizeLimitError,
     TransportInstance,
     TransportPlan,
@@ -57,11 +56,12 @@ def tied_instances(seed, count, max_side, min_side=1):
         yield TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2)
 
 
-def assert_certified(plan, instance):
+def assert_certified(plan):
     """Dual feasibility and strong duality, to tolerances scaled with the costs: a proof of optimality."""
-    scale = max(1.0, float(instance.cost.max()))
-    assert np.max(plan.u[:, None] + plan.v[None, :] - instance.cost) <= oracle._RC_TOL * scale
-    assert plan.duality_gap(instance.supply, instance.demand) <= 1e-10 * scale
+    cost = plan.instance.cost
+    scale = max(1.0, float(cost.max()))
+    assert np.max(plan.u[:, None] + plan.v[None, :] - cost) <= oracle._RC_TOL * scale
+    assert plan.duality_gap() <= 1e-10 * scale
 
 
 def assert_same_plan(plan, ref):
@@ -190,7 +190,7 @@ def reference_solve_lp(instance):
         u[i] = min(instance.cost[i, j] - v[j] for j in keep_cols)
     for j in np.flatnonzero(instance.demand == 0):
         v[j] = min(instance.cost[:, j] - u)
-    return TransportPlan(flow_mat, float(np.sum(flow_mat * instance.cost)), u, v)
+    return TransportPlan(flow_mat, instance, u, v)
 
 
 def random_instances(seed, count, max_side, min_side=1):
@@ -253,7 +253,7 @@ class TestSolveLp:
             x, a, y, b = random_instance(rng, m, k, tied)
             plan = solve_lp(TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2))
             assert np.sum(plan.flows > 1e-14) <= m + k - 1
-            r, c = plan.marginal_errors(a, b)
+            r, c = plan.marginal_errors()
             assert max(r, c) < 1e-10
 
     @pytest.mark.parametrize("field", ["supply", "demand", "cost"])
@@ -285,15 +285,14 @@ class TestSolveLp:
 
     def test_duality_certificate_on_compare8(self):
         for f, f_tilde in compare8_pairs():
-            result = solve_full_2d(f, f_tilde)
-            plan, instance = result.plan, result.instance
-            assert_certified(plan, instance)
-            assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-13
-            assert plan.duality_gap(instance.supply, instance.demand) <= 1e-13
+            plan = solve_full_2d(f, f_tilde)
+            assert_certified(plan)
+            assert max(plan.marginal_errors()) <= 1e-13
+            assert plan.duality_gap() <= 1e-13
 
     def test_duality_certificate_on_tied_instances(self):
         for instance in tied_instances(seed=15, count=200, max_side=12):
-            assert_certified(solve_lp(instance), instance)
+            assert_certified(solve_lp(instance))
 
     def test_tree_strongly_feasible_before_every_pivot(self, monkeypatch):
         # masses in 16ths, zeros among them, so every flow is exact: before
@@ -316,7 +315,7 @@ class TestSolveLp:
             a, b = rng.multinomial(16, np.ones(m) / m) / 16, rng.multinomial(16, np.ones(k) / k) / 16
             columns.append(np.count_nonzero(b))
             plan = solve_lp(TransportInstance(a, b, (x[:, None] - y[None, :]) ** 2))
-            assert max(plan.marginal_errors(a, b)) == 0.0
+            assert max(plan.marginal_errors()) == 0.0
         assert len(checks) > 1000
         assert all(checks)
 
@@ -356,7 +355,7 @@ class TestSolveLp:
         thetas = spy_pivots(monkeypatch)
         for instance in instances():
             assert instance.cost.size > oracle._BLOCK_ARCS
-            assert_certified(solve_lp(instance), instance)
+            assert_certified(solve_lp(instance))
         assert len(thetas) > 1000
 
     def test_pivot_budget_on_compare8(self, monkeypatch):
@@ -424,13 +423,13 @@ class TestSolveLp:
 
     def test_bit_identical_to_whole_tree_walks_on_compare8(self):
         for f, f_tilde in compare8_pairs():
-            result = solve_full_2d(f, f_tilde)
-            assert_same_plan(result.plan, reference_solve_lp(result.instance))
+            plan = solve_full_2d(f, f_tilde)
+            assert_same_plan(plan, reference_solve_lp(plan.instance))
 
     @settings(max_examples=200, deadline=None)
     @given(instance=lp_instances())
     def test_certificate_on_random_instances(self, instance):
-        assert_certified(solve_lp(instance), instance)
+        assert_certified(solve_lp(instance))
 
     @settings(max_examples=100, deadline=None)
     @given(instance=lp_instances(max_side=40, positive_mass=st.one_of(st.floats(1e-12, 1e-11), st.floats(1e-3, 1.0))))
@@ -438,8 +437,8 @@ class TestSolveLp:
         # floor-level masses of 1e-12 to 1e-11 among bulk ones: the simplex
         # runs on the real masses, so they cost no accuracy
         plan = solve_lp(instance)
-        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-13
-        assert_certified(plan, instance)
+        assert max(plan.marginal_errors()) <= 1e-13
+        assert_certified(plan)
 
     def test_costs_scaled_1e5_certify_marginals_or_fail_fast(self):
         # the reduced-cost tolerance grows with the largest cost, so roundoff in
@@ -448,8 +447,8 @@ class TestSolveLp:
             a, b = instance.supply, instance.demand
             scaled = TransportInstance(a, b, instance.cost * 1e5)
             plan = solve_lp(scaled)
-            assert max(plan.marginal_errors(a, b)) <= 1e-13
-            assert_certified(plan, scaled)
+            assert max(plan.marginal_errors()) <= 1e-13
+            assert_certified(plan)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
@@ -527,8 +526,7 @@ class TestFull2D:
     def test_identical_densities(self):
         g = Grid1D.uniform(0.0, 1.0, 3)
         f = smooth_random_density_2d(g, g, seed=5)
-        result = solve_full_2d(f, f)
-        assert result.objective == pytest.approx(0.0, abs=1e-10)
+        assert solve_full_2d(f, f).objective == pytest.approx(0.0, abs=1e-10)
 
     def test_concentrated_cells(self):
         g = Grid1D.uniform(-0.5, 1.5, 2)  # centers at 0 and 1
@@ -559,13 +557,12 @@ class TestFull2D:
         # masses down to 6.6e-12: the simplex runs on the real masses, so they
         # cost the plan no accuracy
         f, f_tilde = narrow_gaussian_pair(16)
-        result = solve_full_2d(f, f_tilde if target == "f_tilde" else f)
-        plan, instance = result.plan, result.instance
-        assert max(plan.marginal_errors(instance.supply, instance.demand)) <= 1e-13
-        assert plan.duality_gap(instance.supply, instance.demand) <= 1e-13
-        assert_certified(plan, instance)
+        plan = solve_full_2d(f, f_tilde if target == "f_tilde" else f)
+        assert max(plan.marginal_errors()) <= 1e-13
+        assert plan.duality_gap() <= 1e-13
+        assert_certified(plan)
         if target == "f":
-            assert result.objective == 0.0
+            assert plan.objective == 0.0
 
     def test_size_limit(self):
         g = Grid1D.uniform(0.0, 1.0, 17)
@@ -587,9 +584,8 @@ class TestFull2D:
         g = Grid1D.uniform(0.0, 1.0, 3)
         f = smooth_random_density_2d(g, g, seed=7)
         ft = smooth_random_density_2d(g, g, seed=8)
-        result = solve_full_2d(f, ft)
+        flows = solve_full_2d(f, ft).flows
         ps, pt = atoms_from_density_2d(f)[0], atoms_from_density_2d(ft)[0]
-        flows = result.plan.flows
         full = float(np.sum(flows * np.sum((ps[:, None, :] - pt[None, :, :]) ** 2, axis=2)))
         per_x = float(np.sum(flows * (ps[:, None, 0] - pt[None, :, 0]) ** 2))
         per_y = float(np.sum(flows * (ps[:, None, 1] - pt[None, :, 1]) ** 2))

@@ -21,8 +21,8 @@ from planar_mk.measures import (
 from planar_mk.optimizer import ipfp_project
 from planar_mk.oracle import solve_full_2d
 from planar_mk.reduction import (
-    ConditionalQuantileField,
     DegenerateSliceError,
+    _at_centers,
     _slice_costs,
     build_g_map,
     build_h_map,
@@ -46,15 +46,15 @@ class TestConditionalCdf:
         u = DiscreteDensity1D.from_values(g, rng.uniform(0.1, 1.0, 4))
         v = DiscreteDensity1D.from_values(g, rng.uniform(0.1, 1.0, 4))
         d = product_density_2d(u, v)
-        probs = conditional_quantile_field(d, "x").table.probs
+        probs = conditional_quantile_field(d, "x").probs
         for i in range(4):
             assert np.allclose(probs[i], QuantileTable.from_density(v).probs[0], atol=1e-12)
 
     def test_hand_computed_2x2_slice(self):
         g = unit_cell_grid(2)
         d = DiscreteDensity2D(g, g, np.array([[0.4, 0.1], [0.2, 0.3]]))
-        assert np.allclose(conditional_quantile_field(d, "x").table.probs[0], [0.0, 0.8, 1.0])
-        assert np.allclose(conditional_quantile_field(d, "y").table.probs[1], [0.0, 0.25, 1.0])
+        assert np.allclose(conditional_quantile_field(d, "x").probs[0], [0.0, 0.8, 1.0])
+        assert np.allclose(conditional_quantile_field(d, "y").probs[1], [0.0, 0.25, 1.0])
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_empty_slice_raises(self, axis):
@@ -67,7 +67,7 @@ class TestConditionalCdf:
     def test_uniform_every_slice(self):
         g = Grid1D.uniform(0.0, 1.0, 5)
         d = DiscreteDensity2D(g, g, np.ones((5, 5)))
-        probs = conditional_quantile_field(d, "x").table.probs
+        probs = conditional_quantile_field(d, "x").probs
         for i in range(5):
             assert np.allclose(probs[i], np.linspace(0, 1, 6))
 
@@ -93,17 +93,17 @@ class TestAtCenters:
         np.clip(reference, 1e-15, 1.0, out=reference)
         recorder = _LevelRecorder()
         for slices in (rows, np.asfortranarray(rows)):  # C rows, and transposed masses as h passes them
-            ConditionalQuantileField(recorder).at_centers(slices)
+            _at_centers(recorder, slices)
             assert np.array_equal(recorder.levels, reference)
             assert (recorder.levels[::2, 0] == 1e-15).all()
 
     def test_nan_row_still_raises(self):
         g = Grid1D.uniform(0.0, 1.0, 4)
-        field = conditional_quantile_field(DiscreteDensity2D(g, g, np.ones((4, 4))), "x")
+        table = conditional_quantile_field(DiscreteDensity2D(g, g, np.ones((4, 4))), "x")
         rows = np.full((4, 4), 1.0 / 16.0)
         rows[2, 1] = np.nan
         with pytest.raises(ValueError, match="quantile level"):
-            field.at_centers(rows)
+            _at_centers(table, rows)
 
 
 class TestGMap:
@@ -236,7 +236,7 @@ class TestPushforward:
             binned = pushforward_check(f, p, build_g_map(f, p)).binned_masses
             axis, edges = "x", gy.nodes
         expected = np.zeros_like(binned)
-        table = conditional_quantile_field(f, axis).table
+        table = conditional_quantile_field(f, axis)
         for s in range(masses.shape[0]):
             levels = np.clip(np.cumsum(masses[s]) / masses[s].sum(), 1e-15, 1.0)
             hi = QuantileTable(table.probs[s], table.values[s])(levels)
@@ -286,7 +286,7 @@ class TestSliceCosts:
         for rows, res in ((masses, resid), (masses.T, resid.T), (masses.T, np.ascontiguousarray(resid.T))):
             sq = np.square(res, order="C")
             expected = np.array([np.dot(sq[s], rows[s]) for s in range(rows.shape[0])])
-            got = _slice_costs(res, rows)
+            got = _slice_costs(sq, rows)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected), rows.flags.c_contiguous
 

@@ -12,16 +12,23 @@ the solves that ended (report.json's `max_iterate_l1`) and their total
 iterations.
 
     python3 scripts/fuzz_solve.py --count 300 --seed 0
+
+Run it from any directory; it imports src/planar_mk from the checkout it
+lives in, so two checkouts' outputs can be diffed.
 """
 
 import argparse
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from planar_mk.measures import DiscreteDensity2D, Grid1D
-from planar_mk.optimizer import SolverConfig, solve
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from planar_mk.measures import DiscreteDensity2D, Grid1D  # noqa: E402
+from planar_mk.optimizer import SolverConfig, solve  # noqa: E402
 
 STARTS = (0.0, -3.0, 1e3, 1e6)
 SPANS = (1e-3, 1.0, 7.0, 50.0, 1e4)

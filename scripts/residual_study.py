@@ -12,9 +12,8 @@ import argparse
 import numpy as np
 
 from planar_mk.instances import density_2d_from_function, gaussian_2d, smooth_random_density_2d
-from planar_mk.measures import DiscreteDensity2D, Grid1D, marginals_2d
-from planar_mk.optimizer import SolverConfig, ipfp_project, solve
-from planar_mk.variational import euler_lagrange_residual
+from planar_mk.measures import DiscreteDensity2D, Grid1D
+from planar_mk.optimizer import SolverConfig, solve
 
 
 def build_instances(n):
@@ -47,11 +46,8 @@ def main() -> None:
     cfg = SolverConfig(max_iters=args.max_iters, grad_tol=1e-7)
     print(f"{'instance':<28} {'L(p0)':>10} {'L(p*)':>10} {'resid(p0)':>10} {'resid(p*)':>10} {'ratio':>7}")
     for name, f, f_tilde in build_instances(args.n):
-        f1, _ = marginals_2d(f)
-        _, f2 = marginals_2d(f_tilde)
-        p0 = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
-        r0 = euler_lagrange_residual(f, f_tilde, p0).interior_l2
         report = solve(f, f_tilde, cfg)
+        r0 = report.el_residual_start
         print(
             f"{name:<28} {report.L_trace[0]:>10.6f} {report.L_final:>10.6f} "
             f"{r0:>10.5f} {report.el_residual_final:>10.5f} "

@@ -79,9 +79,6 @@ def cmd_solve(args) -> int:
     write_grid_csv(out_dir / "g.csv", p.grid_x, p.grid_y, report.at_p_star.g)
     write_grid_csv(out_dir / "h.csv", p.grid_x, p.grid_y, report.at_p_star.h)
 
-    f1, f2 = p.target_row_marginal, p.target_col_marginal
-    independent = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
-    el_independent = euler_lagrange_residual(f, f_tilde, independent, report.fields).interior_l2
     body = {
         "command": "solve",
         "version": __version__,
@@ -94,7 +91,7 @@ def cmd_solve(args) -> int:
         "termination_reason": report.termination_reason,
         "el_residual": {
             "interior_l2": report.el_residual_final,
-            "independent_coupling_interior_l2": el_independent,
+            "independent_coupling_interior_l2": report.el_residual_start,
         },
         "marginal_error": {"max_iterate_l1": report.max_marginal_error},
         "per_axis_w2_sum": per_axis_w2_sum(f, f_tilde),

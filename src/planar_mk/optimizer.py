@@ -32,7 +32,7 @@ from .coupling import CouplingDensity, _sums_l1_error
 from .density_io import read_json
 from .measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, RampCache, floor_density
 from .reduction import conditional_quantile_field
-from .variational import ObjectivePass, QuantileFields, euler_lagrange_residual, objective_pass
+from .variational import ObjectivePass, euler_lagrange_residual, objective_pass
 
 
 class NoDescentError(RuntimeError):
@@ -99,8 +99,8 @@ class SolveReport:
     L_trace: np.ndarray
     grad_norm_trace: np.ndarray
     el_residual_final: float
-    at_p_star: ObjectivePass  # L, g, h, phi and psi at p_star, from its residual
-    fields: QuantileFields    # the descent's conditional-quantile fields of f and f~
+    at_p_star: ObjectivePass    # L, g, h, phi and psi at p_star: the descent's pass there
+    el_residual_start: float    # the residual at the descent's start f1 (x) f2
     iterations: int
     termination_reason: str
     max_marginal_error: float
@@ -172,30 +172,22 @@ def _ipfp_core(
     return v, masses, err
 
 
-def _ipfp_values(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> np.ndarray:
-    """`_ipfp_core`'s values on the cell areas and cell masses of the marginals f1 and f2.
-
-    A nonnegative raw that already passes the _IPFP_TOL gate is returned as
-    it stands, so a projection's output projects to itself bit for bit.
-    """
-    areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
-    row_target, col_target = f1.cell_masses, f2.cell_masses
-    raw = np.asarray(raw, dtype=float)
-    if raw.min() >= 0.0 and _marginal_residual(raw * areas, row_target, col_target) < _IPFP_TOL:
-        return raw
-    return _ipfp_core(raw, areas, row_target, col_target)[0]
-
-
 def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
-    """Alternating row/column rescaling onto the marginal targets (`_ipfp_values`).
+    """`_ipfp_core` on the cell areas and cell masses of the marginals f1 and f2.
 
     raw holds nonnegative density values on (f1.grid, f2.grid). Input that
-    already passes the _IPFP_TOL gate is returned unchanged; other input is
+    already passes the _IPFP_TOL gate is returned unchanged, so a
+    projection's output projects to itself bit for bit; other input is
     floored at a mass of 1e-20 in all before scaling, so that every row and
     column has mass, and the result's L1 marginal residual is below
     _IPFP_TOL. Raises after _IPFP_SWEEPS sweeps with the residual.
     """
-    return CouplingDensity(f1.grid, f2.grid, _ipfp_values(raw, f1, f2), f1, f2)
+    areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
+    row_target, col_target = f1.cell_masses, f2.cell_masses
+    values = np.asarray(raw, dtype=float)
+    if not (values.min() >= 0.0 and _marginal_residual(values * areas, row_target, col_target) < _IPFP_TOL):
+        values = _ipfp_core(values, areas, row_target, col_target)[0]
+    return CouplingDensity(f1.grid, f2.grid, values, f1, f2)
 
 
 def feasible_direction(
@@ -241,41 +233,45 @@ def project_zero_marginals(fld: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> n
     return g
 
 
-@dataclass
-class _Descent:
-    values: np.ndarray
-    L_trace: list[float]
-    grad_trace: list[float]
-    iterations: int
-    termination: str
-    max_marginal_error: float
+def solve(
+    f: DiscreteDensity2D,
+    f_tilde: DiscreteDensity2D,
+    config: SolverConfig | None = None,
+) -> SolveReport:
+    """Minimize the reduced objective over couplings of (f1, f2).
 
-
-def _run_mirror_descent(
-    values0: np.ndarray,
-    f1: DiscreteDensity1D,
-    f2: DiscreteDensity1D,
-    field_f,
-    field_ft,
-    config: SolverConfig,
-) -> _Descent:
+    One entropic mirror descent (see the module docstring) runs from the
+    independent coupling f1 (x) f2 until the projected gradient norm reaches
+    grad_tol, the decrease falls below _STALL_TOL * max(1, |L|), or
+    max_iters. It draws no random numbers. p* is the last iterate as it
+    stands: an IPFP output, or after no step the raw independent coupling,
+    whose marginals are f1's and f2's to roundoff. Each coupling is
+    evaluated once: the stationarity residuals at the start and at p* are
+    taken from the descent's own passes there.
+    """
+    config = config or SolverConfig()
+    f1, f2 = f.marginals[0], f_tilde.marginals[1]
+    field_f = conditional_quantile_field(f, "x")
+    field_ft = conditional_quantile_field(f_tilde, "y")
+    start = CouplingDensity(f1.grid, f2.grid, np.outer(f1.values, f2.values), f1, f2)
     grid_x, grid_y = f1.grid, f2.grid
     wx, wy = grid_x.cell_widths, grid_y.cell_widths
     areas = np.outer(wx, wy)
     row_target = f1.cell_masses
     col_target = f2.cell_masses
     span = max(float(wx.sum()), float(wy.sum()))
-    grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * values0.size
+    grad_tol = config.grad_tol if config.grad_tol is not None else 1e-6 * areas.size
 
-    values = values0.copy()
+    values = start.values
     masses = values * areas
     # successive passes move few center levels to another ramp
     caches = RampCache(), RampCache()
-    out = objective_pass(field_f, field_ft, masses, grid_x, grid_y, caches)
-    L_cur, grad = out.L_value, out.phi + out.psi
+    at_start = at_p = objective_pass(field_f, field_ft, masses, grid_x, grid_y, caches)
+    L_cur, grad = at_p.L_value, at_p.phi + at_p.psi
     pg = project_zero_marginals(grad, wx, wy)
-    marg_err = _marginal_residual(masses, row_target, col_target)
-    traces = _Descent(values, [L_cur], [], 0, "max_iters", marg_err)
+    L_trace, grad_trace = [L_cur], []
+    iterations, termination = 0, "max_iters"
+    max_marginal_error = _marginal_residual(masses, row_target, col_target)
     log_values = np.log(values)
     step = _STEP_INIT
 
@@ -286,9 +282,9 @@ def _run_mirror_descent(
         if not marg <= 1e-10 * float(np.abs(grad).max()) * span:
             raise RuntimeError(f"descent direction has marginal sums up to {marg:.3e}")
         gnorm = float(np.sqrt((pg**2 * areas).sum()))
-        traces.grad_trace.append(gnorm)
+        grad_trace.append(gnorm)
         if gnorm <= grad_tol:
-            traces.termination = "grad_tol"
+            termination = "grad_tol"
             break
 
         # trial step: multiplicative (entropic mirror) update, then the KL
@@ -316,7 +312,7 @@ def _run_mirror_descent(
         if accepted is None:
             if it == 0:
                 raise NoDescentError("line search found no decrease at the first iteration") from ipfp_error
-            traces.termination = "stalled"  # no achievable decrease
+            termination = "stalled"  # no achievable decrease
             break
 
         # Barzilai-Borwein opening step for the next iteration, in the log
@@ -330,52 +326,28 @@ def _run_mirror_descent(
         curv = float((m_dlog * (pg_new - pg)).sum())
         step = float((m_dlog * dlog).sum()) / curv if curv > 0.0 else s
 
-        values, log_values, pg = cand, log_cand, pg_new
+        values, log_values, pg, at_p = cand, log_cand, pg_new, accepted
         decrease = L_cur - accepted.L_value
         L_cur = accepted.L_value
-        traces.L_trace.append(L_cur)
-        traces.max_marginal_error = max(traces.max_marginal_error, cand_err)
-        traces.iterations = it + 1
+        L_trace.append(L_cur)
+        max_marginal_error = max(max_marginal_error, cand_err)
+        iterations = it + 1
         if decrease < _STALL_TOL * max(1.0, abs(L_cur)):
-            traces.termination = "stalled"
+            termination = "stalled"
             break
 
-    traces.values = values
-    return traces
-
-
-def solve(
-    f: DiscreteDensity2D,
-    f_tilde: DiscreteDensity2D,
-    config: SolverConfig | None = None,
-) -> SolveReport:
-    """Minimize the reduced objective over couplings of (f1, f2).
-
-    One entropic mirror descent (see the module docstring) runs from the
-    independent coupling f1 (x) f2 until the projected gradient norm reaches
-    grad_tol, the decrease falls below _STALL_TOL * max(1, |L|), or
-    max_iters. It draws no random numbers. p* is the last iterate as it
-    stands: an IPFP output, or after no step the raw independent coupling,
-    whose marginals are f1's and f2's to roundoff.
-    """
-    config = config or SolverConfig()
-    f1, f2 = f.marginals[0], f_tilde.marginals[1]
-    field_f = conditional_quantile_field(f, "x")
-    field_ft = conditional_quantile_field(f_tilde, "y")
-    run = _run_mirror_descent(np.outer(f1.values, f2.values), f1, f2, field_f, field_ft, config)
-    p_star = CouplingDensity(f1.grid, f2.grid, run.values, f1, f2)
-    el = euler_lagrange_residual(f, f_tilde, p_star, (field_f, field_ft))
-    L_trace = np.asarray(run.L_trace)
+    p_star = CouplingDensity(grid_x, grid_y, values, f1, f2) if iterations else start
+    L_trace = np.asarray(L_trace)
     if not np.all(np.diff(L_trace) <= 0.0):
         raise RuntimeError("descent trace must be nonincreasing")
     return SolveReport(
         p_star=p_star,
         L_trace=L_trace,
-        grad_norm_trace=np.asarray(run.grad_trace),
-        el_residual_final=el.interior_l2,
-        at_p_star=el.at_p,
-        fields=(field_f, field_ft),
-        iterations=run.iterations,
-        termination_reason=run.termination,
-        max_marginal_error=run.max_marginal_error,
+        grad_norm_trace=np.asarray(grad_trace),
+        el_residual_final=euler_lagrange_residual(f, f_tilde, p_star, at_p).interior_l2,
+        at_p_star=at_p,
+        el_residual_start=euler_lagrange_residual(f, f_tilde, start, at_start).interior_l2,
+        iterations=iterations,
+        termination_reason=termination,
+        max_marginal_error=max_marginal_error,
     )

@@ -101,23 +101,19 @@ def objective_pass(
     )
 
 
-# f's conditional-quantile field along y given x, and f~'s along x given y
-QuantileFields = tuple[QuantileTable, QuantileTable]
-
-
 def _checked_pass(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
     p: DiscreteDensity2D,
-    fields: QuantileFields | None = None,
+    at_p: ObjectivePass | None = None,
 ) -> ObjectivePass:
-    """The coupling check, then one pass on fields, built from f and f~ if not given."""
+    """The coupling check, then at_p, or one pass on fields built from f and f~ if not given."""
     check_coupling_side(p, f.marginals[0], 0)
     check_coupling_side(p, f_tilde.marginals[1], 1)
-    if fields is None:
-        fields = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
-    field_f, field_ft = fields
-    return objective_pass(field_f, field_ft, p.cell_masses, p.grid_x, p.grid_y)
+    if at_p is None:
+        field_f, field_ft = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+        at_p = objective_pass(field_f, field_ft, p.cell_masses, p.grid_x, p.grid_y)
+    return at_p
 
 
 def evaluate_L(
@@ -182,7 +178,7 @@ def euler_lagrange_residual(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
     p: DiscreteDensity2D,
-    fields: QuantileFields | None = None,
+    at_p: ObjectivePass | None = None,
 ) -> ELResidualReport:
     """Stationarity residual d/dx[G(x, H_x/f1)] + d/dy[G~(H_y/f2, y)].
 
@@ -193,11 +189,11 @@ def euler_lagrange_residual(
     the interior only; the boundary content of the stationarity condition is
     exactly the marginal constraints, which H carries on its last row and
     column (`cumulative_h`).
-    fields, if given, must be f's "x" and f~'s "y" conditional-quantile
-    fields, built once by a caller that evaluates several couplings of the
-    same pair.
+    at_p, if given, must be the pass at p's masses on f's "x" and f~'s "y"
+    conditional-quantile fields, made by a caller that has evaluated p
+    already; the coupling check runs all the same.
     """
-    at_p = _checked_pass(f, f_tilde, p, fields)
+    at_p = _checked_pass(f, f_tilde, p, at_p)
     residual = _axis_derivative(at_p.g, p.grid_x.centers, 0) + _axis_derivative(at_p.h, p.grid_y.centers, 1)
 
     areas = p.cell_areas

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import planar_mk
 from conftest import narrow_gaussian_pair, shift_pair
 from test_oracle import random_instances
-from planar_mk import cli, measures, oracle, reduction
+from planar_mk import cli, measures, oracle, reduction, variational
 from planar_mk.cli import main
 from planar_mk.coupling import FEAS_TOL
 from planar_mk.density_io import (
@@ -224,7 +224,7 @@ class TestCliSolve:
         assert abs(read_density(out / "p_star.csv").total_mass() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("side", [4.0, 16.0, 64.0])
-    def test_floor_bump_keeps_feas_tol_or_fails_in_words(self, tmp_path, capsys, side):
+    def test_floor_tight_pair_solves_on_any_domain(self, tmp_path, capsys, side):
         # criterion 4's seed-6 pair shifted by (2, 2) on [0, side]^2, which
         # has a column at the density floor's mass: its projections pass
         # IPFP's gate on any domain
@@ -241,9 +241,9 @@ class TestCliSolve:
     def test_maps_written_from_the_solve_residual(self, tmp_path, monkeypatch):
         # both conditional-quantile fields are built once per command:
         # check-el evaluates once at p; compare and solve build the descent's
-        # fields, and the residual's pass at p* (which gives L_p_star) and
-        # solve's independent-coupling baseline reuse them. g.csv and h.csv
-        # come from the pass at p*.
+        # fields, and the residuals at p* (whose pass gives L_p_star) and at
+        # the start (solve's independent-coupling baseline) read the
+        # descent's passes there. g.csv and h.csv come from the pass at p*.
         fa, fb = write_pair(tmp_path, seed=3)
         builds = []
         original = reduction.conditional_quantile_field
@@ -267,10 +267,34 @@ class TestCliSolve:
         assert (out / "g.csv").read_bytes() == (tmp_path / "g_ref.csv").read_bytes()
         assert (out / "h.csv").read_bytes() == (tmp_path / "h_ref.csv").read_bytes()
 
+    def test_solve_command_adds_no_pass_and_no_projection(self, tmp_path, monkeypatch):
+        # planar-mk solve reports the descent's own residuals: it makes as
+        # many objective passes as solve alone, and no IPFP projection
+        fa, fb = write_pair(tmp_path, seed=3)
+        passes, projections = [], []
+        original_pass, original_project = variational.objective_pass, ipfp_project
+
+        def count_pass(*args):
+            passes.append(args[2].tobytes())
+            return original_pass(*args)
+
+        def count_projection(*args):
+            projections.append(args)
+            return original_project(*args)
+
+        _patch_planar_mk(monkeypatch, original_pass, count_pass)
+        _patch_planar_mk(monkeypatch, original_project, count_projection)
+        assert main(["solve", "--input-f", fa, "--input-g", fb, "--out-dir", str(tmp_path / "out")]) == 0
+        command_passes = list(passes)
+        passes.clear()
+        solve(read_density(fa), read_density(fb), SolverConfig())
+        assert command_passes == passes and len(passes) > 1
+        assert projections == []
+
     @pytest.mark.parametrize("command", ["check-el", "compare", "solve"])
     def test_each_density_marginals_taken_once(self, tmp_path, monkeypatch, command):
-        # the solve, the residual at p*, solve's independent baseline,
-        # per_axis_w2_sum and check-el's IPFP all read the density's kept marginals
+        # the solve, its residuals at the start and at p*, per_axis_w2_sum
+        # and check-el's IPFP all read the density's kept marginals
         fa, fb = write_pair(tmp_path, seed=3)
         calls = []
         original = measures.marginals_2d

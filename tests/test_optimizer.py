@@ -29,7 +29,6 @@ from planar_mk.measures import (
 )
 from planar_mk.optimizer import (
     IPFPConvergenceError,
-    _ipfp_values,
     NoDescentError,
     SolverConfig,
     feasible_direction,
@@ -45,7 +44,7 @@ def unit_marginal(values):
 
 
 def reference_ipfp_values(raw, f1, f2, max_iters=10_000, tol=1e-13):
-    """The IPFP sweep with three products per sweep that `_ipfp_values` replaced.
+    """The IPFP sweep with three products per sweep that `ipfp_project` replaced.
 
     Its floor rule is written out: the input is floored at EPS_FLOOR times
     the density EPS_FLOOR over the domain's area, a mass of 1e-20 in all,
@@ -112,7 +111,7 @@ class TestIpfpMatchesMatrixForm:
             raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
             expected, sweeps = reference_ipfp_values(raw, f1, f2)
             assert sweeps > 0
-            assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2, seed)
+            assert_matches_matrix_form(ipfp_project(raw, f1, f2).values, expected, f1, f2, seed)
 
     def test_sparse_inputs_are_floored_then_scaled(self):
         # zeros are floored at the input floor, and scaling a row down
@@ -123,13 +122,13 @@ class TestIpfpMatchesMatrixForm:
             raw = np.exp(rng.uniform(-3.0, 3.0, size=(f1.values.size, f2.values.size)))
             raw[rng.random(raw.shape) < 0.5] = 0.0
             expected, _ = reference_ipfp_values(raw, f1, f2)
-            got = _ipfp_values(raw, f1, f2)
+            got = ipfp_project(raw, f1, f2).values
             areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
             assert np.min(got) < EPS_FLOOR * floor_density(areas), seed
             assert_matches_matrix_form(got, expected, f1, f2, seed)
 
     @pytest.mark.parametrize("case", [(3, 1, 1), (6, 2, 2)], ids=["shift3_11", "shift6_22"])
-    def test_floor_tight_inputs_skip_the_refloor_loop(self, case):
+    def test_floor_tight_inputs_pass_the_gate(self, case):
         # a column of these pairs holds exactly the density floor's mass,
         # which scaling cannot keep; the projection passes the gate anyway
         f, f_tilde = shift_pair(*case, 8)
@@ -139,10 +138,8 @@ class TestIpfpMatchesMatrixForm:
             raw = np.outer(f1.values, f2.values) * np.exp(rng.uniform(-1.0, 1.0, size=(8, 8)))
             expected, sweeps = reference_ipfp_values(raw, f1, f2)
             assert sweeps > 0, trial
-            got = _ipfp_values(raw, f1, f2)
+            got = ipfp_project(raw, f1, f2).values  # through the coupling check
             assert_matches_matrix_form(got, expected, f1, f2, trial)
-            p = ipfp_project(raw, f1, f2)  # the coupling check
-            assert np.array_equal(p.values, got)
 
     def test_raises_at_the_same_sweep_budget(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -154,11 +151,11 @@ class TestIpfpMatchesMatrixForm:
             with pytest.raises(IPFPConvergenceError) as ref_exc:
                 reference_ipfp_values(raw, f1, f2, max_iters=budget)
             with pytest.raises(IPFPConvergenceError) as exc:
-                _ipfp_values(raw, f1, f2)
+                ipfp_project(raw, f1, f2)
             assert str(exc.value) == str(ref_exc.value)
         monkeypatch.setattr(optimizer, "_IPFP_SWEEPS", needed)
         expected, _ = reference_ipfp_values(raw, f1, f2, max_iters=needed)
-        assert_matches_matrix_form(_ipfp_values(raw, f1, f2), expected, f1, f2)
+        assert_matches_matrix_form(ipfp_project(raw, f1, f2).values, expected, f1, f2)
 
 
 @st.composite
@@ -194,9 +191,9 @@ def ipfp_problem(draw, zeros):
 class TestIpfpProperties:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
-    def test_output_passes_the_gate_above_the_floor(self, zeros, data):
+    def test_output_passes_the_gate_and_is_nonnegative(self, zeros, data):
         raw, f1, f2 = data.draw(ipfp_problem(zeros))
-        assert_gate_and_nonnegative(_ipfp_values(raw, f1, f2), f1, f2)
+        assert_gate_and_nonnegative(ipfp_project(raw, f1, f2).values, f1, f2)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -578,6 +575,60 @@ class TestSolve:
         assert report.iterations == 50
         assert len(seen) > report.iterations
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_the_last_pass_is_the_one_at_p_star(self, monkeypatch, max_iters):
+        # the residual at p* reuses the descent's pass there: no pass runs
+        # after the last accepted trial, and none outside the descent
+        from planar_mk import variational
+
+        passes = []
+        original = optimizer.objective_pass
+
+        def recording(*args):
+            passes.append(original(*args))
+            return passes[-1]
+
+        def refused(*args):
+            raise AssertionError("a pass outside the descent")
+
+        monkeypatch.setattr(optimizer, "objective_pass", recording)
+        monkeypatch.setattr(variational, "objective_pass", refused)
+        f, f_tilde, _ = named_instance("pair12_8")
+        report = solve(f, f_tilde, SolverConfig(max_iters=max_iters, grad_tol=0.0))
+        assert report.iterations == max_iters and report.termination_reason == "max_iters"
+        assert passes[-1] is report.at_p_star
+        assert report.L_trace[-1] == report.at_p_star.L_value
+        if max_iters == 0:
+            assert len(passes) == 1
+
+    @pytest.mark.parametrize("name", ["correlated", "two_bump", "perturbed", "shift6_22_side16"])
+    def test_start_residual_is_the_independent_coupling_residual(self, name):
+        # criterion 5's three pairs and a floor-tight shift pair: the residual
+        # at the descent's start is the one at the IPFP-projected independent
+        # coupling, bit for bit
+        from planar_mk.instances import density_2d_from_function
+        from planar_mk.variational import euler_lagrange_residual
+
+        g16 = Grid1D.uniform(0.0, 1.0, 16)
+        if name == "correlated":
+            f = f_tilde = gaussian_2d(g16, g16, rho=0.5)
+        elif name == "two_bump":
+            f = f_tilde = density_2d_from_function(g16, g16, lambda X, Y: (
+                np.exp(-((X - 0.3) ** 2 + (Y - 0.35) ** 2) / 0.04)
+                + 0.8 * np.exp(-((X - 0.65) ** 2 + (Y - 0.7) ** 2) / 0.05)
+                + 0.5 * np.exp(-((X - 0.5) ** 2 - 0.8 * (X - 0.5) * (Y - 0.5) + (Y - 0.5) ** 2) / 0.08)
+            ))
+        elif name == "perturbed":
+            f, f_tilde, _ = named_instance("perturbed16")
+        else:
+            f, f_tilde = shift_pair(6, 2, 2, 8, 16.0)
+        f1, f2 = f.marginals[0], f_tilde.marginals[1]
+        independent = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
+        expected = euler_lagrange_residual(f, f_tilde, independent).interior_l2
+        report = solve(f, f_tilde, SolverConfig(max_iters=5))
+        assert report.iterations > 0
+        assert report.el_residual_start == expected
 
     def test_unknown_scheme_rejected(self, tmp_path, capsys):
         # the scheme selector is gone; a config file naming it is an unknown key

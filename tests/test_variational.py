@@ -257,6 +257,32 @@ class TestEulerLagrange:
         assert np.array_equal(report.at_p.g, build_g_map(f, p))
         assert np.array_equal(report.at_p.h, build_h_map(f_tilde, p))
 
+    def test_interior_norm_on_a_nonuniform_grid(self):
+        # interior_l2 is the area-weighted L2 norm of g_x + h_y over the cells
+        # off the boundary ring, with np.gradient on the cell centers; the
+        # same with a caller's pass, which still gets the coupling check
+        gx = Grid1D(np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0]))
+        gy = Grid1D(np.array([-1.0, -0.7, -0.6, -0.2, 0.1, 0.5, 0.6]))
+        f = smooth_random_density_2d(gx, gy, seed=21)
+        f_tilde = smooth_random_density_2d(gx, gy, seed=22)
+        p = make_smooth_feasible_coupling(f, f_tilde, seed=23)
+        at = objective_pass(
+            conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y"),
+            p.cell_masses, gx, gy,
+        )
+        div = np.gradient(at.g, gx.centers, axis=0) + np.gradient(at.h, gy.centers, axis=1)
+        inner = div[1:-1, 1:-1] ** 2 * np.outer(gx.cell_widths, gy.cell_widths)[1:-1, 1:-1]
+        expected = float(np.sqrt(inner.sum()))
+        assert expected > 0.0
+        for given_pass in (None, at):
+            report = euler_lagrange_residual(f, f_tilde, p, given_pass)
+            assert np.array_equal(report.residual, div)
+            assert report.interior_l2 == pytest.approx(expected, rel=1e-14)
+        assert euler_lagrange_residual(f, f_tilde, p, at).at_p is at
+        off = DiscreteDensity2D(gx, gy, f.values)
+        with pytest.raises(FeasibilityError):
+            euler_lagrange_residual(f, f_tilde, off, at)
+
     def test_cumulative_h_boundary_conditions(self, correlated_pair_8, independent_coupling_8):
         f, f_tilde = correlated_pair_8
         H = cumulative_h(independent_coupling_8)

@@ -35,12 +35,10 @@ from .reduction import (
     pushforward_check_h,
 )
 from .variational import (
-    evaluate_L,
+    evaluate,
     euler_lagrange_residual,
-    first_variation,
     lemma1_checker,
     lemma2_checker,
-    simplified_cross_derivatives,
 )
 
 __all__ = [
@@ -59,10 +57,9 @@ __all__ = [
     "build_h_map",
     "comonotone_plan_1d",
     "coupling_cost",
-    "evaluate_L",
+    "evaluate",
     "euler_lagrange_residual",
     "feasible_direction",
-    "first_variation",
     "ipfp_project",
     "lemma1_checker",
     "lemma2_checker",
@@ -70,7 +67,6 @@ __all__ = [
     "per_axis_w2_sum",
     "pushforward_check",
     "pushforward_check_h",
-    "simplified_cross_derivatives",
     "solve",
     "solve_full_2d",
     "solve_lp",

@@ -78,12 +78,11 @@ def grid_spec(grid: Grid1D) -> dict:
 
 
 def _ingest(path: str | Path, grid_x: Grid1D, grid_y: Grid1D, values: np.ndarray) -> DiscreteDensity2D:
-    """The one ingestion step of both formats: finite nonnegative values, floored and renormalized."""
-    if not np.isfinite(values).all():
-        raise DensityFormatError(f"{path}: density values must be finite")
-    if np.any(values < 0):
-        raise DensityFormatError(f"{path}: density values must be nonnegative")
-    return DiscreteDensity2D.from_values(grid_x, grid_y, values)
+    """The one ingestion step of both formats: `DiscreteDensity2D.from_values`, its errors naming the file."""
+    try:
+        return DiscreteDensity2D.from_values(grid_x, grid_y, values)
+    except ValueError as exc:
+        raise DensityFormatError(f"{path}: {exc}") from exc
 
 
 def read_density_json(path: str | Path) -> DiscreteDensity2D:

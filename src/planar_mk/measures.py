@@ -83,6 +83,8 @@ def floor_and_normalize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Values clamped to `floor_density` and rescaled to unit total mass under the cell weights."""
     v = np.asarray(values, dtype=float)
     _check_finite(v)
+    if np.any(v < 0):
+        raise ValueError("density values must be nonnegative")
     v = np.maximum(v, floor_density(weights))
     total = float(np.sum(v * weights))
     if total <= 0:

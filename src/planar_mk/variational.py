@@ -5,7 +5,7 @@ The reduced objective over coupling densities p is
     L(p) = sum_ij mass_ij [ (y_j - g_ij)^2 + (x_i - h_ij)^2 ],
 
 with g, h the conditional-quantile maps of `reduction`. The kernels phi and
-psi returned by `first_variation` are the exact partial derivatives of this
+psi returned by `evaluate` are the exact partial derivatives of this
 discrete L with respect to the cell values (divided by cell area), so the
 pairing sum((phi+psi) * eta * area) reproduces directional derivatives along
 marginal-preserving eta to roundoff: the tail integral
@@ -101,52 +101,28 @@ def objective_pass(
     )
 
 
-def _checked_pass(
-    f: DiscreteDensity2D,
-    f_tilde: DiscreteDensity2D,
-    p: DiscreteDensity2D,
-    at_p: ObjectivePass | None = None,
-) -> ObjectivePass:
-    """The coupling check, then at_p, or one pass on fields built from f and f~ if not given."""
+def _check_coupling(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, p: DiscreteDensity2D) -> None:
+    """p must couple f's x-marginal with f~'s y-marginal on their grids."""
     check_coupling_side(p, f.marginals[0], 0)
     check_coupling_side(p, f_tilde.marginals[1], 1)
-    if at_p is None:
-        field_f, field_ft = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
-        at_p = objective_pass(field_f, field_ft, p.cell_masses, p.grid_x, p.grid_y)
-    return at_p
 
 
-def evaluate_L(
+def evaluate(
     f: DiscreteDensity2D,
     f_tilde: DiscreteDensity2D,
     p: DiscreteDensity2D,
-) -> float:
-    """Reduced objective at p; identical to `coupling_cost` on its own maps."""
-    return _checked_pass(f, f_tilde, p).L_value
+) -> ObjectivePass:
+    """L, the maps g and h and the variation kernels phi and psi at coupling p.
 
-
-def first_variation(
-    f: DiscreteDensity2D,
-    f_tilde: DiscreteDensity2D,
-    p: DiscreteDensity2D,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variation kernels (phi, psi) of L at p.
-
+    p is checked against f's x-marginal and f~'s y-marginal first; then one
+    `objective_pass` runs on f's "x" and f~'s "y" conditional-quantile
+    fields. L equals `coupling_cost` on the pass's own maps, and
     sum((phi + psi) * eta * area) is the exact directional derivative of the
     discrete L along any perturbation eta with zero row and column mass sums.
     """
-    out = _checked_pass(f, f_tilde, p)
-    return out.phi, out.psi
-
-
-def simplified_cross_derivatives(
-    f: DiscreteDensity2D,
-    f_tilde: DiscreteDensity2D,
-    p: DiscreteDensity2D,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed forms phi_y = 2(y - g) and psi_x = 2(x - h) on the grid."""
-    out = _checked_pass(f, f_tilde, p)
-    return 2.0 * (f_tilde.grid_y.centers - out.g), 2.0 * (f.grid_x.centers[:, None] - out.h)
+    _check_coupling(f, f_tilde, p)
+    field_f, field_ft = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+    return objective_pass(field_f, field_ft, p.cell_masses, p.grid_x, p.grid_y)
 
 
 def cumulative_h(p: DiscreteDensity2D) -> np.ndarray:
@@ -193,7 +169,10 @@ def euler_lagrange_residual(
     conditional-quantile fields, made by a caller that has evaluated p
     already; the coupling check runs all the same.
     """
-    at_p = _checked_pass(f, f_tilde, p, at_p)
+    if at_p is None:
+        at_p = evaluate(f, f_tilde, p)
+    else:
+        _check_coupling(f, f_tilde, p)
     residual = _axis_derivative(at_p.g, p.grid_x.centers, 0) + _axis_derivative(at_p.h, p.grid_y.centers, 1)
 
     areas = p.cell_areas

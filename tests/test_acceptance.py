@@ -34,8 +34,7 @@ from planar_mk.oracle import TransportInstance, comonotone_plan_1d, solve_full_2
 from planar_mk.reduction import build_g_map, build_h_map, pushforward_check
 from planar_mk.variational import (
     euler_lagrange_residual,
-    evaluate_L,
-    first_variation,
+    evaluate,
     lemma1_checker,
     lemma2_checker,
 )
@@ -129,11 +128,12 @@ def test_criterion_3_gradient_correctness():
         for k in range(10):
             bump = smooth_random_density_2d(f.grid_x, f_tilde.grid_y, seed=400 + k, amplitude=0.5)
             p = ipfp_project(np.outer(f1.values, f2.values) * bump.values, f1, f2)
-            phi, psi = first_variation(f, f_tilde, p)
+            out = evaluate(f, f_tilde, p)
+            phi, psi = out.phi, out.psi
             eta = project_zero_marginals(rng.normal(size=phi.shape), wx, wy)
             plus = DiscreteDensity2D(f.grid_x, f_tilde.grid_y, p.values + eps * eta)
             minus = DiscreteDensity2D(f.grid_x, f_tilde.grid_y, p.values - eps * eta)
-            fd = (evaluate_L(f, f_tilde, plus) - evaluate_L(f, f_tilde, minus)) / (2 * eps)
+            fd = (evaluate(f, f_tilde, plus).L_value - evaluate(f, f_tilde, minus).L_value) / (2 * eps)
             analytic = float(np.sum((phi + psi) * eta * p.cell_areas))
             worst = max(worst, abs(fd - analytic) / max(1.0, abs(fd)))
     elapsed = time.perf_counter() - t0

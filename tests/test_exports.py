@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import planar_mk
@@ -38,3 +39,9 @@ def test_no_module_imports_a_name_it_does_not_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in sorted(bound - read)]
     assert not unread, f"imported and never read: {unread}"
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [name for name in planar_mk.__all__ if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert not missing, f"README does not name: {missing}"

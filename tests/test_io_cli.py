@@ -33,7 +33,7 @@ from planar_mk.density_io import (
 from planar_mk.instances import gaussian_2d, shifted_density_2d, smooth_random_density_2d
 from planar_mk.measures import DiscreteDensity2D, Grid1D, marginals_2d
 from planar_mk.optimizer import SolverConfig, ipfp_project, solve
-from planar_mk.variational import evaluate_L, first_variation
+from planar_mk.variational import evaluate
 
 
 def _patch_planar_mk(monkeypatch, original, spy):
@@ -747,8 +747,8 @@ class TestCliOracleAndChecks:
         f, f_tilde = read_density(fa), read_density(fb)
         f1, f2 = marginals_2d(f)[0], marginals_2d(f_tilde)[1]
         p = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
-        phi, psi = first_variation(f, f_tilde, p)
-        write_grid_csv(tmp_path / "grad_ref.csv", f.grid_x, f_tilde.grid_y, phi + psi)
+        out_p = evaluate(f, f_tilde, p)
+        write_grid_csv(tmp_path / "grad_ref.csv", f.grid_x, f_tilde.grid_y, out_p.phi + out_p.psi)
         assert (out / "grad.csv").read_bytes() == (tmp_path / "grad_ref.csv").read_bytes()
 
     def test_check_el_accepts_coupling_file(self, tmp_path):
@@ -888,7 +888,7 @@ class TestCliCompare:
         report = json.loads((out / "report.json").read_text())
         f, f_tilde = read_density(fa), read_density(fb)
         solved = solve(f, f_tilde)
-        assert report["L_p_star"] == evaluate_L(f, f_tilde, solved.p_star)
+        assert report["L_p_star"] == evaluate(f, f_tilde, solved.p_star).L_value
         assert report["L_p_star"] == solved.L_final
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])

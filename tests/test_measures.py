@@ -158,6 +158,14 @@ class TestBuildCdf:
         with pytest.raises(ValueError, match="finite"):
             DiscreteDensity2D.from_values(g, g, np.array([[bad, 1.0], [1.0, 1.0]]))
 
+    def test_negative_values_rejected_not_floored(self):
+        # the floor lifts zeros to a positive mass; a negative cell is an input error
+        g = Grid1D.uniform(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteDensity1D.from_values(g, np.array([-5.0, 1.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteDensity2D.from_values(g, g, np.array([[-5.0, 1.0], [1.0, 1.0]]))
+
     @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
     @settings(max_examples=50, deadline=None)
     def test_from_density_matches_the_prefix_sum_table(self, seed, n):

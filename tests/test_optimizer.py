@@ -128,10 +128,9 @@ class TestIpfpMatchesMatrixForm:
             assert_matches_matrix_form(got, expected, f1, f2, seed)
 
     @pytest.mark.parametrize("case", [(3, 1, 1), (6, 2, 2)], ids=["shift3_11", "shift6_22"])
-    def test_floor_tight_inputs_skip_the_refloor_loop(self, case):
+    def test_floor_tight_inputs_pass_the_gate(self, case):
         # a column of these pairs holds exactly the density floor's mass,
-        # which scaling cannot keep; with no re-floor loop left to skip,
-        # the projection passes the gate anyway
+        # which scaling cannot keep; the projection passes the gate all the same
         f, f_tilde = shift_pair(*case, 8)
         f1, f2 = f.marginals[0], f_tilde.marginals[1]
         rng = np.random.default_rng(5)
@@ -437,7 +436,7 @@ class TestSolve:
         assert report.max_marginal_error <= FEAS_TOL
 
     def test_a_start_that_takes_no_step_is_p_star(self):
-        from planar_mk.variational import evaluate_L
+        from planar_mk.variational import evaluate
 
         # compare8's shift3_11: after no step p* is the raw independent
         # coupling as it stands (feasible to roundoff, with cells below the
@@ -451,7 +450,7 @@ class TestSolve:
             assert report.iterations == 0 and report.termination_reason == reason
             p, at = report.p_star, report.at_p_star
             assert np.array_equal(p.values, independent)
-            assert at.L_value == evaluate_L(f, f_tilde, p)
+            assert at.L_value == evaluate(f, f_tilde, p).L_value
             assert report.L_trace.tolist() == [at.L_value]
             pg = project_zero_marginals(at.phi + at.psi, f1.grid.cell_widths, f2.grid.cell_widths)
             gnorm = float(np.sqrt((pg**2 * p.cell_areas).sum()))
@@ -461,15 +460,15 @@ class TestSolve:
         # deep convergence: at the optimum the variation kernel pairs to ~0
         # with every feasible direction and is additively separable (row +
         # column), so all four-point alternating sums vanish
-        from planar_mk.variational import first_variation
+        from planar_mk.variational import evaluate
 
         g6 = Grid1D.uniform(0.0, 1.0, 6)
         f = gaussian_2d(g6, g6, rho=0.4)
         monkeypatch.setattr(optimizer, "_STALL_TOL", 1e-15)
         report = solve(f, f, SolverConfig(max_iters=1500, grad_tol=0.0))
         p = report.p_star
-        phi, psi = first_variation(f, f, p)
-        grad = phi + psi
+        out = evaluate(f, f, p)
+        grad = out.phi + out.psi
         areas = p.cell_areas
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -499,7 +498,7 @@ class TestSolve:
         # no such basin.
         from itertools import combinations
 
-        from planar_mk.variational import evaluate_L
+        from planar_mk.variational import evaluate
 
         g = Grid1D.uniform(0.0, 1.0, n)
         f = smooth_random_density_2d(g, g, seed=seeds[0])
@@ -507,11 +506,11 @@ class TestSolve:
         monkeypatch.setattr(optimizer, "_STALL_TOL", 1e-15)
         p = solve(f, ft, SolverConfig(max_iters=2000, grad_tol=0.0)).p_star
         areas = p.cell_areas
-        L_star = evaluate_L(f, ft, p)
+        L_star = evaluate(f, ft, p).L_value
 
         def L_at(d, s):
             values = p.values + s * d
-            return evaluate_L(f, ft, DiscreteDensity2D(g, g, values))
+            return evaluate(f, ft, DiscreteDensity2D(g, g, values)).L_value
 
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
         pairs = list(combinations(range(n), 2))

@@ -242,6 +242,14 @@ class TestSolveLp:
         assert plan.objective == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(plan.flows, np.diag(m), atol=1e-10)
 
+    def test_a_reduced_cost_of_minus_5e_9_enters(self):
+        # the northwest corner's diagonal plan costs 1.0; the anti-diagonal is
+        # cheaper by 5e-9, which the simplex's reduced-cost tolerance must see
+        m = np.array([0.5, 0.5])
+        plan = solve_lp(TransportInstance(m, m, [[1.0, 1.0 - 5e-9], [1.0, 1.0]]))
+        assert np.array_equal(plan.flows, [[0.0, 0.5], [0.5, 0.0]])
+        assert plan.objective == pytest.approx(1.0 - 2.5e-9, rel=1e-15)
+
     def test_unbalanced_rejected(self):
         with pytest.raises(UnbalancedInstanceError):
             TransportInstance([0.6, 0.6], [0.5, 0.5], np.ones((2, 2)))

@@ -31,7 +31,7 @@ from planar_mk.reduction import (
     pushforward_check,
     pushforward_check_h,
 )
-from planar_mk.variational import evaluate_L, objective_pass
+from planar_mk.variational import evaluate, objective_pass
 from test_variational import coupled_pair
 
 
@@ -327,7 +327,7 @@ class TestCouplingCost:
         assert cost.total == pytest.approx(2.0, abs=1e-3)
 
     def test_agrees_with_evaluate_L_exactly(self):
-        # one objective: evaluate_L, objective_pass and coupling_cost on the
+        # one objective: evaluate, objective_pass and coupling_cost on the
         # pass's own maps sum the same per-slice costs, on any grid
         rng = np.random.default_rng(31)
         for seed in range(40):
@@ -344,7 +344,7 @@ class TestCouplingCost:
                 p.cell_masses, gx, gy,
             )
             total = coupling_cost(f, ft, p, out.g, out.h).total
-            assert evaluate_L(f, ft, p) == out.L_value == total, seed
+            assert evaluate(f, ft, p).L_value == out.L_value == total, seed
 
     def test_oracle_lower_bound_on_random_couplings(self):
         # The LP places atoms at cell centers while the reduced cost runs

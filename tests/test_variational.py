@@ -25,12 +25,10 @@ from planar_mk.reduction import (
 from planar_mk.variational import (
     cumulative_h,
     euler_lagrange_residual,
-    evaluate_L,
-    first_variation,
+    evaluate,
     lemma1_checker,
     lemma2_checker,
     objective_pass,
-    simplified_cross_derivatives,
 )
 
 
@@ -50,7 +48,7 @@ class TestEvaluateL:
     def test_zero_at_identity(self, correlated_pair_8):
         f, _ = correlated_pair_8
         p = ipfp_project(f.values, *marginals_2d(f))
-        assert evaluate_L(f, f, p) == pytest.approx(0.0, abs=1e-20)
+        assert evaluate(f, f, p).L_value == pytest.approx(0.0, abs=1e-20)
 
     def test_product_case_matches_axis_sum(self):
         from planar_mk.measures import per_axis_w2_sum
@@ -63,7 +61,7 @@ class TestEvaluateL:
         f = product_density_2d(u1, u2)
         ft = product_density_2d(v1, v2)
         p = product_density_2d(u1, v2)
-        assert evaluate_L(f, ft, p) == pytest.approx(per_axis_w2_sum(f, ft), rel=0.02)
+        assert evaluate(f, ft, p).L_value == pytest.approx(per_axis_w2_sum(f, ft), rel=0.02)
 
     def test_equals_coupling_cost_composition(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8
@@ -71,16 +69,16 @@ class TestEvaluateL:
         total = coupling_cost(
             f, f_tilde, p, build_g_map(f, p), build_h_map(f_tilde, p)
         ).total
-        assert evaluate_L(f, f_tilde, p) == total
+        assert evaluate(f, f_tilde, p).L_value == total
 
     def test_infeasible_p_rejected(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8
         p_wrong = ipfp_project(f_tilde.values, *marginals_2d(f_tilde))
         with pytest.raises(FeasibilityError):
-            evaluate_L(f, f_tilde, p_wrong)
+            evaluate(f, f_tilde, p_wrong)
 
 
-@pytest.mark.parametrize("entry", [evaluate_L, first_variation, euler_lagrange_residual])
+@pytest.mark.parametrize("entry", [evaluate, euler_lagrange_residual])
 def test_coupling_on_another_grid_rejected(entry, correlated_pair_8, independent_coupling_8):
     # same shape and cell masses as a feasible coupling, but on [0, 2]^2
     f, f_tilde = correlated_pair_8
@@ -132,11 +130,10 @@ class TestCouplingIsADensity:
         assert isinstance(p, DiscreteDensity2D) and type(q) is DiscreteDensity2D
         g, h = build_g_map(f, p), build_h_map(f_tilde, p)
         for d in (p, q):
-            assert coupling_cost(f, f_tilde, d, g, h).total == evaluate_L(f, f_tilde, d)
+            assert coupling_cost(f, f_tilde, d, g, h).total == evaluate(f, f_tilde, d).L_value
         calls = [
-            lambda d: evaluate_L(f, f_tilde, d),
-            lambda d: first_variation(f, f_tilde, d),
-            lambda d: build_g_map(f, d),
+            lambda d: evaluate(f, f_tilde, d),
+                        lambda d: build_g_map(f, d),
             lambda d: build_h_map(f_tilde, d),
             lambda d: pushforward_check(f, d, g),
             lambda d: pushforward_check_h(f_tilde, d, h),
@@ -159,7 +156,8 @@ class TestFirstVariation:
     def test_matches_central_differences(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8
         p = make_smooth_feasible_coupling(f, f_tilde, seed=7)
-        phi, psi = first_variation(f, f_tilde, p)
+        out = evaluate(f, f_tilde, p)
+        phi, psi = out.phi, out.psi
         grad = phi + psi
         areas = p.cell_areas
         wx = f.grid_x.cell_widths
@@ -170,14 +168,15 @@ class TestFirstVariation:
             eta = project_zero_marginals(rng.normal(size=grad.shape), wx, wy)
             plus = DiscreteDensity2D(f.grid_x, f_tilde.grid_y, p.values + eps * eta)
             minus = DiscreteDensity2D(f.grid_x, f_tilde.grid_y, p.values - eps * eta)
-            fd = (evaluate_L(f, f_tilde, plus) - evaluate_L(f, f_tilde, minus)) / (2 * eps)
+            fd = (evaluate(f, f_tilde, plus).L_value - evaluate(f, f_tilde, minus).L_value) / (2 * eps)
             analytic = float(np.sum(grad * eta * areas))
             assert abs(fd - analytic) / max(1.0, abs(fd)) < 1e-4
 
     def test_zero_pairing_at_global_minimum(self, correlated_pair_8):
         f, _ = correlated_pair_8
         p = ipfp_project(f.values, *marginals_2d(f))
-        phi, psi = first_variation(f, f, p)
+        out = evaluate(f, f, p)
+        phi, psi = out.phi, out.psi
         areas = p.cell_areas
         rng = np.random.default_rng(23)
         for _ in range(5):
@@ -189,7 +188,8 @@ class TestFirstVariation:
     def test_constant_shift_invariance(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8
         p = make_smooth_feasible_coupling(f, f_tilde, seed=11)
-        phi, psi = first_variation(f, f_tilde, p)
+        out = evaluate(f, f_tilde, p)
+        phi, psi = out.phi, out.psi
         areas = p.cell_areas
         rng = np.random.default_rng(29)
         eta = project_zero_marginals(
@@ -200,11 +200,17 @@ class TestFirstVariation:
         assert shifted == pytest.approx(base, abs=1e-12)
 
 
+def cross_derivatives(f, f_tilde, p):
+    """The paper's closed forms phi_y = 2(y - g) and psi_x = 2(x - h), from the pass's maps."""
+    out = evaluate(f, f_tilde, p)
+    return 2.0 * (f_tilde.grid_y.centers - out.g), 2.0 * (f.grid_x.centers[:, None] - out.h)
+
+
 class TestSimplifiedDerivatives:
     def test_zero_at_identity(self, correlated_pair_8):
         f, _ = correlated_pair_8
         p = ipfp_project(f.values, *marginals_2d(f))
-        phi_y, psi_x = simplified_cross_derivatives(f, f, p)
+        phi_y, psi_x = cross_derivatives(f, f, p)
         assert np.max(np.abs(phi_y)) < 1e-11
         assert np.max(np.abs(psi_x)) < 1e-11
 
@@ -216,7 +222,7 @@ class TestSimplifiedDerivatives:
         f = product_density_2d(f1, m)
         ft = product_density_2d(f1, n)
         p = product_density_2d(f1, n)
-        phi_y, _ = simplified_cross_derivatives(f, ft, p)
+        phi_y, _ = cross_derivatives(f, ft, p)
         levels = np.clip(density_cdf(n, grid.centers), 1e-15, 1)
         expected = 2.0 * (grid.centers - QuantileTable.from_density(m)(levels))
         for i in range(8):
@@ -225,8 +231,9 @@ class TestSimplifiedDerivatives:
     def test_consistent_with_differenced_phi(self, correlated_pair_8):
         f, f_tilde = correlated_pair_8
         p = make_smooth_feasible_coupling(f, f_tilde, seed=13)
-        phi, psi = first_variation(f, f_tilde, p)
-        phi_y, psi_x = simplified_cross_derivatives(f, f_tilde, p)
+        out = evaluate(f, f_tilde, p)
+        phi, psi = out.phi, out.psi
+        phi_y, psi_x = cross_derivatives(f, f_tilde, p)
         fd_y = np.gradient(phi, f_tilde.grid_y.centers, axis=1)
         fd_x = np.gradient(psi, f.grid_x.centers, axis=0)
         step = float(f.grid_x.cell_widths[0])

@@ -128,9 +128,10 @@ class TestIpfpMatchesMatrixForm:
             assert_matches_matrix_form(got, expected, f1, f2, seed)
 
     @pytest.mark.parametrize("case", [(3, 1, 1), (6, 2, 2)], ids=["shift3_11", "shift6_22"])
-    def test_floor_tight_inputs_pass_the_gate(self, case):
+    def test_floor_tight_inputs_skip_the_refloor_loop(self, case):
         # a column of these pairs holds exactly the density floor's mass,
-        # which scaling cannot keep; the projection passes the gate all the same
+        # which scaling cannot keep; with no re-floor loop left to skip,
+        # the projection passes the gate anyway
         f, f_tilde = shift_pair(*case, 8)
         f1, f2 = f.marginals[0], f_tilde.marginals[1]
         rng = np.random.default_rng(5)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import planar_mk
 from conftest import narrow_gaussian_pair, shift_pair
 from test_oracle import random_instances
-from planar_mk import cli, measures, oracle, reduction, variational
+from planar_mk import cli, density_io, measures, oracle, reduction, variational
 from planar_mk.cli import main
 from planar_mk.coupling import FEAS_TOL
 from planar_mk.density_io import (
@@ -89,6 +90,29 @@ def unchecked_density(values, grid_x, grid_y):
     return d
 
 
+def check_grid_csv_round_trip(path, values):
+    grid_x = Grid1D.uniform(0.0, 1.0, values.shape[0])
+    grid_y = Grid1D.uniform(-3.0, 7.0, values.shape[1])
+    write_grid_csv(path, grid_x, grid_y, values)
+    bx, by, back = read_grid_csv(path)
+    assert np.array_equal(back, values)
+    assert back.tobytes() == values.tobytes()  # bit for bit, -0.0 included
+    assert bx.nodes.tobytes() == grid_x.nodes.tobytes() and by.nodes.tobytes() == grid_y.nodes.tobytes()
+
+
+def check_density_json_round_trip(path, values):
+    d = unchecked_density(values, *(Grid1D.uniform(0.0, 1.0, n) for n in values.shape))
+    write_density_json(path, d)
+    assert path.read_bytes() == reference_density_json(d)
+    back = np.asarray(json.loads(path.read_text())["values"], dtype=float)
+    assert back.tobytes() == values.tobytes()
+
+
+_FINITE_GRIDS = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                       elements=st.floats(allow_nan=False, allow_infinity=False))
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, np.pi]
+
+
 def report_without_timing(path):
     with open(path) as fh:
         doc = json.load(fh)
@@ -141,45 +165,42 @@ class TestDensityIO:
             "nonuniform_y": smooth_random_density_2d(g, gy, seed=4),
         }[case]
         path = tmp_path / "d.json"
+        if case == "nonuniform_y":  # the file stores only min, max and n, so it would read back on another grid
+            with pytest.raises(ValueError, match="grid_y is not uniform.*write_grid_csv"):
+                write_density_json(path, d)
+            assert not path.exists()
+            return
         write_density_json(path, d)
         assert path.read_bytes() == reference_density_json(d)
+
+    def test_json_writer_refuses_a_grid_one_ulp_off_uniform(self, tmp_path):
+        nodes = np.linspace(0.0, 1.0, 5)
+        nodes[2] = np.nextafter(nodes[2], 1.0)
+        g = Grid1D.uniform(0.0, 1.0, 4)
+        d = DiscreteDensity2D.from_values(Grid1D(nodes), g, np.ones((4, 4)))
+        with pytest.raises(ValueError, match="grid_x is not uniform"):
+            write_density_json(tmp_path / "d.json", d)
 
     @pytest.mark.parametrize("shape", [(3, 5), (1, 1), (1, 4), (4, 1)])
     def test_csv_writer_bytes_match_per_value_format(self, tmp_path, shape):
         grid_x = Grid1D(np.cumsum(np.r_[-0.5, np.linspace(0.1, 0.9, shape[0])]))
         grid_y = Grid1D.uniform(-2.0, 2.0, shape[1])
-        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, np.pi]
-        values = np.resize(specials, shape[0] * shape[1]).reshape(shape)
+        values = np.resize(_SPECIALS, shape[0] * shape[1]).reshape(shape)
         path = tmp_path / "grid.csv"
         write_grid_csv(path, grid_x, grid_y, values)
         assert path.read_bytes() == reference_grid_csv(grid_x, grid_y, values)
 
     @settings(max_examples=60, deadline=None)
-    @given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
-                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @given(values=_FINITE_GRIDS)
     def test_grid_csv_round_trips_every_float(self, tmp_path_factory, values):
-        grid_x = Grid1D.uniform(0.0, 1.0, values.shape[0])
-        grid_y = Grid1D.uniform(-3.0, 7.0, values.shape[1])
-        path = tmp_path_factory.mktemp("csv") / "grid.csv"
-        write_grid_csv(path, grid_x, grid_y, values)
-        bx, by, back = read_grid_csv(path)
-        assert np.array_equal(back, values)
-        assert back.tobytes() == values.tobytes()  # bit for bit, -0.0 included
-        assert bx.nodes.tobytes() == grid_x.nodes.tobytes() and by.nodes.tobytes() == grid_y.nodes.tobytes()
+        check_grid_csv_round_trip(tmp_path_factory.mktemp("csv") / "grid.csv", values)
 
     @settings(max_examples=60, deadline=None)
-    @given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
-                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @given(values=_FINITE_GRIDS)
     @example(values=np.array([[-0.0, 5e-324, 1e300, -np.pi]]))
     @example(values=np.array([[-0.0], [5e-324], [1e300], [-np.pi]]))
     def test_density_json_round_trips_every_float(self, tmp_path_factory, values):
-        grids = [Grid1D.uniform(0.0, 1.0, n) for n in values.shape]
-        path = tmp_path_factory.mktemp("json") / "d.json"
-        d = unchecked_density(values, *grids)
-        write_density_json(path, d)
-        assert path.read_bytes() == reference_density_json(d)
-        back = np.asarray(json.loads(path.read_text())["values"], dtype=float)
-        assert back.tobytes() == values.tobytes()
+        check_density_json_round_trip(tmp_path_factory.mktemp("json") / "d.json", values)
 
     def test_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -195,6 +216,80 @@ class TestDensityIO:
             path.write_text(json.dumps(doc))
             with pytest.raises(DensityFormatError, match="does not match the grids"):
                 read_density(path)
+
+
+class TestDensityIOBlocks:
+    """The writers format whole rows a block of about `_BLOCK_FLOATS` floats at a time."""
+
+    # 7x3 values: JSON rows of 3 floats and CSV rows of 4 (the x-edge too). 2 floats give one row per
+    # block; 8 give blocks of 2 rows, the last one partial; 13 give 4 JSON or 3 CSV rows, the last partial.
+    @pytest.mark.parametrize("block", [2, 8, 13])
+    def test_writer_bytes_in_small_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(density_io, "_BLOCK_FLOATS", block)
+        values = np.resize(_SPECIALS, 21).reshape(7, 3)
+        grid_x = Grid1D(np.cumsum(np.r_[-0.5, np.linspace(0.1, 0.9, 7)]))
+        grid_y = Grid1D.uniform(-2.0, 2.0, 3)
+        write_grid_csv(tmp_path / "grid.csv", grid_x, grid_y, values)
+        assert (tmp_path / "grid.csv").read_bytes() == reference_grid_csv(grid_x, grid_y, values)
+        d = unchecked_density(values, Grid1D.uniform(0.0, 1.0, 7), grid_y)
+        write_density_json(tmp_path / "d.json", d)
+        assert (tmp_path / "d.json").read_bytes() == reference_density_json(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=_FINITE_GRIDS, block=st.integers(1, 8))
+    def test_grid_csv_round_trips_every_float_in_small_blocks(self, tmp_path_factory, values, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density_io, "_BLOCK_FLOATS", block)
+            check_grid_csv_round_trip(tmp_path_factory.mktemp("csv") / "grid.csv", values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=_FINITE_GRIDS, block=st.integers(1, 8))
+    def test_density_json_round_trips_every_float_in_small_blocks(self, tmp_path_factory, values, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density_io, "_BLOCK_FLOATS", block)
+            check_density_json_round_trip(tmp_path_factory.mktemp("json") / "d.json", values)
+
+    def test_256x256_at_the_real_block_size(self, tmp_path):
+        g = Grid1D.uniform(0.0, 1.0, 256)
+        d = smooth_random_density_2d(g, g, seed=3)
+        assert d.values.size > 2 * density_io._BLOCK_FLOATS  # several blocks
+        write_density_json(tmp_path / "d.json", d)
+        assert (tmp_path / "d.json").read_bytes() == reference_density_json(d)
+        write_grid_csv(tmp_path / "grid.csv", g, g, d.values)
+        assert (tmp_path / "grid.csv").read_bytes() == reference_grid_csv(g, g, d.values)
+        _, _, back = read_grid_csv(tmp_path / "grid.csv")
+        assert back.tobytes() == d.values.tobytes()
+
+    @pytest.mark.parametrize("call", ["write_density_json", "write_grid_csv", "read_grid_csv"])
+    def test_256x256_peak_memory_is_a_block_not_the_grid(self, tmp_path, call):
+        # formatting or parsing the whole grid at once took 4.5-9 MB per call here
+        g = Grid1D.uniform(0.0, 1.0, 256)
+        d = smooth_random_density_2d(g, g, seed=3)
+        write_grid_csv(tmp_path / "grid.csv", g, g, d.values)
+        run = {
+            "write_density_json": lambda: write_density_json(tmp_path / "d.json", d),
+            "write_grid_csv": lambda: write_grid_csv(tmp_path / "grid.csv", g, g, d.values),
+            "read_grid_csv": lambda: read_grid_csv(tmp_path / "grid.csv"),
+        }[call]
+        tracemalloc.start()
+        try:
+            run()
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 3.5
+
+    def test_undecodable_byte_past_the_first_read_names_the_file(self, tmp_path):
+        # the reader decodes as it parses, so the bad byte turns up mid-file; it is not a malformed number
+        g = Grid1D.uniform(0.0, 1.0, 64)
+        path = tmp_path / "p.csv"
+        write_grid_csv(path, g, g, np.full((64, 64), 1.0 / 3.0))
+        raw = path.read_bytes()
+        assert len(raw) > 8 * 8192  # many of the text layer's 8 KiB reads
+        path.write_bytes(raw[:-40] + b"\xff" + raw[-39:])
+        with pytest.raises(DensityFormatError, match="codec can't decode byte 0xff") as exc:
+            read_grid_csv(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestCliSolve:
@@ -474,6 +569,7 @@ _MALFORMED_INPUTS = {
     "csv_under_three_lines": ("f.csv", _CSV_HEAD + "0,1,1\n", "too short for a grid CSV"),
     "csv_cell_not_a_number": ("f.csv", _CSV_HEAD + "0,1,x\n0.5,1,1\n1\n", "malformed grid CSV"),
     "csv_last_row_too_long": ("f.csv", _CSV_HEAD + "0,1,1\n0.5,1,1\n1,1\n", "final row must carry only"),
+    "csv_ragged_rows": ("f.csv", _CSV_HEAD + "0,1,1\n0.5,1\n1\n", "malformed grid CSV"),
     "csv_block_off_the_edges": ("f.csv", _CSV_HEAD + "0,1\n0.5,1\n1\n", "does not match the edge counts"),
     "csv_infinite_edge": ("f.csv", _CSV_HEAD + "0,1,1\n0.5,1,1\ninf\n", "grid nodes must be finite"),
     "json_nan_value": (

@@ -140,7 +140,7 @@ def cmd_check_el(args) -> int:
         grid_x, grid_y, values = read_grid_csv(args.input_p)
         check_coupling_grid(grid_x, f1, 0)
         check_coupling_grid(grid_y, f2, 1)
-        # IPFP would floor a negative entry without a word and sweep NaNs to its iteration cap
+        # before IPFP, whose own refusal does not name the file
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError(f"{args.input_p}: coupling values must be finite and nonnegative")
         p = ipfp_project(values, f1, f2)

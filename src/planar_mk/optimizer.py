@@ -9,7 +9,7 @@ brings it back to both marginals. Each iteration opens its backtracking line
 search at a Barzilai-Borwein step (Barzilai & Borwein 1988) in the
 mass-weighted log metric. `solve` runs one descent, from the independent
 coupling f1 (x) f2, and draws no random numbers. IPFP also projects arbitrary
-nonnegative arrays into the polytope.
+finite nonnegative arrays into the polytope.
 
 IPFP runs in Sinkhorn's scaling form (Peyre & Cuturi 2019, sec. 4.2): the
 masses stay fixed while a row and a column scaling vector alternate, two
@@ -32,7 +32,7 @@ from .coupling import CouplingDensity, _sums_l1_error
 from .density_io import read_json
 from .measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, RampCache, floor_density
 from .reduction import conditional_quantile_field
-from .variational import ObjectivePass, euler_lagrange_residual, objective_pass
+from .variational import ObjectivePass, _descent_fields, euler_lagrange_residual, objective_pass
 
 
 class NoDescentError(RuntimeError):
@@ -175,8 +175,10 @@ def _ipfp_core(
 def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) -> CouplingDensity:
     """`_ipfp_core` on the cell areas and cell masses of the marginals f1 and f2.
 
-    raw holds nonnegative density values on (f1.grid, f2.grid). Input that
-    already passes the _IPFP_TOL gate is returned unchanged, so a
+    raw holds nonnegative density values on (f1.grid, f2.grid); a NaN, an
+    infinity or a negative entry raises ValueError before any flooring, where
+    the floor would hide a negative entry and a NaN would sweep to the cap.
+    Input that already passes the _IPFP_TOL gate is returned unchanged, so a
     projection's output projects to itself bit for bit; other input is
     floored at a mass of 1e-20 in all before scaling, so that every row and
     column has mass, and the result's L1 marginal residual is below
@@ -185,7 +187,9 @@ def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) 
     areas = np.outer(f1.grid.cell_widths, f2.grid.cell_widths)
     row_target, col_target = f1.cell_masses, f2.cell_masses
     values = np.asarray(raw, dtype=float)
-    if not (values.min() >= 0.0 and _marginal_residual(values * areas, row_target, col_target) < _IPFP_TOL):
+    if not (np.isfinite(values).all() and values.min() >= 0.0):
+        raise ValueError("IPFP input values must be finite and nonnegative")
+    if not _marginal_residual(values * areas, row_target, col_target) < _IPFP_TOL:
         values = _ipfp_core(values, areas, row_target, col_target)[0]
     return CouplingDensity(f1.grid, f2.grid, values, f1, f2)
 
@@ -251,8 +255,9 @@ def solve(
     """
     config = config or SolverConfig()
     f1, f2 = f.marginals[0], f_tilde.marginals[1]
-    field_f = conditional_quantile_field(f, "x")
-    field_ft = conditional_quantile_field(f_tilde, "y")
+    field_f, field_ft = _descent_fields(
+        conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y"), (f1.grid.n_cells, f2.grid.n_cells)
+    )
     start = CouplingDensity(f1.grid, f2.grid, np.outer(f1.values, f2.values), f1, f2)
     grid_x, grid_y = f1.grid, f2.grid
     wx, wy = grid_x.cell_widths, grid_y.cell_widths
@@ -264,8 +269,9 @@ def solve(
 
     values = start.values
     masses = values * areas
-    # successive passes move few center levels to another ramp
-    caches = RampCache(), RampCache()
+    # successive passes move few center levels to another ramp; one cache
+    # per table, so one in all when the fields are stacked
+    caches = RampCache(), None if field_ft is None else RampCache()
     at_start = at_p = objective_pass(field_f, field_ft, masses, grid_x, grid_y, caches)
     L_cur, grad = at_p.L_value, at_p.phi + at_p.psi
     pg = project_zero_marginals(grad, wx, wy)

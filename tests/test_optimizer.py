@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import shift_pair
-from planar_mk import optimizer
+from conftest import make_smooth_feasible_coupling, shift_pair
+from planar_mk import optimizer, variational
 from planar_mk.coupling import FEAS_TOL, FeasibilityError
 from planar_mk.instances import (
     density_1d_from_function,
+    density_2d_from_function,
     gaussian_2d,
     product_density_2d,
     shifted_density_2d,
@@ -24,6 +25,7 @@ from planar_mk.measures import (
     DiscreteDensity1D,
     DiscreteDensity2D,
     Grid1D,
+    RampCache,
     floor_density,
     marginals_2d,
 )
@@ -36,6 +38,7 @@ from planar_mk.optimizer import (
     project_zero_marginals,
     solve,
 )
+from planar_mk.reduction import conditional_quantile_field
 
 
 def unit_marginal(values):
@@ -248,6 +251,20 @@ class TestIpfp:
         monkeypatch.setattr(optimizer, "_IPFP_TOL", 1e-15)
         with pytest.raises(IPFPConvergenceError):
             ipfp_project(skewed, t1, t2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"])
+    def test_bad_raw_values_are_refused_before_any_sweep(self, monkeypatch, bad):
+        # the floor would hide a negative entry, and a NaN or an infinity
+        # would sweep to the cap: each is refused before IPFP starts
+        def no_sweeps(*args):
+            raise AssertionError("IPFP ran on bad input")
+
+        monkeypatch.setattr(optimizer, "_ipfp_core", no_sweeps)
+        f1, f2 = random_marginals(np.random.default_rng(3), 3)
+        raw = np.outer(f1.values, f2.values)
+        raw[1, 0] = bad
+        with pytest.raises(ValueError, match="IPFP input values must be finite and nonnegative"):
+            ipfp_project(raw, f1, f2)
 
     def test_respects_floor_on_sparse_input(self):
         g4 = Grid1D.uniform(0.0, 1.0, 4)
@@ -608,22 +625,12 @@ class TestSolve:
         # criterion 5's three pairs and a floor-tight shift pair: the residual
         # at the descent's start is the one at the IPFP-projected independent
         # coupling, bit for bit
-        from planar_mk.instances import density_2d_from_function
         from planar_mk.variational import euler_lagrange_residual
 
-        g16 = Grid1D.uniform(0.0, 1.0, 16)
-        if name == "correlated":
-            f = f_tilde = gaussian_2d(g16, g16, rho=0.5)
-        elif name == "two_bump":
-            f = f_tilde = density_2d_from_function(g16, g16, lambda X, Y: (
-                np.exp(-((X - 0.3) ** 2 + (Y - 0.35) ** 2) / 0.04)
-                + 0.8 * np.exp(-((X - 0.65) ** 2 + (Y - 0.7) ** 2) / 0.05)
-                + 0.5 * np.exp(-((X - 0.5) ** 2 - 0.8 * (X - 0.5) * (Y - 0.5) + (Y - 0.5) ** 2) / 0.08)
-            ))
-        elif name == "perturbed":
-            f, f_tilde, _ = named_instance("perturbed16")
-        else:
+        if name == "shift6_22_side16":
             f, f_tilde = shift_pair(6, 2, 2, 8, 16.0)
+        else:
+            f, f_tilde, _ = named_instance(f"{name}16")
         f1, f2 = f.marginals[0], f_tilde.marginals[1]
         independent = ipfp_project(np.outer(f1.values, f2.values), f1, f2)
         expected = euler_lagrange_residual(f, f_tilde, independent).interior_l2
@@ -657,12 +664,23 @@ class TestSolve:
 
 def named_instance(name):
     """(f, f~, config) of one instance on a uniform unit grid."""
-    if name == "perturbed16":  # criterion 5's perturbed pair with solve16's benchmark config
+    if name.endswith("16"):  # criterion 5's three pairs with solve16's benchmark config
         g = Grid1D.uniform(0.0, 1.0, 16)
-        f_base = gaussian_2d(g, g, rho=0.45, sigma=(0.24, 0.22))
+        config = SolverConfig(grad_tol=1e-7, max_iters=4000)
+        if name == "correlated16":
+            f = gaussian_2d(g, g, rho=0.5)
+            return f, f, config
+        if name == "two_bump16":
+            f = density_2d_from_function(g, g, lambda X, Y: (
+                np.exp(-((X - 0.3) ** 2 + (Y - 0.35) ** 2) / 0.04)
+                + 0.8 * np.exp(-((X - 0.65) ** 2 + (Y - 0.7) ** 2) / 0.05)
+                + 0.5 * np.exp(-((X - 0.5) ** 2 - 0.8 * (X - 0.5) * (Y - 0.5) + (Y - 0.5) ** 2) / 0.08)
+            ))
+            return f, f, config
+        f_base = gaussian_2d(g, g, rho=0.45, sigma=(0.24, 0.22))  # perturbed16
         bump = smooth_random_density_2d(g, g, seed=5, amplitude=0.15)
         f_pert = DiscreteDensity2D.from_values(g, g, f_base.values * bump.values)
-        return f_base, f_pert, SolverConfig(grad_tol=1e-7, max_iters=4000)
+        return f_base, f_pert, config
     if name == "pair12_8":
         g = Grid1D.uniform(0.0, 1.0, 8)
         return smooth_random_density_2d(g, g, seed=1), smooth_random_density_2d(g, g, seed=2), SolverConfig()
@@ -688,6 +706,78 @@ class TestReflection:
         assert mirrored.L_final == pytest.approx(plain.L_final, rel=1e-13)
         p_back = np.flip(mirrored.p_star.values, axes)
         assert np.max(np.abs(p_back - plain.p_star.values)) <= 2e-10 * np.max(plain.p_star.values)
+
+
+class TestStackedPass:
+    """The descent's one kernel call on both terms, against the two-call pass.
+
+    With `_STACK_FLOATS` patched to 0 no grid fits the block, so the descent
+    runs the two-call pass that every other caller runs.
+    """
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_maps_and_kernels_are_the_two_call_bits(self, monkeypatch, n, uniform):
+        # a sequence of couplings through one pair of caches, so the cached
+        # lookup runs too; L only to its last bits, because BLAS sums the
+        # stacked x-term's contiguous slices in another order
+        rng = np.random.default_rng(n)
+        grids = [
+            Grid1D.uniform(0.0, 1.0, n) if uniform else Grid1D(np.cumsum(np.r_[-0.5, rng.uniform(0.2, 2.0, n)]))
+            for _ in range(2)
+        ]
+        f = smooth_random_density_2d(*grids, seed=10 + n)
+        f_tilde = smooth_random_density_2d(*grids, seed=20 + n)
+        fields = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+        stacked = variational._descent_fields(*fields, (n, n))
+        assert stacked[1] is None
+        assert stacked[0].probs.tobytes() == np.concatenate([t.probs for t in fields]).tobytes()
+        assert stacked[0].values.tobytes() == np.concatenate([t.values for t in fields]).tobytes()
+        monkeypatch.setattr(variational, "_STACK_FLOATS", 0)
+        assert all(a is b for a, b in zip(variational._descent_fields(*fields, (n, n)), fields))
+        caches = [(RampCache(), None), (RampCache(), RampCache())]
+        for seed in range(3):
+            masses = make_smooth_feasible_coupling(f, f_tilde, seed).cell_masses
+            one, two = (
+                variational.objective_pass(*tables, masses, *grids, c) for tables, c in zip((stacked, fields), caches)
+            )
+            for name in ("g", "h", "phi", "psi"):
+                assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), (seed, name)
+            assert one.L_value == pytest.approx(two.L_value, rel=1e-15, abs=0.0), seed
+
+    @pytest.mark.parametrize("name", ["correlated16", "two_bump16", "perturbed16"])
+    def test_criterion_5_pairs_keep_their_descent(self, monkeypatch, name):
+        f, f_tilde, config = named_instance(name)
+        stacked = solve(f, f_tilde, config)
+        monkeypatch.setattr(variational, "_STACK_FLOATS", 0)
+        two_calls = solve(f, f_tilde, config)
+        assert stacked.iterations == two_calls.iterations
+        assert stacked.p_star.values.tobytes() == two_calls.p_star.values.tobytes()
+        assert stacked.L_final == pytest.approx(two_calls.L_final, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n, stacks", [(90, True), (91, False)])
+    def test_the_block_holds_both_terms_up_to_90x90(self, n, stacks):
+        # 2 * 90^2 floats fit the 2^14-float block, 2 * 91^2 overflow it
+        g = Grid1D.uniform(0.0, 1.0, n)
+        f = smooth_random_density_2d(g, g, seed=4)
+        fields = conditional_quantile_field(f, "x"), conditional_quantile_field(f, "y")
+        assert (variational._descent_fields(*fields, (n, n))[1] is None) == stacks
+
+    @pytest.mark.parametrize("shape", [(6, 5), (91, 91)], ids=["non_square", "above_the_block"])
+    def test_other_grids_keep_the_two_call_pass(self, monkeypatch, shape):
+        grids = [Grid1D.uniform(0.0, 1.0, k) for k in shape]
+        f = smooth_random_density_2d(*grids, seed=4)
+        f_tilde = smooth_random_density_2d(*grids, seed=5)
+        fields = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+        assert all(a is b for a, b in zip(variational._descent_fields(*fields, shape), fields))
+        config = SolverConfig(max_iters=3)
+        reports = [solve(f, f_tilde, config)]
+        monkeypatch.setattr(variational, "_STACK_FLOATS", 0)
+        reports.append(solve(f, f_tilde, config))
+        assert reports[0].L_trace.tobytes() == reports[1].L_trace.tobytes()
+        assert reports[0].p_star.values.tobytes() == reports[1].p_star.values.tobytes()
+        for name in ("g", "h", "phi", "psi"):
+            assert getattr(reports[0].at_p_star, name).tobytes() == getattr(reports[1].at_p_star, name).tobytes(), name
 
 
 class TestSolverConfig:

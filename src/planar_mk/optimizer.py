@@ -32,7 +32,7 @@ from .coupling import CouplingDensity, _sums_l1_error
 from .density_io import read_json
 from .measures import EPS_FLOOR, DiscreteDensity1D, DiscreteDensity2D, RampCache, floor_density
 from .reduction import conditional_quantile_field
-from .variational import ObjectivePass, _descent_fields, euler_lagrange_residual, objective_pass
+from .variational import ObjectivePass, _descent_field, euler_lagrange_residual, objective_pass
 
 
 class NoDescentError(RuntimeError):
@@ -255,9 +255,8 @@ def solve(
     """
     config = config or SolverConfig()
     f1, f2 = f.marginals[0], f_tilde.marginals[1]
-    field_f, field_ft = _descent_fields(
-        conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y"), (f1.grid.n_cells, f2.grid.n_cells)
-    )
+    field_f, field_ft = conditional_quantile_field(f, "x"), conditional_quantile_field(f_tilde, "y")
+    field_f = _descent_field(field_f, field_ft, f1.grid, f2.grid)
     start = CouplingDensity(f1.grid, f2.grid, np.outer(f1.values, f2.values), f1, f2)
     grid_x, grid_y = f1.grid, f2.grid
     wx, wy = grid_x.cell_widths, grid_y.cell_widths
@@ -269,9 +268,8 @@ def solve(
 
     values = start.values
     masses = values * areas
-    # successive passes move few center levels to another ramp; one cache
-    # per table, so one in all when the fields are stacked
-    caches = RampCache(), None if field_ft is None else RampCache()
+    # successive passes move few center levels to another ramp
+    caches = RampCache(), RampCache()
     at_start = at_p = objective_pass(field_f, field_ft, masses, grid_x, grid_y, caches)
     L_cur, grad = at_p.L_value, at_p.phi + at_p.psi
     pg = project_zero_marginals(grad, wx, wy)

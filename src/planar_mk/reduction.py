@@ -195,5 +195,6 @@ def coupling_cost(
     if g.shape != masses.shape or h.shape != masses.shape:
         raise ValueError("maps must live on p's grid")
     term_y = float(_slice_costs(np.square(p.grid_y.centers - g, order="C"), masses).sum())
-    term_x = float(_slice_costs(np.square(p.grid_x.centers - h.T, order="C"), masses.T).sum())
+    # contiguous x-slices, summed in the order `objective_pass` sums them
+    term_x = float(_slice_costs(np.square(p.grid_x.centers - h.T, order="C"), np.ascontiguousarray(masses.T)).sum())
     return CouplingCost(total=term_x + term_y)

@@ -38,10 +38,6 @@ from .coupling import check_coupling_side
 from .measures import DiscreteDensity2D, Grid1D, QuantileTable, RampCache
 from .reduction import _at_centers, _slice_costs, conditional_quantile_field
 
-# the descent stacks both terms of L into one kernel call while their
-# 2 n^2 slice cells fit in one block of this many floats (`_descent_fields`)
-_STACK_FLOATS = 1 << 14
-
 
 def _term_pass(
     table: QuantileTable, rows: np.ndarray, centers: np.ndarray, cache: RampCache | None
@@ -80,9 +76,21 @@ class ObjectivePass:
     psi: np.ndarray
 
 
+@dataclass(frozen=True)
+class _StackedField(QuantileTable):
+    """f's "x" field on top of f~'s "y" field, for one kernel call on both terms of L.
+
+    On an n x n grid, table rows 0..n-1 are f's and rows n..2n-1 are f~'s;
+    centers (2n, n) holds each row's residual centers, the y-centers on the
+    first n rows and the x-centers on the last n. `_descent_field` builds it.
+    """
+
+    centers: np.ndarray
+
+
 def objective_pass(
     field_f: QuantileTable,
-    field_ft: QuantileTable | None,
+    field_ft: QuantileTable,
     masses: np.ndarray,
     grid_x: Grid1D,
     grid_y: Grid1D,
@@ -91,28 +99,27 @@ def objective_pass(
     """The one evaluation of L, at raw coupling masses on fixed quantile fields.
 
     field_f and field_ft are f's "x" and f~'s "y" conditional-quantile
-    fields, and each term of L is one `_term_pass` on its own slices. With
-    field_ft None, field_f is both fields stacked by `_descent_fields`, and
-    one `_term_pass` runs on both terms' slices at once: the rows of masses
-    on top of the rows of masses.T. The maps and the kernels are the same
-    bits either way. L may differ in its last bits: the stacked x-term's
-    slices are contiguous, and BLAS's dot sums a contiguous slice in another
-    order than a strided one (`_slice_costs`).
+    fields, and each term of L is one `_term_pass` on its own slices: the
+    rows of masses for the y-term, the rows of masses.T, made contiguous,
+    for the x-term. When field_f is a `_StackedField`, which holds field_ft's
+    rows too, one `_term_pass` runs on both terms' slices at once: the rows
+    of masses on top of the rows of masses.T. Every slice is contiguous on
+    both paths, so BLAS's dot sums it in one order (`_slice_costs`), and L,
+    the maps and the kernels are the same bits either way.
 
-    caches holds one `RampCache` per table, in the tables' order, or None; a
-    caller that evaluates a sequence of nearby couplings passes the same
-    caches each time. L, the maps and the kernels are the same bits without.
+    caches holds one `RampCache` per field, in the fields' order, or None; a
+    `_StackedField` uses the first. A caller that evaluates a sequence of
+    nearby couplings passes the same caches each time. L, the maps and the
+    kernels are the same bits without.
     """
-    if field_ft is None:
+    if isinstance(field_f, _StackedField):
         n = masses.shape[0]
         # rows 0..n-1 run along y from each x-cell, rows n..2n-1 along x from each y-cell
-        rows = np.concatenate((masses, masses.T))
-        centers = np.concatenate((grid_y.centers, grid_x.centers)).reshape(2, 1, n).repeat(n, axis=1)
-        costs, val, tail = _term_pass(field_f, rows, centers.reshape(2 * n, n), caches[0])
+        costs, val, tail = _term_pass(field_f, np.concatenate((masses, masses.T)), field_f.centers, caches[0])
         costs_y, costs_x, g, h_t, phi, psi_t = costs[:n], costs[n:], val[:n], val[n:], tail[:n], tail[n:]
     else:
         costs_y, g, phi = _term_pass(field_f, masses, grid_y.centers, caches[0])
-        costs_x, h_t, psi_t = _term_pass(field_ft, masses.T, grid_x.centers, caches[1])
+        costs_x, h_t, psi_t = _term_pass(field_ft, np.ascontiguousarray(masses.T), grid_x.centers, caches[1])
     return ObjectivePass(
         L_value=float(costs_y.sum() + costs_x.sum()),
         g=g,
@@ -122,25 +129,21 @@ def objective_pass(
     )
 
 
-def _descent_fields(
-    field_f: QuantileTable, field_ft: QuantileTable, shape: tuple[int, int]
-) -> tuple[QuantileTable, QuantileTable | None]:
-    """The fields a descent hands to every `objective_pass` on masses of this shape.
+def _descent_field(field_f: QuantileTable, field_ft: QuantileTable, grid_x: Grid1D, grid_y: Grid1D) -> QuantileTable:
+    """field_f as a descent hands it to every `objective_pass`.
 
-    On a square grid whose two terms' slices fit in one block of
-    _STACK_FLOATS floats, f's field stacked on top of f~'s as one table,
-    and None; else the two fields as given. The stacked pass makes one
-    kernel call in place of two, which at 8x8 to 16x16 saves mostly numpy's
-    per-call overhead. The block bounds its extra memory: on larger grids
-    the copies of the stacked slices cost more than the saved call.
+    On a square grid, a `_StackedField` of both fields, so that each pass
+    makes one kernel call in place of two; at 8x8 to 16x16 a call costs
+    mostly numpy's per-call overhead. On other grids field_f itself.
     """
-    n_x, n_y = shape
-    if n_x != n_y or 2 * n_x * n_y > _STACK_FLOATS:
-        return field_f, field_ft
-    stacked = QuantileTable(
-        np.concatenate((field_f.probs, field_ft.probs)), np.concatenate((field_f.values, field_ft.values))
+    n = grid_x.n_cells
+    if grid_y.n_cells != n:
+        return field_f
+    return _StackedField(
+        np.concatenate((field_f.probs, field_ft.probs)),
+        np.concatenate((field_f.values, field_ft.values)),
+        np.repeat([grid_y.centers, grid_x.centers], n, axis=0),
     )
-    return stacked, None
 
 
 def _check_coupling(f: DiscreteDensity2D, f_tilde: DiscreteDensity2D, p: DiscreteDensity2D) -> None:

@@ -71,11 +71,14 @@ def json_numbers(raw, what: str) -> np.ndarray:
 
 
 def read_json(path: str | Path):
-    """The JSON document in a UTF-8 file; a file that does not decode is named in the error."""
+    """The JSON document in a UTF-8 file; a file that does not decode is named in the error.
+
+    That includes bad UTF-8, an integer too long for `int` and nesting past the recursion limit.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DensityFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

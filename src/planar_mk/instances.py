@@ -56,18 +56,17 @@ def smooth_random_density_2d(
 ) -> DiscreteDensity2D:
     """Random low-frequency positive density: exp of a small cosine series."""
     rng = Xoshiro256StarStar(seed)
-    lx = grid_x.nodes[-1] - grid_x.nodes[0]
-    ly = grid_y.nodes[-1] - grid_y.nodes[0]
-    X, Y = np.meshgrid(grid_x.centers, grid_y.centers, indexing="ij")
-    bump = np.zeros_like(X)
+    x0, y0 = grid_x.nodes[0], grid_y.nodes[0]
+    lx, ly = grid_x.nodes[-1] - x0, grid_y.nodes[-1] - y0
+    bump = np.zeros((grid_x.n_cells, grid_y.n_cells))
     for kx in range(_N_MODES):
         for ky in range(_N_MODES):
             amp = amplitude * rng.uniform(-1.0, 1.0) / (1.0 + kx + ky)
             phase_x = rng.uniform(0.0, 2 * np.pi)
             phase_y = rng.uniform(0.0, 2 * np.pi)
-            bump += amp * np.cos(np.pi * kx * (X - grid_x.nodes[0]) / lx + phase_x) * np.cos(
-                np.pi * ky * (Y - grid_y.nodes[0]) / ly + phase_y
-            )
+            # each mode is the outer product of its 1-D cosines, (amp * cos a_i) * cos b_j
+            cx = amp * np.cos(np.pi * kx * (grid_x.centers - x0) / lx + phase_x)
+            bump += np.outer(cx, np.cos(np.pi * ky * (grid_y.centers - y0) / ly + phase_y))
     return DiscreteDensity2D.from_values(grid_x, grid_y, np.exp(bump))
 
 

@@ -80,7 +80,15 @@ def floor_density(weights: np.ndarray) -> float:
 
 
 def floor_and_normalize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Values clamped to `floor_density` and rescaled to unit total mass under the cell weights."""
+    """Values clamped to `floor_density` and rescaled to unit total mass under the cell weights.
+
+    Raises ValueError for a weight that is not a normal float: an underflowed or overflowed cell area.
+    """
+    smallest = float(np.min(weights))
+    if not smallest >= np.finfo(float).tiny:
+        raise ValueError(f"grid cells are too small: a cell area of {smallest:.3g} is below the smallest normal float")
+    if not np.isfinite(np.max(weights)):
+        raise ValueError("grid cells are too large: a cell area overflows")
     v = np.asarray(values, dtype=float)
     _check_finite(v)
     if np.any(v < 0):
@@ -156,7 +164,8 @@ class DiscreteDensity2D:
 
     @staticmethod
     def from_values(grid_x: Grid1D, grid_y: Grid1D, raw_values: np.ndarray) -> "DiscreteDensity2D":
-        areas = np.outer(grid_x.cell_widths, grid_y.cell_widths)
+        with np.errstate(over="ignore"):  # floor_and_normalize refuses an overflowed area
+            areas = np.outer(grid_x.cell_widths, grid_y.cell_widths)
         return DiscreteDensity2D(grid_x, grid_y, floor_and_normalize(raw_values, areas))
 
 

@@ -577,6 +577,18 @@ _MALFORMED_INPUTS = {
         '"values": [[1, NaN], [3, Infinity]]}', "f.json: density values must be finite",
     ),
     "csv_nan_value": ("f.csv", _CSV_HEAD + "0,1,nan\n0.5,1,1\n1\n", "f.csv: density values must be finite"),
+    "json_cell_areas_underflow_to_zero": (
+        "f.json", json.dumps({"grid_x": {"min": 0, "max": 1e-200, "n": 2}, "grid_y": {"min": 0, "max": 1e-200, "n": 2},
+                              "values": [[1, 2], [3, 4]]}), "f.json: grid cells are too small",
+    ),
+    "json_cell_areas_subnormal": (
+        "f.json", json.dumps({"grid_x": {"min": 0, "max": 1e-320, "n": 2}, "grid_y": _TWO, "values": [[1, 2], [3, 4]]}),
+        "f.json: grid cells are too small",
+    ),
+    "json_cell_areas_overflow": (
+        "f.json", json.dumps({"grid_x": {"min": 0, "max": 1e200, "n": 2}, "grid_y": {"min": 0, "max": 1e160, "n": 2},
+                              "values": [[1, 2], [3, 4]]}), "f.json: grid cells are too large",
+    ),
     "txt_path": ("f.txt", "1,2\n", "unsupported extension '.txt'"),
     "json_directory": ("f.json", None, "f.json"),
     "csv_directory": ("f.csv", None, "f.csv"),
@@ -617,6 +629,16 @@ _UNREADABLE_INPUTS = {
     "config_not_utf8": (["compare", "--input-f", "G", "--input-g", "G", "--config", "F"], "cfg.json", _NOT_UTF8),
     "instance_invalid_json": (["oracle", "--instance", "F"], "lp.json", b'{"supply": [1,]}'),
     "instance_nan_cost": (["oracle", "--instance", "F"], "lp.json", b'{"supply": [1], "demand": [1], "cost": [[NaN]]}'),
+    "density_json_nested_too_deep": (
+        ["solve", "--input-f", "F", "--input-g", "G"], "bad.json", b"[" * 100_000 + b"]" * 100_000,
+    ),
+    "config_integer_too_long": (
+        ["solve", "--input-f", "G", "--input-g", "G", "--config", "F"], "cfg.json",
+        b'{"max_iters": ' + b"1" * 5000 + b"}",
+    ),
+    "instance_integer_too_long": (
+        ["oracle", "--instance", "F"], "lp.json", b'{"supply": [1], "demand": [1], "cost": [[' + b"1" * 5000 + b"]]}",
+    ),
     "instance_unbalanced": (
         ["oracle", "--instance", "F"], "lp.json",
         b'{"supply": [0.6, 0.5], "demand": [0.5, 0.5], "cost": [[0, 1], [1, 0]]}',

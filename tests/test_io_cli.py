@@ -291,6 +291,112 @@ class TestDensityIOBlocks:
             read_grid_csv(path)
         assert str(exc.value).startswith(f"{path}: ")
 
+    def test_256x256_read_holds_the_values_once(self, tmp_path):
+        # stacking a list of parsed rows held every value twice: a peak of 2.1x the values' bytes here
+        g = Grid1D.uniform(0.0, 1.0, 256)
+        values = smooth_random_density_2d(g, g, seed=3).values
+        write_grid_csv(tmp_path / "grid.csv", g, g, values)
+        tracemalloc.start()
+        try:
+            _, _, back = read_grid_csv(tmp_path / "grid.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == values.tobytes()
+        assert peak < 1.5 * values.nbytes
+
+
+def _halfway_values() -> list[float]:
+    """Doubles whose 18th significant digit is a 5 followed by zeros, so `%.17g` rounds a tie.
+
+    x = a / 2**(q + 1) with a odd has the decimal exponent 16 - q here, and x * 10**q ends in .5;
+    a and a + 2 round the tie down and up. Such x exist for every exponent from -4 to 15.
+    """
+    out = []
+    for q in range(1, 21):
+        a = -(-2 ** (q + 1) * 10 ** 16 // 10 ** q) | 1  # the first odd a with x >= 10**(16 - q)
+        out += [a / 2 ** (q + 1), (a + 2) / 2 ** (q + 1), (3 * a) / 2 ** (q + 1)]
+    return out
+
+
+def _around(x: float, ulps: int) -> list[float]:
+    """x and its `ulps` neighbours on each side."""
+    out = [x]
+    for direction in (0.0, np.inf):
+        v = x
+        for _ in range(ulps):
+            v = float(np.nextafter(v, direction))
+            out.append(v)
+    return out
+
+
+# values at the edges of the numpy formatter's arithmetic, each also negated: the window of fixed
+# notation, each power of ten (where log10 can misjudge the exponent), ties of the 17th digit, and
+# the integers from 2**53 to 2**57, where the spacing of doubles grows from 1 to 16
+_FORMAT_CASES = {
+    "window_low": _around(1e-4, 2),
+    "window_high": _around(1e17, 2),
+    "powers_of_ten": [v for j in range(-5, 19) for v in _around(10.0 ** j, 1)],
+    "ties": _halfway_values() + [1e15 + 0.25, 1e15 + 0.75, 2.0**54 + 2.0],
+    "integers_2_53_to_2_57": [v for j in range(53, 58) for v in _around(2.0**j, 3)]
+    + np.round(np.geomspace(2.0**53, 2.0**57, 40)).tolist(),
+}
+_FORMAT_VALUES = [s * v for vs in _FORMAT_CASES.values() for v in vs for s in (1.0, -1.0)] + _SPECIALS
+
+
+class TestGridCsvFormatter:
+    """`write_grid_csv`'s numpy formatter writes the bytes of `'%.17g' %`, one value at a time."""
+
+    @staticmethod
+    def percent_csv(grid_x, grid_y, values) -> bytes:
+        rows = [grid_y.nodes] + [np.r_[grid_x.nodes[i], values[i]] for i in range(grid_x.n_cells)]
+        lines = ["x_edge\\y_edges," + ",".join("%.17g" % v for v in rows[0])]
+        lines += [",".join("%.17g" % v for v in row) for row in rows[1:]] + ["%.17g" % grid_x.nodes[-1]]
+        return ("\n".join(lines) + "\n").encode()
+
+    def check(self, path, values):
+        grid_x = Grid1D(np.cumsum(np.r_[-0.5, np.linspace(0.1, 0.9, values.shape[0])]))
+        grid_y = Grid1D.uniform(-2.0, 2.0, values.shape[1])
+        write_grid_csv(path, grid_x, grid_y, values)
+        assert path.read_bytes() == self.percent_csv(grid_x, grid_y, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+                         elements=st.one_of(st.floats(), st.floats(1e-4, 1e17), st.floats(-1e17, -1e-4),
+                                            st.sampled_from(_FORMAT_VALUES))),
+           numpy_floats=st.sampled_from([0, density_io._NUMPY_FLOATS]), block=st.integers(1, 40))
+    def test_bytes_match_percent_format(self, tmp_path_factory, values, numpy_floats, block):
+        # NaN, infinities, signed zeros, subnormals and the largest float all come from st.floats()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density_io, "_NUMPY_FLOATS", numpy_floats)
+            mp.setattr(density_io, "_BLOCK_FLOATS", block)
+            self.check(tmp_path_factory.mktemp("csv") / "grid.csv", values)
+
+    @pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
+    def test_named_values_in_numpy(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(density_io, "_NUMPY_FLOATS", 0)
+        values = np.array([s * v for v in _FORMAT_CASES[case] for s in (1.0, -1.0)])
+        self.check(tmp_path / "grid.csv", values.reshape(2, -1))
+        self.check(tmp_path / "grid.csv", values.reshape(-1, 2))
+
+    def test_mixed_magnitudes_at_the_real_sizes(self, tmp_path):
+        # a few percent of zeros, NaNs, infinities and exponent-notation values, spliced into numpy's bytes
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-6, 19, (64, 64))
+        values.flat[rng.choice(values.size, 40, replace=False)] = [0.0, -0.0, np.nan, np.inf, -np.inf] * 8
+        self.check(tmp_path / "grid.csv", values)
+
+    # 16x16 is one block of 272 floats; 256x256 is 17 blocks of 15 rows and a last row of 257 floats
+    @pytest.mark.parametrize("n, numpy_blocks", [(16, 0), (32, 1), (256, 17)])
+    def test_small_blocks_keep_the_percent_call(self, tmp_path, monkeypatch, n, numpy_blocks):
+        calls = []
+        real = density_io._format_rows
+        monkeypatch.setattr(density_io, "_format_rows", lambda cells: calls.append(cells.size) or real(cells))
+        g = Grid1D.uniform(0.0, 1.0, n)
+        write_grid_csv(tmp_path / "grid.csv", g, g, np.full((n, n), 0.5))
+        assert len(calls) == numpy_blocks
+        assert all(density_io._NUMPY_FLOATS <= size <= density_io._BLOCK_FLOATS for size in calls)
+
 
 class TestCliSolve:
     def test_identical_densities_converge(self, tmp_path):

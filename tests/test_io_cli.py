@@ -347,18 +347,11 @@ _FORMAT_VALUES = [s * v for vs in _FORMAT_CASES.values() for v in vs for s in (1
 class TestGridCsvFormatter:
     """`write_grid_csv`'s numpy formatter writes the bytes of `'%.17g' %`, one value at a time."""
 
-    @staticmethod
-    def percent_csv(grid_x, grid_y, values) -> bytes:
-        rows = [grid_y.nodes] + [np.r_[grid_x.nodes[i], values[i]] for i in range(grid_x.n_cells)]
-        lines = ["x_edge\\y_edges," + ",".join("%.17g" % v for v in rows[0])]
-        lines += [",".join("%.17g" % v for v in row) for row in rows[1:]] + ["%.17g" % grid_x.nodes[-1]]
-        return ("\n".join(lines) + "\n").encode()
-
     def check(self, path, values):
         grid_x = Grid1D(np.cumsum(np.r_[-0.5, np.linspace(0.1, 0.9, values.shape[0])]))
         grid_y = Grid1D.uniform(-2.0, 2.0, values.shape[1])
         write_grid_csv(path, grid_x, grid_y, values)
-        assert path.read_bytes() == self.percent_csv(grid_x, grid_y, values)
+        assert path.read_bytes() == reference_grid_csv(grid_x, grid_y, values)
 
     @settings(max_examples=200, deadline=None)
     @given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),

@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from planar_mk.instances import gaussian_2d, smooth_random_density_2d
-from planar_mk.measures import Grid1D, marginals_2d
+from planar_mk.measures import Grid1D
 from planar_mk.optimizer import ipfp_project
 from planar_mk.reduction import (
     build_g_map,
@@ -33,8 +33,7 @@ def main() -> None:
         grid = Grid1D.uniform(0.0, 1.0, n)
         f = gaussian_2d(grid, grid, rho=0.4, sigma=(0.25, 0.22))
         f_tilde = gaussian_2d(grid, grid, rho=-0.3, sigma=(0.24, 0.28), mean=(0.45, 0.55))
-        f1, _ = marginals_2d(f)
-        _, f2 = marginals_2d(f_tilde)
+        f1, f2 = f.marginals[0], f_tilde.marginals[1]
         bump = smooth_random_density_2d(grid, grid, seed=args.seed, amplitude=0.6)
         p = ipfp_project(np.outer(f1.values, f2.values) * bump.values, f1, f2)
         rg = pushforward_check(f, p, build_g_map(f, p))

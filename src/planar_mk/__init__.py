@@ -15,25 +15,12 @@ from .measures import (
     DiscreteDensity2D,
     Grid1D,
     QuantileTable,
-    marginals_2d,
     per_axis_w2_sum,
     w2_squared_1d,
 )
-from .optimizer import SolveReport, SolverConfig, feasible_direction, ipfp_project, solve
-from .oracle import (
-    TransportInstance,
-    TransportPlan,
-    comonotone_plan_1d,
-    solve_full_2d,
-    solve_lp,
-)
-from .reduction import (
-    build_g_map,
-    build_h_map,
-    coupling_cost,
-    pushforward_check,
-    pushforward_check_h,
-)
+from .optimizer import SolveReport, SolverConfig, ipfp_project, solve
+from .oracle import TransportInstance, TransportPlan, solve_full_2d, solve_lp
+from .reduction import coupling_cost, pushforward_check, pushforward_check_h
 from .variational import (
     evaluate,
     euler_lagrange_residual,
@@ -53,17 +40,12 @@ __all__ = [
     "SolverConfig",
     "TransportInstance",
     "TransportPlan",
-    "build_g_map",
-    "build_h_map",
-    "comonotone_plan_1d",
     "coupling_cost",
     "evaluate",
     "euler_lagrange_residual",
-    "feasible_direction",
     "ipfp_project",
     "lemma1_checker",
     "lemma2_checker",
-    "marginals_2d",
     "per_axis_w2_sum",
     "pushforward_check",
     "pushforward_check_h",

@@ -1,21 +1,19 @@
-"""Reusable density builders for tests, experiments and demos."""
+"""Planar density builders for the scripts, the benchmark and the tests.
+
+Each returns a floored, renormalized `DiscreteDensity2D`: a function sampled
+at cell centers, a truncated correlated Gaussian, a seeded smooth random
+density, or a density shifted by whole cells.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
+from .measures import DiscreteDensity2D, Grid1D
 from .rng import Xoshiro256StarStar
 
 # cosine modes per axis of `smooth_random_density_2d`
 _N_MODES = 3
-# log-scale of the multiplicative noise in `random_feasible_coupling_values`
-_ROUGHNESS = 0.5
-
-
-def density_1d_from_function(grid: Grid1D, fn) -> DiscreteDensity1D:
-    """Midpoint-sampled 1-D density, floored and renormalized."""
-    return DiscreteDensity1D.from_values(grid, np.asarray(fn(grid.centers), dtype=float))
 
 
 def density_2d_from_function(grid_x: Grid1D, grid_y: Grid1D, fn) -> DiscreteDensity2D:
@@ -42,10 +40,6 @@ def gaussian_2d(
         return np.exp(-(zx**2 - 2 * rho * zx * zy + zy**2) / (2 * (1 - rho**2)))
 
     return density_2d_from_function(grid_x, grid_y, fn)
-
-
-def product_density_2d(u: DiscreteDensity1D, v: DiscreteDensity1D) -> DiscreteDensity2D:
-    return DiscreteDensity2D(u.grid, v.grid, np.outer(u.values, v.values))
 
 
 def smooth_random_density_2d(
@@ -84,41 +78,3 @@ def shifted_density_2d(d: DiscreteDensity2D, shift_x: int = 0, shift_y: int = 0)
     dst_y = slice(max(0, shift_y), min(n_y, n_y + shift_y))
     values[dst_x, dst_y] = d.values[src_x, src_y]
     return DiscreteDensity2D.from_values(d.grid_x, d.grid_y, values)
-
-
-def random_feasible_coupling_values(f1: DiscreteDensity1D, f2: DiscreteDensity1D, seed: int) -> np.ndarray:
-    """Random positive values for IPFP projection into the coupling polytope."""
-    rng = Xoshiro256StarStar(seed)
-    base = np.outer(f1.values, f2.values)
-    noise = rng.uniform(-1.0, 1.0, size=base.shape)
-    return base * np.exp(_ROUGHNESS * noise)
-
-
-def aligned_atomic_instance(
-    seed: int,
-    n_atoms: int,
-    resolution: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random 1-D atoms whose masses are exact multiples of 1/resolution.
-
-    Every quantile breakpoint lies on the lattice k/resolution. Exactness of
-    `w2_squared_1d` does not depend on it: its merged-level integral is exact
-    for any masses.
-    """
-    rng = Xoshiro256StarStar(seed)
-    x = np.sort(rng.uniform(-2.0, 2.0, size=n_atoms))
-    y = np.sort(rng.uniform(-2.0, 2.0, size=n_atoms))
-    x += 1e-6 * np.arange(n_atoms)  # break exact duplicates
-    y += 1e-6 * np.arange(n_atoms)
-
-    def masses() -> np.ndarray:
-        cuts = np.sort([rng.integers(resolution - 1) + 1 for _ in range(n_atoms - 1)])
-        counts = np.diff(np.concatenate([[0], cuts, [resolution]]))
-        counts = np.maximum(counts, 1)
-        counts[-1] = resolution - counts[:-1].sum()
-        if counts[-1] < 1:  # rebalance pathological draws
-            counts = np.full(n_atoms, resolution // n_atoms)
-            counts[-1] = resolution - counts[:-1].sum()
-        return counts / resolution
-
-    return x, masses(), y, masses()

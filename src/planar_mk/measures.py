@@ -360,7 +360,10 @@ def w2_squared_1d(qf: QuantileTable, qg: QuantileTable) -> float:
 
 
 def marginals_2d(d: DiscreteDensity2D) -> tuple[DiscreteDensity1D, DiscreteDensity1D]:
-    """Axis marginals as valid 1-D densities (cell-weighted sums)."""
+    """Axis marginals as valid 1-D densities (cell-weighted sums).
+
+    Kept for perfbench/workloads.py, which reads it; elsewhere `DiscreteDensity2D.marginals` caches it.
+    """
     wx = d.grid_x.cell_widths
     wy = d.grid_y.cell_widths
     fx = d.values @ wy            # density in x

@@ -194,35 +194,6 @@ def ipfp_project(raw: np.ndarray, f1: DiscreteDensity1D, f2: DiscreteDensity1D) 
     return CouplingDensity(f1.grid, f2.grid, values, f1, f2)
 
 
-def feasible_direction(
-    shape: tuple[int, int],
-    a: int,
-    a1: int,
-    b: int,
-    b1: int,
-    cell_areas: np.ndarray | None = None,
-) -> np.ndarray:
-    """Four-cell bump direction: +1 at (a,b),(a1,b1), -1 at (a1,b),(a,b1).
-
-    Row and column sums vanish identically. With cell_areas given, the
-    pattern is divided by the areas so the zero sums hold in mass terms on
-    nonuniform grids as well (identical on unit-cell grids). Raises for a
-    degenerate rectangle and for an index outside the grid.
-    """
-    if a == a1 or b == b1:
-        raise ValueError("degenerate rectangle: need a != a1 and b != b1")
-    if not (0 <= a < shape[0] and 0 <= a1 < shape[0] and 0 <= b < shape[1] and 0 <= b1 < shape[1]):
-        raise ValueError(f"bump indices ({a}, {a1}, {b}, {b1}) lie outside the {shape} grid")
-    d = np.zeros(shape)
-    d[a, b] = 1.0
-    d[a1, b1] = 1.0
-    d[a1, b] = -1.0
-    d[a, b1] = -1.0
-    if cell_areas is not None:
-        d = d / cell_areas
-    return d
-
-
 def project_zero_marginals(fld: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """Orthogonal projection (area inner product) onto zero-marginal fields.
 

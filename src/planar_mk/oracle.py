@@ -93,7 +93,7 @@ class TransportInstance:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A transport plan on its instance; `solve_lp` also sets the dual potentials u, v.
+    """A transport plan on its instance, with the dual potentials u, v that `solve_lp` sets.
 
     The potentials satisfy u_i + v_j = C_ij on the final basis and
     u_i + v_j <= C_ij elsewhere, to the reduced-cost tolerance 1e-11 max(1, max C),
@@ -102,8 +102,8 @@ class TransportPlan:
 
     flows: np.ndarray
     instance: TransportInstance
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
+    u: np.ndarray
+    v: np.ndarray
 
     @property
     def objective(self) -> float:
@@ -296,33 +296,6 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray
     for x in range(1, m + k):
         flow_mat[_arc(x, parent[x], m)] = flow[x]
     return flow_mat, np.array(pot[:m]), np.array(pot[m:])
-
-
-def comonotone_plan_1d(x: np.ndarray, a: np.ndarray, y: np.ndarray, b: np.ndarray) -> TransportPlan:
-    """Monotone-rearrangement (quantile) plan for 1-D atoms, squared distance.
-
-    The northwest corner on the atoms stably sorted by position, which is
-    the monotone plan and optimal for quadratic cost (Hoffman 1963); the LP
-    cross-checks it. Positions must be finite, and so must their squared
-    distances; the masses pass the checks of a `TransportInstance`.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or np.shape(a) != x.shape or y.ndim != 1 or np.shape(b) != y.shape:
-        raise ValueError("atom positions and masses must be 1-D arrays of one length per side")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
-        cost = (x[:, None] - y[None, :]) ** 2
-    if not np.isfinite(cost).all():
-        raise ValueError(f"atom positions must be finite, and so must their squared distances: x in [{x.min()}, "
-                         f"{x.max()}], y in [{y.min()}, {y.max()}]")
-    instance = TransportInstance(a, b, cost)
-    ox = np.argsort(x, kind="stable")
-    oy = np.argsort(y, kind="stable")
-    flows = np.zeros(instance.cost.shape)
-    for node, par, step in _northwest_corner(instance.supply[ox], instance.demand[oy]):
-        i, j = _arc(node, par, x.size)
-        flows[ox[i], oy[j]] = step
-    return TransportPlan(flows, instance)
 
 
 def atoms_from_density_2d(d: DiscreteDensity2D) -> tuple[np.ndarray, np.ndarray]:

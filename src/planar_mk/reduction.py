@@ -88,7 +88,8 @@ def _slice_costs(sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def build_g_map(f: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
     """g(x, y) on the p-grid; g[i, j] lives on f's second axis.
 
-    p must couple f's x-marginal (`check_coupling_side`, axis 0).
+    p must couple f's x-marginal (`check_coupling_side`, axis 0). Kept for
+    perfbench/workloads.py, which reads it; `evaluate(f, f_tilde, p).g` is the same map.
     """
     check_coupling_side(p, f.marginals[0], 0)
     return _at_centers(conditional_quantile_field(f, "x"), p.cell_masses)[0]
@@ -97,7 +98,8 @@ def build_g_map(f: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
 def build_h_map(f_tilde: DiscreteDensity2D, p: DiscreteDensity2D) -> np.ndarray:
     """h(x, y) on the p-grid; h[i, j] lives on f~'s first axis.
 
-    p must couple f~'s y-marginal (`check_coupling_side`, axis 1).
+    p must couple f~'s y-marginal (`check_coupling_side`, axis 1). Kept for
+    perfbench/workloads.py, which reads it; `evaluate(f, f_tilde, p).h` is the same map.
     """
     check_coupling_side(p, f_tilde.marginals[1], 1)
     table = conditional_quantile_field(f_tilde, "y")
@@ -129,7 +131,9 @@ def _binned_pushforward(
     levels = np.clip(cum / np.ascontiguousarray(rows).sum(axis=1)[:, None], 1e-15, 1.0)
     image_edges = np.concatenate([table.values[:, :1], table(levels)], axis=1)
     if np.any(maps < image_edges[:, :-1] - 1e-9) or np.any(maps > image_edges[:, 1:] + 1e-9):
-        raise ValueError(f"{name} is inconsistent with its density and p; rebuild it with build_{name}_map")
+        raise ValueError(
+            f"{name} is inconsistent with its density and p; rebuild it as evaluate(f, f_tilde, p).{name}"
+        )
     binned = np.empty((rows.shape[0], edges.size - 1))
     for s in range(rows.shape[0]):
         binned[s] = np.diff(np.interp(edges, image_edges[s], deposited[s]))

@@ -170,14 +170,6 @@ def evaluate(
     return objective_pass(field_f, field_ft, p.cell_masses, p.grid_x, p.grid_y)
 
 
-def cumulative_h(p: DiscreteDensity2D) -> np.ndarray:
-    """H(x, y) = cumulative coupling mass up to (x, y), on the grid nodes: (n_x + 1, n_y + 1)."""
-    masses = p.cell_masses
-    H = np.zeros((masses.shape[0] + 1, masses.shape[1] + 1))
-    H[1:, 1:] = np.cumsum(np.cumsum(masses, axis=0), axis=1)
-    return H
-
-
 @dataclass(frozen=True)
 class ELResidualReport:
     residual: np.ndarray      # divergence field g_x + h_y at cell centers
@@ -209,7 +201,7 @@ def euler_lagrange_residual(
     and f~ first; the residual differences them. The reported norm covers
     the interior only; the boundary content of the stationarity condition is
     exactly the marginal constraints, which H carries on its last row and
-    column (`cumulative_h`).
+    column: there it is the cumulative mass of f2 and of f1.
     at_p, if given, must be the pass at p's masses on f's "x" and f~'s "y"
     conditional-quantile fields, made by a caller that has evaluated p
     already; the coupling check runs all the same.

@@ -11,14 +11,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import comonotone_plan_1d, density_1d_from_function, product_density_2d
 from planar_mk.cli import main as cli_main
 from planar_mk.density_io import write_density_json
 from planar_mk.instances import (
-    aligned_atomic_instance,
-    density_1d_from_function,
     density_2d_from_function,
     gaussian_2d,
-    product_density_2d,
     shifted_density_2d,
     smooth_random_density_2d,
 )
@@ -30,8 +28,9 @@ from planar_mk.measures import (
     w2_squared_1d,
 )
 from planar_mk.optimizer import SolverConfig, ipfp_project, project_zero_marginals, solve
-from planar_mk.oracle import TransportInstance, comonotone_plan_1d, solve_full_2d, solve_lp
+from planar_mk.oracle import TransportInstance, solve_full_2d, solve_lp
 from planar_mk.reduction import build_g_map, build_h_map, pushforward_check
+from planar_mk.rng import Xoshiro256StarStar
 from planar_mk.variational import (
     euler_lagrange_residual,
     evaluate,
@@ -58,6 +57,36 @@ def shift_instance(seed: int, sx: int, sy: int, n: int = 4):
         vals[:, -sy:] = 0
     f = DiscreteDensity2D.from_values(g, g, vals)
     return f, shifted_density_2d(f, sx, sy)
+
+
+def aligned_atomic_instance(
+    seed: int,
+    n_atoms: int,
+    resolution: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Random 1-D atoms whose masses are exact multiples of 1/resolution.
+
+    Every quantile breakpoint lies on the lattice k/resolution. Exactness of
+    `w2_squared_1d` does not depend on it: its merged-level integral is exact
+    for any masses.
+    """
+    rng = Xoshiro256StarStar(seed)
+    x = np.sort(rng.uniform(-2.0, 2.0, size=n_atoms))
+    y = np.sort(rng.uniform(-2.0, 2.0, size=n_atoms))
+    x += 1e-6 * np.arange(n_atoms)  # break exact duplicates
+    y += 1e-6 * np.arange(n_atoms)
+
+    def masses() -> np.ndarray:
+        cuts = np.sort([rng.integers(resolution - 1) + 1 for _ in range(n_atoms - 1)])
+        counts = np.diff(np.concatenate([[0], cuts, [resolution]]))
+        counts = np.maximum(counts, 1)
+        counts[-1] = resolution - counts[:-1].sum()
+        if counts[-1] < 1:  # rebalance pathological draws
+            counts = np.full(n_atoms, resolution // n_atoms)
+            counts[-1] = resolution - counts[:-1].sum()
+        return counts / resolution
+
+    return x, masses(), y, masses()
 
 
 def test_criterion_1_one_dimensional_optimality():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import planar_mk
-from conftest import narrow_gaussian_pair, shift_pair
+from conftest import density_1d_from_function, narrow_gaussian_pair, product_density_2d, shift_pair
 from test_oracle import random_instances
 from planar_mk import cli, density_io, measures, oracle, reduction, variational
 from planar_mk.cli import main
@@ -634,8 +634,6 @@ class TestCliSolve:
         assert (out1 / "p_star.csv").read_bytes() == (out2 / "p_star.csv").read_bytes()
 
     def test_product_pair_report_matches_axis_quantile_sum(self, tmp_path):
-        from planar_mk.instances import density_1d_from_function, product_density_2d
-
         grid = Grid1D.uniform(0.0, 1.0, 16)
         u1 = density_1d_from_function(grid, lambda x: np.exp(-((x - 0.4) ** 2) / 0.06))
         u2 = density_1d_from_function(grid, lambda y: np.exp(-((y - 0.35) ** 2) / 0.08))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import density_cdf
+from conftest import comonotone_plan_1d, density_cdf
 from planar_mk.measures import (
     EPS_FLOOR,
     DiscreteDensity1D,
@@ -16,7 +16,7 @@ from planar_mk.measures import (
     marginals_2d,
     w2_squared_1d,
 )
-from planar_mk.oracle import TransportInstance, comonotone_plan_1d, solve_lp
+from planar_mk.oracle import TransportInstance, solve_lp
 
 density_table = QuantileTable.from_density
 atom_table = QuantileTable.from_atoms

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_smooth_feasible_coupling, shift_pair
+from conftest import density_1d_from_function, make_smooth_feasible_coupling, product_density_2d, shift_pair
 from planar_mk import optimizer, variational
 from planar_mk.coupling import FEAS_TOL, FeasibilityError
 from planar_mk.instances import (
-    density_1d_from_function,
     density_2d_from_function,
     gaussian_2d,
-    product_density_2d,
     shifted_density_2d,
     smooth_random_density_2d,
 )
@@ -33,12 +31,40 @@ from planar_mk.optimizer import (
     IPFPConvergenceError,
     NoDescentError,
     SolverConfig,
-    feasible_direction,
     ipfp_project,
     project_zero_marginals,
     solve,
 )
 from planar_mk.reduction import conditional_quantile_field
+
+
+def feasible_direction(
+    shape: tuple[int, int],
+    a: int,
+    a1: int,
+    b: int,
+    b1: int,
+    cell_areas: np.ndarray | None = None,
+) -> np.ndarray:
+    """Four-cell bump direction: +1 at (a,b),(a1,b1), -1 at (a1,b),(a,b1).
+
+    Row and column sums vanish identically. With cell_areas given, the
+    pattern is divided by the areas so the zero sums hold in mass terms on
+    nonuniform grids as well (identical on unit-cell grids). Raises for a
+    degenerate rectangle and for an index outside the grid.
+    """
+    if a == a1 or b == b1:
+        raise ValueError("degenerate rectangle: need a != a1 and b != b1")
+    if not (0 <= a < shape[0] and 0 <= a1 < shape[0] and 0 <= b < shape[1] and 0 <= b1 < shape[1]):
+        raise ValueError(f"bump indices ({a}, {a1}, {b}, {b1}) lie outside the {shape} grid")
+    d = np.zeros(shape)
+    d[a, b] = 1.0
+    d[a1, b1] = 1.0
+    d[a1, b] = -1.0
+    d[a, b1] = -1.0
+    if cell_areas is not None:
+        d = d / cell_areas
+    return d
 
 
 def unit_marginal(values):

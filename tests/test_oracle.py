@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import narrow_gaussian_pair, shift_pair
+from conftest import comonotone_plan_1d, narrow_gaussian_pair, shift_pair
 from planar_mk import oracle
 from planar_mk.instances import smooth_random_density_2d
 from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D
@@ -14,7 +14,6 @@ from planar_mk.oracle import (
     TransportPlan,
     UnbalancedInstanceError,
     atoms_from_density_2d,
-    comonotone_plan_1d,
     solve_full_2d,
     solve_lp,
 )

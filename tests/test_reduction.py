@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import density_cdf, make_smooth_feasible_coupling
+from conftest import density_1d_from_function, density_cdf, make_smooth_feasible_coupling, product_density_2d
 from planar_mk.coupling import FEAS_TOL, FeasibilityError
-from planar_mk.instances import (
-    density_1d_from_function,
-    gaussian_2d,
-    product_density_2d,
-    random_feasible_coupling_values,
-    smooth_random_density_2d,
-)
+from planar_mk.instances import gaussian_2d, smooth_random_density_2d
 from planar_mk.measures import (
     DiscreteDensity1D,
     DiscreteDensity2D,
@@ -31,8 +25,20 @@ from planar_mk.reduction import (
     pushforward_check,
     pushforward_check_h,
 )
+from planar_mk.rng import Xoshiro256StarStar
 from planar_mk.variational import evaluate, objective_pass
 from test_variational import coupled_pair
+
+# log-scale of the multiplicative noise in `random_feasible_coupling_values`
+_ROUGHNESS = 0.5
+
+
+def random_feasible_coupling_values(f1: DiscreteDensity1D, f2: DiscreteDensity1D, seed: int) -> np.ndarray:
+    """Random positive values for IPFP projection into the coupling polytope."""
+    rng = Xoshiro256StarStar(seed)
+    base = np.outer(f1.values, f2.values)
+    noise = rng.uniform(-1.0, 1.0, size=base.shape)
+    return base * np.exp(_ROUGHNESS * noise)
 
 
 def unit_cell_grid(n):

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import density_cdf, make_smooth_feasible_coupling, shift_pair
-from planar_mk.coupling import CouplingDensity, FeasibilityError
-from planar_mk.instances import (
+from conftest import (
     density_1d_from_function,
-    gaussian_2d,
+    density_cdf,
+    make_smooth_feasible_coupling,
     product_density_2d,
-    smooth_random_density_2d,
+    shift_pair,
 )
+from planar_mk.coupling import CouplingDensity, FeasibilityError
+from planar_mk.instances import gaussian_2d, smooth_random_density_2d
 from planar_mk.measures import DiscreteDensity1D, DiscreteDensity2D, Grid1D, QuantileTable, marginals_2d
 from planar_mk.optimizer import ipfp_project, project_zero_marginals, solve
 from planar_mk.reduction import (
@@ -23,13 +24,20 @@ from planar_mk.reduction import (
     pushforward_check_h,
 )
 from planar_mk.variational import (
-    cumulative_h,
     euler_lagrange_residual,
     evaluate,
     lemma1_checker,
     lemma2_checker,
     objective_pass,
 )
+
+
+def cumulative_h(p: DiscreteDensity2D) -> np.ndarray:
+    """H(x, y) = cumulative coupling mass up to (x, y), on the grid nodes: (n_x + 1, n_y + 1)."""
+    masses = p.cell_masses
+    H = np.zeros((masses.shape[0] + 1, masses.shape[1] + 1))
+    H[1:, 1:] = np.cumsum(np.cumsum(masses, axis=0), axis=1)
+    return H
 
 
 def test_maps_equal_objective_pass_maps_bit_for_bit():
